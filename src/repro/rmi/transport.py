@@ -6,8 +6,9 @@ stand-in for one JVM at one IP:port.  Two transports move
 
 - :class:`DirectTransport` — synchronous delivery in the caller's thread.
   Deterministic; used by unit tests and by the simulation experiments.
-- :class:`ThreadedTransport` — each endpoint owns a dispatch pool, calls
-  block the caller until the remote worker responds (or a timeout trips).
+- :class:`ThreadedTransport` — each endpoint owns a bounded pool of
+  dispatch threads, calls block the caller until the remote worker
+  responds (or a timeout trips).
   This is the live mode the runnable examples use: real concurrency, real
   blocking semantics.
 
@@ -21,24 +22,35 @@ invariants DESIGN.md documents):
   endpoint's own lock, so killing one endpoint never stalls traffic to
   the others;
 - ``messages_sent`` is a :class:`~repro.concurrency.StripedCounter`, so
-  concurrent callers never lose counts and never serialize on it.
+  concurrent callers never lose counts and never serialize on it;
+- the threaded hand-off (caller thread -> dispatch thread -> caller
+  thread) is one ``SimpleQueue.put`` of a slotted job record and one
+  release of the lock the caller is parked on — no ``Future``, no
+  ``Condition``, no per-call closure, no lock shared between callers.
+  Each endpoint's dispatcher spawns its (at most
+  ``workers_per_endpoint``) daemon workers only when a job finds none
+  free, so a closed-loop caller costs one thread per endpoint it talks
+  to.  A queued job is always *completed* — run by a worker, or failed
+  by the dispatcher's ``close`` — never dropped or cancelled.
 
 Endpoints can be killed to model JVM crashes; invoking a dead or unknown
 endpoint raises :class:`ConnectError`, which the elastic stub's retry loop
 feeds on (paper section 4.3: "if the sending itself fails, the remote
 method invocation throws an exception which is intercepted by the client
-stub").  A killed endpoint stays *resolvable*: its dispatcher is gone but
-the endpoint record remains, so the failure always surfaces as the
-"endpoint ... is down" ConnectError the retry loop expects, never as a
-missing-dispatcher internal error.
+stub").  A killed endpoint stays *resolvable*: its dispatcher is closed
+but both records remain, so the failure always surfaces as the
+"endpoint ... is down" ConnectError the retry loop expects — for a call
+that arrives after the kill, for one that races it, and for one that was
+already queued behind a busy worker when it happened (jobs a worker had
+started run to completion).
 """
 
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Protocol
 
@@ -446,7 +458,7 @@ class _DispatchStats:
     ``queued = submitted - started`` (jobs waiting for a worker) and
     ``busy = started - finished`` (workers running a job).  Reading
     them is racy by nature — each counter is exact, the difference is a
-    point-in-time estimate, clamped at zero for the read-skew case.
+    point-in-time estimate.
     """
 
     __slots__ = ("submitted", "started", "finished")
@@ -456,11 +468,190 @@ class _DispatchStats:
         self.started = StripedCounter()
         self.finished = StripedCounter()
 
-    def queued(self) -> int:
-        return max(0, self.submitted.value() - self.started.value())
+    def snapshot(self) -> tuple[int, int]:
+        """``(queued, busy)`` from one read of each counter.
 
-    def busy(self) -> int:
-        return max(0, self.started.value() - self.finished.value())
+        A job moves submitted -> started -> finished, so reading the
+        counters in the reverse order keeps both differences
+        non-negative: read skew can only overstate, never go below 0.
+        """
+        finished = self.finished.value()
+        started = self.started.value()
+        submitted = self.submitted.value()
+        return submitted - started, started - finished
+
+
+class _Job:
+    """One hand-off: what to run, and the one-shot slot its outcome lands in.
+
+    ``done`` is born locked; the caller parks on it and whoever completes
+    the job — a worker, or :meth:`_Dispatcher.close` — releases it, once.
+    """
+
+    __slots__ = ("fn", "arg", "result", "error", "done")
+
+    def __init__(self, fn: Callable[[Any], Any], arg: Any) -> None:
+        self.fn = fn
+        self.arg = arg
+        self.result = None
+        self.error: BaseException | None = None
+        done = threading.Lock()
+        done.acquire()
+        self.done = done
+
+    def outcome(self) -> Any:
+        """The result, or the handler's exception re-raised in the caller.
+
+        Only valid once ``done`` has been acquired."""
+        error = self.error
+        if error is None:
+            return self.result
+        # The traceback is about to hold the caller's frames, which hold
+        # this job: drop the job's reference so no cycle forms.
+        self.error = None
+        try:
+            raise error
+        finally:
+            del error
+
+
+class _Dispatcher:
+    """One endpoint's bounded dispatch pool.
+
+    At most ``workers`` daemon threads, spawned only when a job arrives
+    and no worker is free, block in ``SimpleQueue.get`` and run
+    :class:`_Job` records.  A call costs one queue put and one lock
+    release; there is no shared lock on the submit path.  ``_idle``
+    holds one token per worker known to be free (list append/pop are
+    atomic), so a single closed-loop caller only ever starts one thread;
+    once the pool is at full strength the tokens are no longer needed
+    and neither side touches them.
+
+    Every queued job is completed exactly once: run by a worker, or
+    failed by :meth:`close` with the ``ConnectError`` a dead endpoint
+    raises.  Nothing is dropped or cancelled.
+    """
+
+    __slots__ = (
+        "name", "stats", "gauges", "_down", "_workers", "_queue", "_idle",
+        "_lock", "_spawned", "_closed",
+    )
+
+    def __init__(self, name: str, down: str, workers: int) -> None:
+        self.name = name
+        self.stats = _DispatchStats()
+        # (queued, busy) gauges while an Observability is attached.
+        self.gauges: tuple[Any, Any] | None = None
+        self._down = down
+        self._workers = workers
+        self._queue: queue.SimpleQueue[_Job | None] = queue.SimpleQueue()
+        self._idle: list[None] = []
+        self._lock = threading.Lock()  # spawn and close only
+        self._spawned = 0
+        self._closed = False
+
+    def submit(self, fn: Callable[[Any], Any], arg: Any) -> _Job:
+        """Queue ``fn(arg)`` for a worker; the caller parks on ``job.done``.
+
+        The saturation gauges are refreshed here — the moment queue
+        depth can only have grown — so a saturated pool is visible in
+        the metrics timeline even between scrapes.
+        """
+        if self._closed:
+            raise ConnectError(self._down)
+        if self._spawned < self._workers:
+            try:
+                self._idle.pop()
+            except IndexError:
+                self._spawn()
+        job = _Job(fn, arg)
+        stats = self.stats
+        stats.submitted.increment()
+        self._queue.put(job)
+        if self._closed:
+            # Raced close(): its sweep may have passed before our put,
+            # and no worker may be left.  Sweep again so the job is
+            # failed like the ones close() found, not stranded.
+            self._fail_queued()
+        gauges = self.gauges
+        if gauges is not None:
+            queued, busy = stats.snapshot()
+            gauges[0].set(float(queued))
+            gauges[1].set(float(busy))
+        return job
+
+    def _spawn(self) -> None:
+        with self._lock:
+            if self._closed:
+                raise ConnectError(self._down)
+            if self._spawned < self._workers:
+                threading.Thread(
+                    target=self._work,
+                    name=f"erm-{self.name}_{self._spawned}",
+                    daemon=True,
+                ).start()
+                self._spawned += 1
+
+    def _work(self) -> None:
+        get = self._queue.get
+        started = self.stats.started.increment
+        finished = self.stats.finished.increment
+        idle = self._idle
+        workers = self._workers
+        while True:
+            job = get()
+            if job is None:
+                return
+            started()
+            try:
+                job.result = job.fn(job.arg)
+            except BaseException as exc:  # re-raised in the caller
+                job.error = exc
+            # Bookkeeping before the release: a caller that returns must
+            # already see this worker as finished and free.
+            finished()
+            if self._spawned < workers:
+                idle.append(None)
+            job.done.release()
+            # Do not pin the last request/response while parked in get().
+            del job
+
+    def close(self) -> None:
+        """Fail what is queued, let running jobs finish, stop the workers."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._fail_queued()
+        for _ in range(self._spawned):
+            self._queue.put(None)
+
+    def _fail_queued(self) -> None:
+        stats = self.stats
+        sentinels = 0
+        while True:
+            try:
+                job = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            if job is None:
+                sentinels += 1
+                continue
+            # Leaves the queue without ever being busy.
+            stats.started.increment()
+            stats.finished.increment()
+            job.error = ConnectError(self._down)
+            job.done.release()
+        # A submit racing close() sweeps too; hand back the workers'
+        # exit sentinels it may have picked up.
+        for _ in range(sentinels):
+            self._queue.put(None)
+
+
+def _run_chunk(arg: tuple[Endpoint, tuple[Request, ...]]) -> list[Response]:
+    ep, chunk = arg
+    dispatch = _TransportBase._dispatch_entry
+    return [dispatch(ep, request) for request in chunk]
 
 
 class ThreadedTransport(_TransportBase):
@@ -470,26 +661,46 @@ class ThreadedTransport(_TransportBase):
 
     def __init__(self, workers_per_endpoint: int = 4, timeout: float = 30.0):
         super().__init__()
+        if workers_per_endpoint < 1:
+            raise ValueError("workers_per_endpoint must be at least 1")
         self._workers = workers_per_endpoint
         self._timeout = timeout
-        # Read-mostly, like the endpoint map.
-        self._executors: dict[str, ThreadPoolExecutor] = {}
-        self._dispatch: dict[str, _DispatchStats] = {}
+        # Read-mostly, like the endpoint map.  A killed endpoint keeps
+        # its (closed) dispatcher: submitting to it raises the "is down"
+        # ConnectError, and its saturation counters stay readable.
+        self._dispatchers: dict[str, _Dispatcher] = {}
 
     def add_endpoint(self, name: str) -> Endpoint:
         ep = super().add_endpoint(name)
-        executor = ThreadPoolExecutor(
-            max_workers=self._workers,
-            thread_name_prefix=f"erm-{name}",
+        dispatcher = _Dispatcher(
+            name,
+            f"endpoint {ep.endpoint_id} ({name}) is down",
+            self._workers,
         )
         with self._admin_lock:
-            executors = dict(self._executors)
-            executors[ep.endpoint_id] = executor
-            self._executors = executors
-            dispatch = dict(self._dispatch)
-            dispatch[ep.endpoint_id] = _DispatchStats()
-            self._dispatch = dispatch
+            dispatcher.gauges = self._dispatch_gauges(name)
+            dispatchers = dict(self._dispatchers)
+            dispatchers[ep.endpoint_id] = dispatcher
+            self._dispatchers = dispatchers
         return ep
+
+    def set_obs(self, obs) -> None:
+        with self._admin_lock:
+            super().set_obs(obs)
+            for dispatcher in self._dispatchers.values():
+                dispatcher.gauges = self._dispatch_gauges(dispatcher.name)
+
+    def _dispatch_gauges(self, name: str) -> tuple[Any, Any] | None:
+        """Resolve an endpoint's two saturation gauges once, so the
+        obs-on submit path does no name formatting or registry lookup."""
+        obs = self._obs
+        if obs is None:
+            return None
+        registry = obs.registry
+        return (
+            registry.gauge(f"rmi.server.dispatch_queued.{name}"),
+            registry.gauge(f"rmi.server.dispatch_busy.{name}"),
+        )
 
     def dispatch_stats(self, endpoint_id: str) -> dict[str, int] | None:
         """Point-in-time saturation view of one endpoint's pool.
@@ -498,59 +709,28 @@ class ThreadedTransport(_TransportBase):
         running one; ``queued > 0`` with ``busy == workers`` is the
         saturation signature that motivates the asyncio transport.
         """
-        stats = self._dispatch.get(endpoint_id)
-        if stats is None:
+        dispatcher = self._dispatchers.get(endpoint_id)
+        if dispatcher is None:
             return None
-        return {
-            "queued": stats.queued(),
-            "busy": stats.busy(),
-            "workers": self._workers,
-        }
+        queued, busy = dispatcher.stats.snapshot()
+        return {"queued": queued, "busy": busy, "workers": self._workers}
 
-    def _submit_job(
-        self,
-        executor: ThreadPoolExecutor,
-        stats: _DispatchStats | None,
-        ep: Endpoint,
-        job: Callable[[], Any],
-    ):
-        """Submit one dispatch job, tracking pool saturation.
-
-        Gauges are refreshed at submit time — the moment queue depth can
-        only have grown — so a saturated pool is visible in the metrics
-        timeline even between scrapes.
-        """
-        if stats is None:
-            return executor.submit(job)
-        stats.submitted.increment()
-
-        def run() -> Any:
-            stats.started.increment()
-            try:
-                return job()
-            finally:
-                stats.finished.increment()
-
-        future = executor.submit(run)
-        obs = self._obs
-        if obs is not None:
-            registry = obs.registry
-            registry.gauge(f"rmi.server.dispatch_queued.{ep.name}").set(
-                float(stats.queued())
-            )
-            registry.gauge(f"rmi.server.dispatch_busy.{ep.name}").set(
-                float(stats.busy())
-            )
-        return future
+    def _dispatcher(self, endpoint_id: str, ep: Endpoint) -> _Dispatcher:
+        dispatcher = self._dispatchers.get(endpoint_id)
+        if dispatcher is None:
+            # Resolved between add_endpoint's two publications; no one
+            # can hold the id yet, but fail like a dead endpoint anyway.
+            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        if dispatcher._closed:
+            # After shutdown(), or kill() racing past _resolve: a dead
+            # endpoint wins before the fault hook, the message count and
+            # the trace event.  submit() re-checks for the true race.
+            raise ConnectError(dispatcher._down)
+        return dispatcher
 
     def invoke(self, endpoint_id: str, request: Request) -> Response:
         ep, handler = self._resolve(endpoint_id, request)
-        executor = self._executors.get(endpoint_id)
-        if executor is None:
-            # The dispatcher is gone but the endpoint resolved: we raced
-            # a kill()/shutdown().  Surface the same ConnectError a dead
-            # endpoint raises so retry loops treat both identically.
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        dispatcher = self._dispatcher(endpoint_id, ep)
         hook = self._fault_hook
         if hook is not None:
             hook(endpoint_id, request)
@@ -561,19 +741,13 @@ class ThreadedTransport(_TransportBase):
                 "transport", "message",
                 endpoint=ep.name, method=request.method, caller=request.caller,
             )
-        future = self._submit_job(
-            executor,
-            self._dispatch.get(endpoint_id),
-            ep,
-            lambda: handler(request),
-        )
-        try:
-            return future.result(timeout=self._timeout)
-        except TimeoutError as exc:
+        job = dispatcher.submit(handler, request)
+        if not job.done.acquire(True, self._timeout):
             raise RemoteError(
                 f"invocation of {request.method!r} timed out after "
                 f"{self._timeout}s"
-            ) from exc
+            )
+        return job.outcome()
 
     def invoke_batch(
         self, endpoint_id: str, batch: BatchRequest
@@ -581,73 +755,51 @@ class ThreadedTransport(_TransportBase):
         """Deliver a batch and dispatch its entries in parallel.
 
         Entries are split into contiguous chunks, at most one per
-        endpoint worker, so a 64-call batch costs ~4 executor
-        submissions instead of 64 — that amortization (plus the single
-        wire message) is where the batched-throughput win comes from.
+        endpoint worker, so a 64-call batch costs ~4 dispatch jobs
+        instead of 64 — that amortization (plus the single wire
+        message) is where the batched-throughput win comes from.
         Chunk jobs run entries sequentially and results reassemble in
         entry order.  One deadline covers the whole batch; tripping it
         raises the same :class:`RemoteError` a single slow invocation
         would.
         """
         ep = self._resolve_endpoint(endpoint_id)
-        executor = self._executors.get(endpoint_id)
-        if executor is None:
-            # Raced a kill()/shutdown(); same ConnectError as invoke().
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        dispatcher = self._dispatcher(endpoint_id, ep)
         self._batch_prologue(endpoint_id, ep, batch)
         requests = batch.entries
         chunk_count = min(self._workers, len(requests))
         size, extra = divmod(len(requests), chunk_count)
-        chunks = []
+        jobs = []
         start = 0
         for i in range(chunk_count):
             stop = start + size + (1 if i < extra else 0)
-            chunks.append(requests[start:stop])
+            jobs.append(dispatcher.submit(_run_chunk, (ep, requests[start:stop])))
             start = stop
-
-        def run_chunk(chunk: tuple[Request, ...]) -> list[Response]:
-            return [self._dispatch_entry(ep, request) for request in chunk]
-
-        stats = self._dispatch.get(endpoint_id)
-        futures = [
-            self._submit_job(
-                executor, stats, ep,
-                lambda chunk=chunk: run_chunk(chunk),
-            )
-            for chunk in chunks
-        ]
         deadline = time.monotonic() + self._timeout
         responses: list[Response] = []
-        try:
-            for future in futures:
-                remaining = deadline - time.monotonic()
-                responses.extend(future.result(timeout=max(0.0, remaining)))
-        except TimeoutError as exc:
-            raise RemoteError(
-                f"batch of {len(requests)} invocations timed out after "
-                f"{self._timeout}s"
-            ) from exc
+        for job in jobs:
+            remaining = deadline - time.monotonic()
+            if not job.done.acquire(True, max(0.0, remaining)):
+                raise RemoteError(
+                    f"batch of {len(requests)} invocations timed out after "
+                    f"{self._timeout}s"
+                )
+            responses.extend(job.outcome())
         return BatchResponse(entries=tuple(responses))
 
     def kill(self, endpoint_id: str) -> None:
         # Mark dead first so racing invokes fail in _resolve before they
-        # ever look for the dispatcher.
+        # ever reach the dispatcher.
         super().kill(endpoint_id)
-        with self._admin_lock:
-            executors = dict(self._executors)
-            executor = executors.pop(endpoint_id, None)
-            self._executors = executors
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        dispatcher = self._dispatchers.get(endpoint_id)
+        if dispatcher is not None:
+            dispatcher.close()
 
     def cpu_executor(self):
         return self._ensure_cpu_executor()
 
     def shutdown(self) -> None:
         """Stop every dispatcher and the cpu pool (end of a session)."""
-        with self._admin_lock:
-            executors = list(self._executors.values())
-            self._executors = {}
-        for executor in executors:
-            executor.shutdown(wait=False, cancel_futures=True)
+        for dispatcher in self._dispatchers.values():
+            dispatcher.close()
         self._shutdown_cpu_executor()

@@ -1,14 +1,18 @@
 """Tests for direct and threaded transports."""
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import ConnectError
+from repro.core.api import ElasticObject
+from repro.core.runtime import ElasticRuntime
+from repro.errors import ConnectError, RemoteError
 from repro.rmi.marshal import marshal_value
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import (
+    BatchRequest,
     DirectTransport,
     Request,
     Response,
@@ -158,3 +162,297 @@ class TestThreadedTransport:
             t.join()
         finally:
             transport.shutdown()
+
+
+class _Boom(Exception):
+    pass
+
+
+class _Gate:
+    """An endpoint whose ``park`` object blocks until released and whose
+    ``echo`` object answers at once."""
+
+    def __init__(self, transport, name):
+        self.release = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.endpoint = transport.add_endpoint(name)
+        self.endpoint.export("park", self._park)
+        self.endpoint.export("echo", echo_handler)
+        self.id = self.endpoint.endpoint_id
+
+    def _park(self, request: Request) -> Response:
+        self.entered.release()
+        self.release.wait(timeout=10.0)
+        return Response(kind="result", payload=request.payload)
+
+
+def _dispatch_threads(name):
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith(f"erm-{name}") and t.is_alive()
+    ]
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return False
+
+
+class _Pinger(ElasticObject):
+    def ping(self):
+        return "pong"
+
+
+class TestThreadedDispatcher:
+    """The hand-off itself: one queue-fed worker pool per endpoint and a
+    one-shot completion slot per call."""
+
+    def test_handler_exception_reaches_the_caller_unchanged(self):
+        transport = ThreadedTransport()
+        try:
+            boom = _Boom("from the handler")
+
+            def raising(request):
+                raise boom
+
+            ep = transport.add_endpoint("s")
+            ep.export("o", raising)
+            with pytest.raises(_Boom) as caught:
+                transport.invoke(ep.endpoint_id, Request("o", "m", b""))
+            assert caught.value is boom
+            # The worker survived it.
+            ep.export("echo", echo_handler)
+            response = transport.invoke(
+                ep.endpoint_id, Request("echo", "m", b"x")
+            )
+            assert response.payload == b"x"
+        finally:
+            transport.shutdown()
+
+    def test_handler_receives_the_callers_request_object(self):
+        transport = ThreadedTransport()
+        try:
+            seen = []
+            ep = transport.add_endpoint("s")
+            ep.export("o", lambda req: seen.append(req) or echo_handler(req))
+            request = Request("o", "m", b"")
+            transport.invoke(ep.endpoint_id, request)
+            assert seen[0] is request
+        finally:
+            transport.shutdown()
+
+    def test_slow_handler_times_out_as_remote_error(self):
+        transport = ThreadedTransport(workers_per_endpoint=1, timeout=0.05)
+        try:
+            gate = _Gate(transport, "slow")
+            with pytest.raises(RemoteError, match=r"'m' timed out after 0.05s"):
+                transport.invoke(gate.id, Request("park", "m", b""))
+            # The caller gave up; the handler runs on and frees the worker.
+            gate.release.set()
+            assert _wait_for(
+                lambda: transport.dispatch_stats(gate.id)["busy"] == 0
+            )
+            response = transport.invoke(gate.id, Request("echo", "m", b"y"))
+            assert response.payload == b"y"
+        finally:
+            transport.shutdown()
+
+    def test_slow_batch_trips_one_deadline(self):
+        transport = ThreadedTransport(workers_per_endpoint=2, timeout=0.05)
+        try:
+            gate = _Gate(transport, "slow-batch")
+            batch = BatchRequest(
+                entries=tuple(Request("park", "m", b"") for _ in range(4))
+            )
+            started = time.monotonic()
+            with pytest.raises(RemoteError, match="batch of 4 .* timed out"):
+                transport.invoke_batch(gate.id, batch)
+            # One deadline for the whole batch, not one per chunk.
+            assert time.monotonic() - started < 0.09
+            gate.release.set()
+        finally:
+            transport.shutdown()
+
+    def test_kill_fails_queued_calls_and_lets_the_running_one_finish(self):
+        queued_callers = 5
+        transport = ThreadedTransport(workers_per_endpoint=1)
+        try:
+            gate = _Gate(transport, "doomed")
+            parked = {}
+            parker = threading.Thread(
+                target=lambda: parked.update(
+                    response=transport.invoke(
+                        gate.id, Request("park", "m", b"kept")
+                    )
+                )
+            )
+            parker.start()
+            assert gate.entered.acquire(timeout=5.0)
+
+            errors = []
+
+            def queued_call():
+                try:
+                    transport.invoke(gate.id, Request("echo", "m", b""))
+                except BaseException as exc:
+                    errors.append(exc)
+
+            callers = [
+                threading.Thread(target=queued_call)
+                for _ in range(queued_callers)
+            ]
+            for t in callers:
+                t.start()
+            assert _wait_for(
+                lambda: transport.dispatch_stats(gate.id)["queued"]
+                == queued_callers
+            )
+
+            transport.kill(gate.id)
+            # The queued calls fail now, while the worker is still parked.
+            for t in callers:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+            assert len(errors) == queued_callers
+            for error in errors:
+                assert type(error) is ConnectError
+                assert "(doomed) is down" in str(error)
+            stats = transport.dispatch_stats(gate.id)
+            assert stats["queued"] == 0
+            assert stats["busy"] == 1
+
+            gate.release.set()
+            parker.join(timeout=5.0)
+            assert not parker.is_alive()
+            assert parked["response"].payload == b"kept"
+            # A late caller gets the same error, and the worker exits.
+            with pytest.raises(ConnectError, match="is down"):
+                transport.invoke(gate.id, Request("echo", "m", b""))
+            assert _wait_for(lambda: _dispatch_threads("doomed") == [])
+        finally:
+            transport.shutdown()
+
+    def test_workers_spawn_lazily_and_never_exceed_the_bound(self):
+        workers = 3
+        transport = ThreadedTransport(workers_per_endpoint=workers)
+        try:
+            gate = _Gate(transport, "bounded")
+            assert _dispatch_threads("bounded") == []
+            for _ in range(200):
+                transport.invoke(gate.id, Request("echo", "m", b""))
+            # A closed-loop caller always finds its one worker free.
+            assert len(_dispatch_threads("bounded")) == 1
+
+            callers = [
+                threading.Thread(
+                    target=lambda: transport.invoke(
+                        gate.id, Request("park", "m", b"")
+                    )
+                )
+                for _ in range(3 * workers)
+            ]
+            for t in callers:
+                t.start()
+            for _ in range(workers):
+                assert gate.entered.acquire(timeout=5.0)
+            assert len(_dispatch_threads("bounded")) == workers
+            gate.release.set()
+            for t in callers:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+            assert len(_dispatch_threads("bounded")) == workers
+        finally:
+            transport.shutdown()
+
+    def test_callers_racing_a_kill_all_complete(self):
+        """No job may be stranded between a submit and a close: every
+        caller gets a reply or the "is down" ConnectError, and the
+        saturation counters return to zero."""
+        callers = 8
+        transport = ThreadedTransport(workers_per_endpoint=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(20):
+                gate = _Gate(transport, f"raced-{round_}")
+                unexpected = []
+                ready = threading.Barrier(callers + 1)
+
+                def hammer():
+                    ready.wait(timeout=5.0)
+                    try:
+                        while True:
+                            transport.invoke(
+                                gate.id, Request("echo", "m", b"")
+                            )
+                    except ConnectError as exc:
+                        if "is down" not in str(exc):
+                            unexpected.append(exc)
+                    except BaseException as exc:
+                        unexpected.append(exc)
+
+                threads = [
+                    threading.Thread(target=hammer) for _ in range(callers)
+                ]
+                for t in threads:
+                    t.start()
+                ready.wait(timeout=5.0)
+                time.sleep(0.002)
+                transport.kill(gate.id)
+                for t in threads:
+                    t.join(timeout=10.0)
+                    assert not t.is_alive(), "a caller was left parked"
+                assert unexpected == []
+                assert _wait_for(
+                    lambda: transport.dispatch_stats(gate.id)
+                    == {"queued": 0, "busy": 0, "workers": 2}
+                )
+                assert _wait_for(
+                    lambda: _dispatch_threads(f"raced-{round_}") == []
+                )
+        finally:
+            sys.setswitchinterval(interval)
+            transport.shutdown()
+
+    def test_runtime_shutdown_leaves_no_dispatch_thread(self):
+        before = set(threading.enumerate())
+        runtime = ElasticRuntime.local(transport="threaded")
+        try:
+            runtime.new_pool(_Pinger, name="pingers")
+            assert runtime.stub("pingers").ping() == "pong"
+            spawned = [
+                t for t in threading.enumerate()
+                if t not in before and t.name.startswith("erm-")
+            ]
+            assert spawned
+        finally:
+            runtime.shutdown()
+        for t in spawned:
+            t.join(timeout=5.0)
+            assert not t.is_alive(), t.name
+
+    def test_closed_endpoint_fails_before_any_message_bookkeeping(self):
+        """After shutdown() the endpoint is still marked alive, so only
+        the dispatcher knows it is gone: the call must fail as a dead
+        endpoint does — before the fault hook and the message count."""
+        transport = ThreadedTransport()
+        ep = transport.add_endpoint("gone")
+        ep.export("echo", echo_handler)
+        transport.invoke(ep.endpoint_id, Request("echo", "m", b""))
+        transport.shutdown()
+        hooked = []
+        transport.install_fault_hook(lambda eid, request: hooked.append(request))
+        sent = transport.messages_sent
+        with pytest.raises(ConnectError, match="is down"):
+            transport.invoke(ep.endpoint_id, Request("echo", "m", b""))
+        with pytest.raises(ConnectError, match="is down"):
+            transport.invoke_batch(
+                ep.endpoint_id,
+                BatchRequest(entries=(Request("echo", "m", b""),)),
+            )
+        assert hooked == []
+        assert transport.messages_sent == sent
