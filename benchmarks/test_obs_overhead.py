@@ -2,8 +2,8 @@
 
 The acceptance gate: with ``obs=None`` (the default), the instrumented
 elastic-stub invocation path stays within 5% of an *untraced* baseline
-— a subclass whose ``_invoke`` is the pre-instrumentation body with the
-``_note_*`` hooks deleted outright.  The disabled path costs one
+— a subclass whose ``_call`` machine is the pre-instrumentation policy
+with the ``_note_*`` hooks deleted outright.  The disabled path costs one
 ``is not None`` branch per hook site, which this measures end to end.
 
 Microbenchmarks at a 5% tolerance are noisy, so the comparison uses
@@ -28,8 +28,7 @@ from repro.errors import (
     RemoteError,
 )
 from repro.obs import Observability
-from repro.rmi.fastpath import marshal_call
-from repro.rmi.remote import Remote, Skeleton
+from repro.rmi.remote import Remote, Skeleton, attempt
 from repro.rmi.transport import DirectTransport
 from repro.sim.clock import SimClock
 
@@ -45,12 +44,12 @@ class _Echo(Remote):
 
 
 class _UntracedStub(ElasticStub):
-    """The stub's invoke loop as it was before instrumentation: no
-    ``_note_call`` / ``_note_failed_attempt`` sites at all, so it is the
-    true zero-cost baseline the disabled path is held against."""
+    """The stub's call machine as it was before instrumentation: the
+    same policy over the same :func:`attempt`, with no ``_note_call`` /
+    ``_note_failed_attempt`` sites at all, so it is the true zero-cost
+    baseline the disabled path is held against."""
 
-    def _invoke(self, method: str, args: tuple, kwargs: dict) -> Any:
-        payload = marshal_call(args, kwargs)
+    def _call(self, method: str, payload: Any):
         state = self._retry_policy.start(
             clock=self._clock, rng=self._rng, sleep=self._sleep
         )
@@ -68,7 +67,11 @@ class _UntracedStub(ElasticStub):
                     break
                 state.note_attempt()
                 try:
-                    return self._invoke_one(ref, method, payload)
+                    return (
+                        yield from attempt(
+                            ref, method, payload, self._caller, ConnectError
+                        )
+                    )
                 except (ConnectError, MemberDrainedError) as exc:
                     last_error = exc
                     self._discard(ref)

@@ -45,7 +45,6 @@ from repro.experiments.benchreport import (
     validate_report,
     write_report,
 )
-from repro.rmi.fastpath import marshal_error, marshal_result, unmarshal_call
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import DirectTransport, Response
 
@@ -167,43 +166,25 @@ class _Echo(Remote):
 
 
 class _PreCpuSkeleton(Skeleton):
-    """The dispatch loop as it was before cpu-bound dispatch: no
-    ``self._cpu`` branch and no worker-loss catch, so it is the true
-    baseline the no-cpu-methods path is held against."""
+    """The dispatch as it was before cpu-bound dispatch: the skeleton's
+    own prologue and epilogue around a call with no ``self._cpu``
+    branch, so it is the true baseline the no-cpu-methods path is held
+    against."""
 
     def handle(self, request) -> Response:
-        refusal = self._admission(request)
+        refusal, method, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
-        with self._pending_lock:
-            self.pending += 1
-            self._drained.clear()
-        started = self.clock.now()
         try:
-            method, refusal = self._resolve_method(request)
-            if refusal is not None:
-                return refusal
-            args, kwargs = unmarshal_call(request.payload)
-            try:
-                result = method(*args, **kwargs)
-                if inspect.iscoroutine(result):
-                    result = asyncio.run(result)
-            except Exception as exc:
-                elapsed = self.clock.now() - started
-                self.stats.record(request.method, elapsed, error=True)
-                if self._obs is not None:
-                    self._observe(request.method, elapsed, error=True)
-                return Response(kind="error", payload=marshal_error(exc))
-            elapsed = self.clock.now() - started
-            self.stats.record(request.method, elapsed)
-            if self._obs is not None:
-                self._observe(request.method, elapsed, error=False)
-            return Response(kind="result", payload=marshal_result(result))
-        finally:
-            with self._pending_lock:
-                self.pending -= 1
-                if self.pending == 0 and self.draining:
-                    self._drained.set()
+            result = method(*args, **kwargs)
+            if inspect.iscoroutine(result):
+                result = asyncio.run(result)
+        except Exception as exc:
+            return self._reply(request, started, None, exc)
+        except BaseException:
+            self._release()
+            raise
+        return self._reply(request, started, result, None)
 
 
 def _make_stub(skeleton_cls: type[Skeleton]) -> Stub:

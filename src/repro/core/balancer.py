@@ -38,10 +38,17 @@ from repro.errors import (
 )
 from repro.faults.policy import RetryPolicy, should_discard_member
 from repro.rmi.batching import RequestBatcher, batch_max_from_env
-from repro.rmi.fastpath import marshal_call, unmarshal_result
-from repro.rmi.future import RmiFuture, async_executor, run_async
-from repro.rmi.remote import RemoteRef, Stub
-from repro.rmi.transport import Request, Response, Transport
+from repro.rmi.fastpath import marshal_call
+from repro.rmi.future import RmiFuture
+from repro.rmi.remote import (
+    CallMachine,
+    RemoteRef,
+    Stub,
+    attempt,
+    run_call,
+    start_call,
+)
+from repro.rmi.transport import Request, Transport
 from repro.routing import ShardRouter
 from repro.sim.clock import Clock
 
@@ -115,10 +122,6 @@ class ElasticStub:
         self._batcher = (
             batcher if batcher is not None and batcher.enabled else None
         )
-        # Asynchronous transports complete via loop callbacks: the happy
-        # path never parks a thread, only retry/redirect recovery does
-        # (offloaded to the shared async pool, off the event loop).
-        self._loop_native = bool(getattr(transport, "asynchronous", False))
         self._epoch = -1  # epoch the cached members belong to
         self._members: list[RemoteRef] = []
         self._rr = itertools.count()
@@ -240,36 +243,19 @@ class ElasticStub:
         """Start ``method(*args, **kwargs)``; return an :class:`RmiFuture`.
 
         The synchronous proxy surface is ``invoke_async(...).result()``
-        in semantics: both run the same bounded retry loop (the sync
-        form short-circuits the future allocation to keep the hot path
-        lean).  Execution style:
-
-        - **batched** — the call is *deferred*: its entry queues for
-          pipelining with other async calls (and with concurrent
-          callers' calls bound for the same member) and is sent when
-          the batch fills, the stub flushes, or the future is awaited.
-          The caller's thread never parks at submission, which is what
-          lets a window of async calls share wire messages.
-        - **concurrent transport, no batcher** — the invocation body
-          runs on the shared async pool.
-        - **deterministic, no batcher** — runs eagerly in the caller
-          thread; an already-completed future is returned.
+        in semantics: both step the same :meth:`_call` machine.  Who
+        steps it is :func:`~repro.rmi.remote.start_call`'s choice: with
+        a batcher the first send is *deferred* — queued for pipelining
+        with other async calls bound for the same member, and sent when
+        the batch fills, the stub flushes, or the future is awaited — and
+        on an asynchronous transport it completes on the event loop;
+        either way the caller's thread never parks at submission.
         """
-        payload = marshal_call(args, kwargs)
-        if self._batcher is not None:
-            return self._invoke_deferred(method, payload)
-        if self._loop_native:
-            return self._invoke_loop_native(method, payload)
-        if getattr(self._transport, "concurrent", False):
-            return run_async(
-                lambda: self._invoke_with_payload(method, payload)
-            )
-        try:
-            return RmiFuture.completed(
-                self._invoke_with_payload(method, payload)
-            )
-        except Exception as exc:
-            return RmiFuture.failed(exc)
+        return start_call(
+            self._call(method, marshal_call(args, kwargs)),
+            self._transport,
+            self._batcher,
+        )
 
     def flush_pending(self) -> None:
         """Send queued batch entries now (drain / membership change)."""
@@ -281,28 +267,25 @@ class ElasticStub:
         return self._batcher
 
     def _invoke(self, method: str, args: tuple, kwargs: dict) -> Any:
-        return self._invoke_with_payload(method, marshal_call(args, kwargs))
+        batcher = self._batcher
+        return run_call(
+            self._call(method, marshal_call(args, kwargs)),
+            self._transport.invoke if batcher is None else batcher.dispatch,
+        )
 
-    def _invoke_with_payload(
-        self,
-        method: str,
-        payload: Any,
-        state: Any = None,
-        started: float | None = None,
-    ) -> Any:
-        """The bounded retry loop for one logical invocation.
+    def _call(self, method: str, payload: Any) -> CallMachine:
+        """The paper's client protocol for one logical invocation, as a
+        call machine: spread, retry the other members, refresh from the
+        sentinel, and fail only when the policy's budget is spent.
 
-        ``state``/``started`` are normally fresh; the deferred-batch
-        path passes the state it already charged its first (batched)
-        attempt to, so a logical call retries exactly per policy no
-        matter how its first send travelled.
+        Every send — however it travels: blocking, batched, on the event
+        loop — is an attempt charged to this one ``state``, so a logical
+        call retries exactly per policy on every driver.
         """
-        if state is None:
-            state = self._retry_policy.start(
-                clock=self._clock, rng=self._rng, sleep=self._sleep
-            )
-        if started is None:
-            started = None if self._clock is None else self._clock.now()
+        state = self._retry_policy.start(
+            clock=self._clock, rng=self._rng, sleep=self._sleep
+        )
+        started = None if self._clock is None else self._clock.now()
         last_error: Exception | None = None
         while True:
             try:
@@ -320,7 +303,9 @@ class ElasticStub:
                     break
                 state.note_attempt()
                 try:
-                    result = self._invoke_one(ref, method, payload)
+                    result = yield from attempt(
+                        ref, method, payload, self._caller, ConnectError
+                    )
                 except ApplicationError:
                     # The remote method itself raised; never retried
                     # (policy.is_retryable): retrying would re-execute.
@@ -404,231 +389,11 @@ class ElasticStub:
             latency=round(latency, 9), caller=self._caller,
         )
 
-    def _dispatch(self, endpoint_id: str, request: Request) -> Response:
-        """One send: through the batcher when attached, else direct."""
-        batcher = self._batcher
-        if batcher is not None:
-            return batcher.dispatch(endpoint_id, request)
-        return self._transport.invoke(endpoint_id, request)
-
-    def _invoke_one(
-        self,
-        ref: RemoteRef,
-        method: str,
-        payload: Any,
-        response: Response | None = None,
-    ) -> Any:
-        from repro.errors import ApplicationError  # local to avoid cycle noise
-
-        hops = 0
-        while True:
-            if response is None:
-                request = Request(
-                    object_id=ref.object_id,
-                    method=method,
-                    payload=payload,
-                    caller=self._caller,
-                )
-                response = self._dispatch(ref.endpoint_id, request)
-            if response.kind == "result":
-                return unmarshal_result(response.payload)
-            if response.kind == "error":
-                cause = unmarshal_result(response.payload)
-                raise ApplicationError(
-                    f"remote method {method!r} raised "
-                    f"{type(cause).__name__}: {cause}",
-                    cause=cause,
-                )
-            if response.kind == "redirect":
-                hops += 1
-                if hops > 8:
-                    raise ConnectError(f"redirect loop invoking {method!r}")
-                ref = response.value
-                response = None  # re-dispatch at the redirect target
-                continue
-            if response.kind == "drained":
-                raise MemberDrainedError(f"{ref.describe()} is draining")
-            raise RemoteError(f"unknown response kind {response.kind!r}")
-
     def _discard(self, ref: RemoteRef) -> None:
         with self._lock:
             # Replace (never mutate) the list: readers hold no lock.
             self._members = [m for m in self._members if m != ref]
             self._discarded.add(ref)
-
-    # -- deferred (pipelined) invocation -----------------------------------
-
-    def _invoke_deferred(self, method: str, payload: Any) -> RmiFuture:
-        """Queue one invocation for pipelined dispatch.
-
-        The entry targets the balancing choice made *now*; the batched
-        send is the logical call's first attempt and is charged to its
-        retry state, so if the batch fails — dropped wire message, the
-        target drained mid-flight — the call falls back into the normal
-        retry loop with that attempt already spent: exactly the policy's
-        budget, independently per logical call.
-        """
-        state = self._retry_policy.start(
-            clock=self._clock, rng=self._rng, sleep=self._sleep
-        )
-        started = None if self._clock is None else self._clock.now()
-        try:
-            targets = self._targets()
-        except (ConnectError, MemberDrainedError, RemoteError):
-            # Bootstrap failure: the sync loop owns round/refresh
-            # semantics; run it eagerly.
-            try:
-                return RmiFuture.completed(
-                    self._invoke_with_payload(method, payload, state, started)
-                )
-            except Exception as exc:
-                return RmiFuture.failed(exc)
-        ref = targets[0]
-        request = Request(
-            object_id=ref.object_id,
-            method=method,
-            payload=payload,
-            caller=self._caller,
-        )
-        state.note_attempt()
-
-        def finish(
-            future: RmiFuture,
-            response: Response | None,
-            error: BaseException | None,
-        ) -> None:
-            try:
-                value = self._finish_deferred(
-                    ref, method, payload, state, started, response, error
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
-
-        def complete(
-            future: RmiFuture,
-            response: Response | None,
-            error: BaseException | None,
-        ) -> None:
-            terminal = (
-                error is None
-                and response is not None
-                and response.kind in ("result", "error")
-            )
-            if self._loop_native and not terminal:
-                # Recovery re-enters the blocking retry loop; under the
-                # loop drain discipline this completer runs on the event
-                # loop, so the shared async pool carries it.
-                async_executor().submit(finish, future, response, error)
-                return
-            finish(future, response, error)
-
-        return self._batcher.submit(ref.endpoint_id, request, complete)
-
-    def _finish_deferred(
-        self,
-        ref: RemoteRef,
-        method: str,
-        payload: Any,
-        state: Any,
-        started: float | None,
-        response: Response | None,
-        error: BaseException | None,
-    ) -> Any:
-        """Interpret a deferred entry's outcome; runs in the sender
-        thread (deterministic transports: the waiter itself)."""
-        try:
-            if error is not None:
-                raise error
-            result = self._invoke_one(ref, method, payload, response=response)
-        except ApplicationError:
-            self._note_call(method, state, started, "app-error")
-            raise
-        except (ConnectError, MemberDrainedError, RemoteError) as exc:
-            # The batched first attempt failed (whole-batch drop, dead
-            # endpoint, drained or unresolved entry): re-enter the sync
-            # retry loop with the attempt already charged.
-            if should_discard_member(exc):
-                self._discard(ref)
-            self._note_failed_attempt(method, state, exc)
-            return self._invoke_with_payload(method, payload, state, started)
-        self._note_call(method, state, started, "ok")
-        return result
-
-    # -- loop-native invocation (asynchronous transports) ------------------
-
-    def _invoke_loop_native(self, method: str, payload: Any) -> RmiFuture:
-        """One invocation with no thread parked while it flies.
-
-        The request goes straight to the asyncio transport; the future
-        completes from the transport's callback on the event loop.  The
-        happy path — the chosen member answers ``result`` — unmarshals
-        and completes inline (CPU-light, loop-safe).  *Every* other
-        outcome (application error, redirect, drained, delivery
-        failure) re-enters :meth:`_finish_deferred` on the shared async
-        pool with the first attempt already charged, so recovery
-        semantics are byte-for-byte those of the threaded path and the
-        loop never blocks.
-        """
-        transport = self._transport
-        state = self._retry_policy.start(
-            clock=self._clock, rng=self._rng, sleep=self._sleep
-        )
-        started = None if self._clock is None else self._clock.now()
-        try:
-            targets = self._targets()
-        except (ConnectError, MemberDrainedError, RemoteError):
-            # Bootstrap failure: the sync loop owns round/refresh
-            # semantics; run it on the pool.
-            return run_async(
-                lambda: self._invoke_with_payload(
-                    method, payload, state, started
-                )
-            )
-        ref = targets[0]
-        request = Request(
-            object_id=ref.object_id,
-            method=method,
-            payload=payload,
-            caller=self._caller,
-        )
-        state.note_attempt()
-        future = RmiFuture()
-        future.bind_wait_guard(transport.wait_guard)
-
-        def finish(
-            response: Response | None, error: BaseException | None
-        ) -> None:
-            try:
-                value = self._finish_deferred(
-                    ref, method, payload, state, started, response, error
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
-
-        def on_done(
-            response: Response | None, error: BaseException | None
-        ) -> None:  # runs on the event loop; must not block
-            if (
-                error is None
-                and response is not None
-                and response.kind == "result"
-            ):
-                try:
-                    value = unmarshal_result(response.payload)
-                except BaseException as exc:  # noqa: BLE001 - to waiter
-                    future.set_exception(exc)
-                    return
-                self._note_call(method, state, started, "ok")
-                future.set_result(value)
-                return
-            async_executor().submit(finish, response, error)
-
-        transport.submit(ref.endpoint_id, request, on_done)
-        return future
 
 
 class ShardedElasticStub:

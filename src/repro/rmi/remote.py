@@ -15,6 +15,12 @@ preprocessor compiles into them (paper sections 2.3, 4.3):
 ``Stub`` here is the *unicast* stub (one fixed target, like plain RMI);
 the pool-aware elastic stub with client-side load balancing lives in
 :mod:`repro.core.balancer` and composes this one.
+
+The client side of a call is a *call machine* — a generator that yields
+each send and is resumed with its reply — stepped by one of two drivers:
+:func:`attempt` is the machine both stubs share, :func:`run_call` the
+blocking driver, :func:`start_call` the choice of driver behind
+``invoke_async``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import inspect
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Generator
 
 from repro.concurrency import ThreadStripes
 from repro.errors import (
@@ -32,6 +39,7 @@ from repro.errors import (
     CpuWorkerLostError,
     MemberDrainedError,
     NoSuchObjectError,
+    RemoteError,
 )
 from repro.rmi.fastpath import (
     marshal_call,
@@ -268,187 +276,315 @@ class Skeleton:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _admission(self, request: Request) -> Response | None:
-        """Drain/redirect gate, shared by both dispatch paths."""
-        if self.draining:
-            return Response(kind="drained")
-        if self.redirect_policy is not None:
-            target = self.redirect_policy(request)
-            if target is not None and target != self.ref():
-                return Response(kind="redirect", value=target)
-        return None
-
-    def _resolve_method(
+    def _accept(
         self, request: Request
-    ) -> tuple[Any, Response | None]:
-        """Resolve the invocable method, or the refusal Response.
+    ) -> tuple[Response | None, Any, tuple, dict, float]:
+        """Shared dispatch prologue: the drain/redirect gate, the pending
+        count, method resolution and unmarshalling.
+
+        Returns ``(refusal, method, args, kwargs, started)``.  With a
+        refusal nothing is left pending; otherwise the caller owns one
+        pending slot, which :meth:`_reply` releases.
 
         Elastic-interface enforcement (paper section 3.1): when the
         class declares its remote surface, only those methods (plus the
-        framework's stub-bootstrap call) are invocable.  Refusals are
-        recorded as zero-latency errored calls here, once, for both
-        dispatch paths.
+        framework's stub-bootstrap call) are invocable.  Such refusals
+        are recorded as zero-latency errored calls.
         """
-        declared = getattr(type(self.impl), "__elastic_interface__", None)
-        if (
-            declared is not None
-            and request.method not in declared
-            and request.method != "ermi_member_identities"
-        ):
-            refused = NoSuchObjectError(
-                f"{request.method!r} is not declared in the elastic "
-                f"interface of {type(self.impl).__name__}"
-            )
-            self.stats.record(request.method, 0.0, error=True)
-            if self._obs is not None:
-                self._observe(request.method, 0.0, error=True)
-            return None, Response(kind="error", payload=marshal_result(refused))
-        method = getattr(self.impl, request.method, None)
-        if method is None or not callable(method):
-            missing = NoSuchObjectError(
-                f"{type(self.impl).__name__} has no remote method "
-                f"{request.method!r}"
-            )
-            self.stats.record(request.method, 0.0, error=True)
-            if self._obs is not None:
-                self._observe(request.method, 0.0, error=True)
-            return None, Response(kind="error", payload=marshal_result(missing))
-        return method, None
-
-    def handle(self, request: Request) -> Response:
-        refusal = self._admission(request)
-        if refusal is not None:
-            return refusal
+        if self.draining:
+            return Response(kind="drained"), None, (), {}, 0.0
+        if self.redirect_policy is not None:
+            target = self.redirect_policy(request)
+            if target is not None and target != self.ref():
+                return Response(kind="redirect", value=target), None, (), {}, 0.0
         with self._pending_lock:
             self.pending += 1
             self._drained.clear()
-        started = self.clock.now()
+        accepted = False
         try:
-            method, refusal = self._resolve_method(request)
-            if refusal is not None:
-                return refusal
-            args, kwargs = unmarshal_call(request.payload)
-            try:
-                if self._cpu is not None and getattr(
-                    method, "__ermi_cpu_bound__", False
-                ):
-                    result = self._cpu.run_call(
-                        self.impl, request.method, args, kwargs
-                    )
-                else:
-                    result = method(*args, **kwargs)
-                    if inspect.iscoroutine(result):
-                        # Coroutine remote methods stay invocable on the
-                        # sync transports: the dispatch thread owns no
-                        # loop, so a private one drives the coroutine to
-                        # completion.
-                        result = asyncio.run(result)
-            except CpuWorkerLostError:
+            started = self.clock.now()
+            name = request.method
+            declared = getattr(type(self.impl), "__elastic_interface__", None)
+            if (
+                declared is not None
+                and name not in declared
+                and name != "ermi_member_identities"
+            ):
+                refused = NoSuchObjectError(
+                    f"{name!r} is not declared in the elastic "
+                    f"interface of {type(self.impl).__name__}"
+                )
+            else:
+                method = getattr(self.impl, name, None)
+                if method is not None and callable(method):
+                    args, kwargs = unmarshal_call(request.payload)
+                    accepted = True
+                    return None, method, args, kwargs, started
+                refused = NoSuchObjectError(
+                    f"{type(self.impl).__name__} has no remote method {name!r}"
+                )
+            self.stats.record(name, 0.0, error=True)
+            if self._obs is not None:
+                self._observe(name, 0.0, error=True)
+            refusal = Response(kind="error", payload=marshal_result(refused))
+            return refusal, None, (), {}, 0.0
+        finally:
+            if not accepted:
+                self._release()
+
+    def _reply(
+        self,
+        request: Request,
+        started: float,
+        result: Any,
+        error: Exception | None,
+    ) -> Response:
+        """Shared dispatch epilogue: statistics, observability, the fold
+        of the outcome into a Response, and the pending slot's release
+        (after the reply is marshalled, so a drain waits for it)."""
+        try:
+            elapsed = self.clock.now() - started
+            failed = error is not None
+            self.stats.record(request.method, elapsed, failed)
+            if self._obs is not None:
+                self._observe(request.method, elapsed, error=failed)
+            if not failed:
+                return Response(kind="result", payload=marshal_result(result))
+            if isinstance(error, CpuWorkerLostError):
                 # Worker death is a transport-level failure, not an
-                # application error: let it propagate past the error-
-                # Response fold below so the client's retry loop sees a
+                # application error: it propagates past the error-
+                # Response fold so the client's retry loop sees a
                 # ConnectError (one attempt charged, then retried
                 # against the respawned worker).
-                elapsed = self.clock.now() - started
-                self.stats.record(request.method, elapsed, error=True)
-                if self._obs is not None:
-                    self._observe(request.method, elapsed, error=True)
-                raise
-            except Exception as exc:
-                elapsed = self.clock.now() - started
-                self.stats.record(request.method, elapsed, error=True)
-                if self._obs is not None:
-                    self._observe(request.method, elapsed, error=True)
-                return Response(kind="error", payload=marshal_error(exc))
-            elapsed = self.clock.now() - started
-            self.stats.record(request.method, elapsed)
-            if self._obs is not None:
-                self._observe(request.method, elapsed, error=False)
-            return Response(kind="result", payload=marshal_result(result))
+                raise error
+            return Response(kind="error", payload=marshal_error(error))
         finally:
+            # _release(), inlined: this is every dispatch's way out.
             with self._pending_lock:
                 self.pending -= 1
                 if self.pending == 0 and self.draining:
                     self._drained.set()
+
+    def _release(self) -> None:
+        with self._pending_lock:
+            self.pending -= 1
+            if self.pending == 0 and self.draining:
+                self._drained.set()
+
+    def handle(self, request: Request) -> Response:
+        refusal, method, args, kwargs, started = self._accept(request)
+        if refusal is not None:
+            return refusal
+        try:
+            if self._cpu is not None and getattr(
+                method, "__ermi_cpu_bound__", False
+            ):
+                result = self._cpu.run_call(
+                    self.impl, request.method, args, kwargs
+                )
+            else:
+                result = method(*args, **kwargs)
+                if inspect.iscoroutine(result):
+                    # Coroutine remote methods stay invocable on the
+                    # sync transports: the dispatch thread owns no
+                    # loop, so a private one drives the coroutine to
+                    # completion.
+                    result = asyncio.run(result)
+        except Exception as exc:
+            return self._reply(request, started, None, exc)
+        except BaseException:
+            self._release()
+            raise
+        return self._reply(request, started, result, None)
 
     async def handle_async(self, request: Request) -> Response:
         """Loop-native dispatch (the asyncio transport's path).
 
-        Mirrors :meth:`handle` exactly — drain, redirect, pending
-        accounting, statistics, observability — but awaits coroutine
-        remote methods in place and offloads methods marked with
-        :func:`repro.rmi.aio.blocking` to the loop's default executor.
+        :meth:`handle` with a different three-way call: ``@cpu_bound``
+        methods are awaited on a worker process, methods marked with
+        :func:`repro.rmi.aio.blocking` are offloaded to the loop's
+        default executor, and coroutine methods are awaited in place.
         Plain unmarked methods run inline on the loop and must be
         CPU-light (the offload rules DESIGN.md documents).
         """
-        refusal = self._admission(request)
+        refusal, method, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
-        with self._pending_lock:
-            self.pending += 1
-            self._drained.clear()
-        started = self.clock.now()
         try:
-            method, refusal = self._resolve_method(request)
-            if refusal is not None:
-                return refusal
-            args, kwargs = unmarshal_call(request.payload)
+            if self._cpu is not None and getattr(
+                method, "__ermi_cpu_bound__", False
+            ):
+                # Hand the call to a worker process and await its
+                # future without blocking the loop.
+                result = await asyncio.wrap_future(
+                    self._cpu.submit_call(
+                        self.impl, request.method, args, kwargs
+                    )
+                )
+            elif getattr(method, "__ermi_blocking__", False):
+                loop = asyncio.get_running_loop()
+                result = await loop.run_in_executor(
+                    None, lambda: method(*args, **kwargs)
+                )
+            else:
+                result = method(*args, **kwargs)
+                if inspect.iscoroutine(result):
+                    result = await result
+        except Exception as exc:
+            return self._reply(request, started, None, exc)
+        except BaseException:
+            self._release()
+            raise
+        return self._reply(request, started, result, None)
+
+
+MAX_REDIRECTS = 8
+
+# A call machine is a generator that yields ``(endpoint_id, Request)``
+# and is resumed with that send's Response, or has its delivery error
+# thrown in; its return value (or exception) is the call's outcome.
+CallMachine = Generator[tuple[str, Request], Response, Any]
+
+
+def attempt(
+    ref: RemoteRef,
+    method: str,
+    payload: Any,
+    caller: str,
+    redirect_error: type[Exception] = ApplicationError,
+) -> CallMachine:
+    """One attempt at ``ref``: send, interpret the reply, follow up to
+    :data:`MAX_REDIRECTS` redirects.
+
+    This is the only client-side reading of ``Response.kind``.  A
+    ``drained`` reply raises :class:`MemberDrainedError` and the
+    redirect bound raises ``redirect_error`` (the elastic stub asks for
+    a :class:`ConnectError` so the call goes on at its next member).
+    """
+    redirects = 0
+    while True:
+        response = yield ref.endpoint_id, Request(
+            object_id=ref.object_id,
+            method=method,
+            payload=payload,
+            caller=caller,
+        )
+        kind = response.kind
+        if kind == "result":
+            return unmarshal_result(response.payload)
+        if kind == "error":
+            cause = unmarshal_result(response.payload)
+            raise ApplicationError(
+                f"remote method {method!r} raised "
+                f"{type(cause).__name__}: {cause}",
+                cause=cause,
+            )
+        if kind == "drained":
+            raise MemberDrainedError(
+                f"member {ref.describe()} is draining; retry elsewhere"
+            )
+        if kind != "redirect":
+            raise RemoteError(f"unknown response kind {kind!r}")
+        redirects += 1
+        if redirects > MAX_REDIRECTS:
+            raise redirect_error(
+                f"redirect loop invoking {method!r} "
+                f"(> {MAX_REDIRECTS} redirects)"
+            )
+        ref = response.value
+
+
+def run_call(
+    call: CallMachine,
+    send: Callable[..., Response],
+    response: Response | None = None,
+    error: BaseException | None = None,
+) -> Any:
+    """The blocking driver: step ``call`` to its end on this thread.
+
+    A fresh machine is started; one a completion handed over is resumed
+    with the ``response`` (or ``error``) of the send it was waiting on.
+    """
+    try:
+        while True:
+            step = call.send(response) if error is None else call.throw(error)
             try:
-                if self._cpu is not None and getattr(
-                    method, "__ermi_cpu_bound__", False
-                ):
-                    # Hand the call to a worker process and await its
-                    # future without blocking the loop.
-                    result = await asyncio.wrap_future(
-                        self._cpu.submit_call(
-                            self.impl, request.method, args, kwargs
-                        )
-                    )
-                elif getattr(method, "__ermi_blocking__", False):
-                    loop = asyncio.get_running_loop()
-                    result = await loop.run_in_executor(
-                        None, lambda: method(*args, **kwargs)
-                    )
-                else:
-                    result = method(*args, **kwargs)
-                    if inspect.iscoroutine(result):
-                        result = await result
-            except CpuWorkerLostError:
-                # Same contract as the sync path: propagate as a
-                # transport-level ConnectError for the retry machinery.
-                elapsed = self.clock.now() - started
-                self.stats.record(request.method, elapsed, error=True)
-                if self._obs is not None:
-                    self._observe(request.method, elapsed, error=True)
-                raise
+                response, error = send(*step), None
             except Exception as exc:
-                elapsed = self.clock.now() - started
-                self.stats.record(request.method, elapsed, error=True)
-                if self._obs is not None:
-                    self._observe(request.method, elapsed, error=True)
-                return Response(kind="error", payload=marshal_error(exc))
-            elapsed = self.clock.now() - started
-            self.stats.record(request.method, elapsed)
-            if self._obs is not None:
-                self._observe(request.method, elapsed, error=False)
-            return Response(kind="result", payload=marshal_result(result))
-        finally:
-            with self._pending_lock:
-                self.pending -= 1
-                if self.pending == 0 and self.draining:
-                    self._drained.set()
+                response, error = None, exc
+    except StopIteration as done:
+        return done.value
+
+
+def _settle(call, send, future, response, error):
+    """Finish a handed-over machine on this thread and complete its
+    future; ``response``/``error`` is the outcome of its pending send."""
+    try:
+        value = run_call(call, send, response, error)
+    except BaseException as exc:  # noqa: BLE001 - relayed to waiter
+        future.set_exception(exc)
+    else:
+        future.set_result(value)
+
+
+def _settle_on_loop(call, send, future, response, error):
+    """:func:`_settle` for completions that run on the event loop, which
+    must never park: only a first-hop ``result`` is finished inline."""
+    if error is None and response.kind == "result":
+        _settle(call, send, future, response, None)
+    else:
+        async_executor().submit(_settle, call, send, future, response, error)
+
+
+def start_call(call: CallMachine, transport: Transport, batcher: Any) -> RmiFuture:
+    """``invoke_async`` for any call machine: choose who drives it.
+
+    Without a batcher, a concurrent transport runs the blocking driver
+    on the shared async pool and a deterministic one runs it eagerly in
+    the caller's thread (an already-completed future is returned).
+
+    With a batcher, or on an asynchronous transport, the **completion
+    driver** takes over: the machine runs here up to its first send,
+    which goes through ``batcher.submit`` (pipelined with the window's
+    other calls) or straight to ``AsyncioTransport.submit``, so the
+    caller never parks at submission.  Whoever completes that send — a
+    batch sender, or the event loop — resumes the *same* machine: a
+    first-hop ``result`` inline; anything else on the event loop is
+    handed to the shared async pool, where the blocking driver finishes
+    it, so recovery never parks the loop.  Batch senders are callers'
+    threads and may block: they finish their entries' recoveries
+    themselves, which keeps a deterministic transport single-threaded.
+    """
+    send = transport.invoke if batcher is None else batcher.dispatch
+    on_loop = getattr(transport, "asynchronous", False)
+    if batcher is None and not on_loop:
+        if getattr(transport, "concurrent", False):
+            return run_async(lambda: run_call(call, send))
+        try:
+            return RmiFuture.completed(run_call(call, send))
+        except Exception as exc:
+            return RmiFuture.failed(exc)
+    settle = _settle_on_loop if on_loop else _settle
+    try:
+        endpoint_id, request = next(call)
+    except Exception as exc:  # no member could even be chosen
+        return RmiFuture.failed(exc)
+    if batcher is not None:
+        return batcher.submit(endpoint_id, request, partial(settle, call, send))
+    future = RmiFuture()
+    future.bind_wait_guard(transport.wait_guard)
+    transport.submit(endpoint_id, request, partial(settle, call, send, future))
+    return future
 
 
 class Stub:
     """Client-side proxy bound to one remote reference.
 
     Attribute access returns invokers: ``stub.put(k, v)`` marshals
-    ``(k, v)``, ships a Request, and unmarshals the Response.  Redirects
-    are followed (bounded); ``drained`` responses raise
-    :class:`MemberDrainedError` for the elastic stub above to catch.
+    ``(k, v)`` and drives one :func:`attempt` at the fixed reference —
+    redirects are followed (bounded); ``drained`` responses raise
+    :class:`MemberDrainedError`.
     """
-
-    _MAX_REDIRECTS = 8
 
     def __init__(
         self,
@@ -460,13 +596,12 @@ class Stub:
         self._transport = transport
         self._ref = ref
         self._caller = caller
-        # Optional repro.rmi.batching.RequestBatcher: when attached,
-        # sends route through it and may coalesce with concurrent calls
-        # to the same endpoint.  None keeps the path identical to seed.
-        self._batcher = batcher
-        # Asynchronous transports complete via loop callbacks — an
-        # in-flight call costs a task, not a parked thread.
-        self._loop_native = bool(getattr(transport, "asynchronous", False))
+        # Optional repro.rmi.batching.RequestBatcher: when attached and
+        # enabled, sends route through it and may coalesce with
+        # concurrent calls to the same endpoint.
+        self._batcher = (
+            batcher if batcher is not None and batcher.enabled else None
+        )
 
     @property
     def ref(self) -> RemoteRef:
@@ -485,174 +620,19 @@ class Stub:
     def invoke_async(self, method: str, *args: Any, **kwargs: Any) -> RmiFuture:
         """Start ``method(*args, **kwargs)`` and return its future.
 
-        The synchronous proxy surface is equivalent to
-        ``invoke_async(...).result()``: both interpret the same
-        :class:`Response`, the sync form simply short-circuits the
-        future allocation.  With a batcher attached the entry is
-        *pipelined*: it joins the batch queue without parking this
-        thread and flies when the queue fills or the caller gathers —
-        so a window of async calls (and any concurrent callers' calls)
-        shares wire messages.  Otherwise, on a concurrent transport the
-        invocation runs on the shared async pool; on a deterministic
-        transport it runs eagerly in the caller thread and an
-        already-completed future is returned.
+        The synchronous proxy surface is ``invoke_async(...).result()``
+        in semantics: the same :func:`attempt`, stepped by whichever
+        driver :func:`start_call` picks for this transport and batcher.
         """
-        batcher = self._batcher
-        if batcher is not None and batcher.enabled:
-            return self._invoke_deferred(method, args, kwargs)
-        if self._loop_native:
-            return self._invoke_loop(method, args, kwargs)
-        if getattr(self._transport, "concurrent", False):
-            return run_async(lambda: self._invoke(method, args, kwargs))
-        try:
-            return RmiFuture.completed(self._invoke(method, args, kwargs))
-        except Exception as exc:
-            return RmiFuture.failed(exc)
-
-    def _invoke_loop(self, method: str, args: tuple, kwargs: dict) -> RmiFuture:
-        """Loop-native invocation: no thread parks while in flight.
-
-        The request is submitted straight to the asyncio transport; the
-        future completes from the transport's completion callback on the
-        event loop.  Redirects re-submit from the callback (still
-        non-blocking, still bounded), so a 10k-call window costs 10k
-        tasks and zero waiting threads.
-        """
-        transport = self._transport
-        payload = marshal_call(args, kwargs)
-        future = RmiFuture()
-        future.bind_wait_guard(transport.wait_guard)
-        hops = {"n": 0}
-
-        def send(ref: RemoteRef) -> None:
-            request = Request(
-                object_id=ref.object_id,
-                method=method,
-                payload=payload,
-                caller=self._caller,
-            )
-            transport.submit(
-                ref.endpoint_id,
-                request,
-                lambda response, error, ref=ref: on_done(ref, response, error),
-            )
-
-        def on_done(
-            ref: RemoteRef,
-            response: Response | None,
-            error: BaseException | None,
-        ) -> None:  # runs on the event loop; must not block
-            if error is not None:
-                future.set_exception(error)
-                return
-            if response.kind == "redirect":
-                hops["n"] += 1
-                if hops["n"] > self._MAX_REDIRECTS:
-                    future.set_exception(ApplicationError(
-                        f"redirect loop invoking {method!r} "
-                        f"(> {self._MAX_REDIRECTS} hops)"
-                    ))
-                    return
-                send(response.value)
-                return
-            try:
-                future.set_result(
-                    self._interpret_terminal(method, ref, response)
-                )
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-
-        send(self._ref)
-        return future
-
-    def _invoke_deferred(self, method: str, args: tuple, kwargs: dict) -> RmiFuture:
-        payload = marshal_call(args, kwargs)
-        ref = self._ref
-        request = Request(
-            object_id=ref.object_id,
-            method=method,
-            payload=payload,
-            caller=self._caller,
+        return start_call(
+            attempt(self._ref, method, marshal_call(args, kwargs), self._caller),
+            self._transport,
+            self._batcher,
         )
-        def finish(
-            future: RmiFuture, response: Response | None
-        ) -> None:
-            try:
-                future.set_result(self._interpret(method, payload, response))
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiter
-                future.set_exception(exc)
-
-        def complete(
-            future: RmiFuture,
-            response: Response | None,
-            error: BaseException | None,
-        ) -> None:
-            if error is not None:
-                future.set_exception(error)
-                return
-            if self._loop_native and response.kind == "redirect":
-                # Following a redirect re-dispatches through the batcher
-                # and blocks on the hop's result — never on the event
-                # loop (this completer runs there under the loop drain
-                # discipline); the shared async pool carries it.
-                async_executor().submit(finish, future, response)
-                return
-            finish(future, response)
-
-        return self._batcher.submit(ref.endpoint_id, request, complete)
-
-    def _send(self, endpoint_id: str, request: Request) -> Response:
-        batcher = self._batcher
-        if batcher is not None:
-            return batcher.dispatch(endpoint_id, request)
-        return self._transport.invoke(endpoint_id, request)
 
     def _invoke(self, method: str, args: tuple, kwargs: dict) -> Any:
-        return self._interpret(method, marshal_call(args, kwargs))
-
-    def _interpret(
-        self, method: str, payload: Any, response: Response | None = None
-    ) -> Any:
-        """Interpret a response, following redirects (bounded).
-
-        With ``response=None`` this is the full sync path: build the
-        request, send, interpret.  A deferred completion passes the
-        already-received first-hop response and resumes from there.
-        """
-        ref = self._ref
-        for _ in range(self._MAX_REDIRECTS):
-            if response is None:
-                request = Request(
-                    object_id=ref.object_id,
-                    method=method,
-                    payload=payload,
-                    caller=self._caller,
-                )
-                response = self._send(ref.endpoint_id, request)
-            if response.kind == "redirect":
-                ref = response.value
-                response = None  # re-dispatch at the redirect target
-                continue
-            return self._interpret_terminal(method, ref, response)
-        raise ApplicationError(
-            f"redirect loop invoking {method!r} (> {self._MAX_REDIRECTS} hops)"
+        batcher = self._batcher
+        return run_call(
+            attempt(self._ref, method, marshal_call(args, kwargs), self._caller),
+            self._transport.invoke if batcher is None else batcher.dispatch,
         )
-
-    def _interpret_terminal(
-        self, method: str, ref: RemoteRef, response: Response
-    ) -> Any:
-        """Interpret a non-redirect response (shared by every path)."""
-        if response.kind == "result":
-            return unmarshal_result(response.payload)
-        if response.kind == "error":
-            cause = unmarshal_result(response.payload)
-            raise ApplicationError(
-                f"remote method {method!r} raised "
-                f"{type(cause).__name__}: {cause}",
-                cause=cause,
-            )
-        if response.kind == "drained":
-            raise MemberDrainedError(
-                f"member {ref.describe()} is draining; retry elsewhere"
-            )
-        raise ApplicationError(f"unknown response kind: {response.kind}")
