@@ -5,9 +5,22 @@ call (an async-invoker worker parked on ``future.result()`` plus a
 dispatch-pool worker running the handler), so its concurrency ceiling is
 thread count — a few hundred calls at best.  :class:`AsyncioTransport`
 removes that ceiling: sends are loop callbacks, dispatches are
-coroutines, and an in-flight call costs one ``asyncio.Task`` (~KBs, no
-stack, no scheduler pressure), so one process sustains tens of
-thousands of concurrent calls.
+coroutines, and an in-flight call costs at most one ``asyncio.Task``
+(~KBs, no stack, no scheduler pressure), so one process sustains tens
+of thousands of concurrent calls.
+
+What a task is paid for
+    One per unbatched call; one per *batch*, plus one per entry of it
+    that can suspend.  An entry whose method cannot — a plain method:
+    not ``async def``, not ``@blocking``, not ``@cpu_bound``; the
+    skeleton says which, from the method, via ``Endpoint.export`` — is
+    stepped to its reply inside the batch's own task, still through the
+    exported ``handle_async`` and in a context copy of its own.  Whether
+    a method suspends is never found out by running it: user code in an
+    ``async def`` body must see its *own* task (``asyncio.timeout()``,
+    ``current_task()``), so such entries keep theirs and still overlap.
+    The price is a longer single loop turn for a batch of plain
+    handlers; ``rmi.aio.loop_lag_ms`` shows it.
 
 Loop ownership
     The process owns exactly one transport event loop, created lazily on
@@ -27,7 +40,12 @@ Dispatch rules
 Bridging
     ``submit()``/``submit_batch()`` are the native, callback-based API
     (the stub's loop-native path and the batcher's loop drain discipline
-    use them).  ``invoke()``/``invoke_batch()`` bridge synchronously for
+    use them).  From another thread they hop to the loop
+    (``call_soon_threadsafe``); called on the loop thread — the
+    batcher's sweeps are — they start the dispatch at once, and
+    ``schedule()`` there is a plain ``call_soon``: no write to the
+    loop's self-pipe for a hop to the thread one is already on.
+    ``invoke()``/``invoke_batch()`` bridge synchronously for
     Transport-protocol compatibility; calling them *from* the loop
     thread raises immediately instead of deadlocking, and
     :meth:`wait_guard` gives futures the same protection.
@@ -44,7 +62,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import types
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextvars import copy_context
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
@@ -118,17 +138,32 @@ class _LoopRuntime:
             target=self._run, name="ermi-aio-loop", daemon=True
         )
         self.thread.start()
+        self._ident = self.thread.ident
 
     def _run(self) -> None:
         asyncio.set_event_loop(self.loop)
         self.loop.run_forever()
 
     def is_loop_thread(self) -> bool:
-        return threading.current_thread() is self.thread
+        return threading.get_ident() == self._ident
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` on the loop; safe from any thread."""
-        self.loop.call_soon_threadsafe(fn, *args)
+        """Schedule ``fn(*args)`` on the loop; safe from any thread.
+
+        From the loop thread itself this is a plain ``call_soon`` — still
+        a later turn of the loop, but no write to its self-pipe."""
+        if self.is_loop_thread():
+            self.loop.call_soon(fn, *args)
+        else:
+            self.loop.call_soon_threadsafe(fn, *args)
+
+    def run(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` on the loop thread: right now when called
+        there, else as :meth:`call_soon` would."""
+        if self.is_loop_thread():
+            fn(*args)
+        else:
+            self.loop.call_soon_threadsafe(fn, *args)
 
 
 _runtime: _LoopRuntime | None = None
@@ -269,16 +304,18 @@ class AsyncioTransport(_TransportBase):
         """Start one call; ``on_done(response, error)`` runs on the loop.
 
         Thread-safe and non-blocking: the caller never parks, which is
-        what lets one thread keep thousands of calls in flight.
+        what lets one thread keep thousands of calls in flight.  Called
+        on the loop thread (the batcher's sweeps are) the dispatch task
+        is created at once instead of hopping to the loop it is on.
         """
-        self._runtime.call_soon(self._start, endpoint_id, request, on_done)
+        self._runtime.run(self._start, endpoint_id, request, on_done)
 
     def submit_batch(
         self, endpoint_id: str, batch: BatchRequest, on_done: DoneCallback
     ) -> None:
         """Batch analogue of :meth:`submit`; completes with a
         :class:`BatchResponse`."""
-        self._runtime.call_soon(self._start_batch, endpoint_id, batch, on_done)
+        self._runtime.run(self._start_batch, endpoint_id, batch, on_done)
 
     def _start(
         self, endpoint_id: str, request: Request, on_done: DoneCallback
@@ -433,24 +470,62 @@ class AsyncioTransport(_TransportBase):
     async def _dispatch_batch(
         self, ep: Endpoint, batch: BatchRequest
     ) -> BatchResponse:
-        """Unbatch on the loop: entries dispatch concurrently, results
-        reassemble in entry order (the loop-native analogue of the
-        threaded transport's chunked parallel dispatch)."""
-        responses = await asyncio.gather(
-            *(self._dispatch_entry_async(ep, request)
-              for request in batch.entries)
-        )
-        return BatchResponse(entries=tuple(responses))
+        """Unbatch on the loop; replies reassemble in entry order.
 
-    async def _dispatch_entry_async(
-        self, ep: Endpoint, request: Request
-    ) -> Response:
-        handler = ep.ahandlers.get(request.object_id)
-        if handler is None:
-            handler = ep.handlers.get(request.object_id)
-            if handler is None:
-                return Response(kind="unresolved", value=request.object_id)
-        return await self._call_handler(handler, request)
+        An entry whose method cannot suspend (its skeleton says so, see
+        ``Endpoint.may_suspend``) is stepped to its reply right here, in
+        the batch's own task: the batch, not the entry, pays for a task.
+        Every other entry — ``async def``, offloaded, or a handler
+        exported with no such promise — gets a task of its own, started
+        once the inline entries are done, so those still overlap.  Each
+        entry runs in its own copy of the context, as its task would
+        have given it.
+        """
+        entries = batch.entries
+        responses: list[Any] = [None] * len(entries)
+        tasked: list[tuple[int, Any, Any]] = []  # (index, coroutine, context)
+        ahandlers, predicates = ep.ahandlers, ep.may_suspend
+        try:
+            for index, request in enumerate(entries):
+                object_id = request.object_id
+                handler = ahandlers.get(object_id)
+                if handler is None:
+                    handler = ep.handlers.get(object_id)
+                    if handler is None:
+                        responses[index] = Response(
+                            kind="unresolved", value=object_id
+                        )
+                        continue
+                    # A raw exported callable: calling it cannot suspend
+                    # anything, but what it returns may be a coroutine.
+                    inline = (handler, request)
+                else:
+                    may_suspend = predicates.get(object_id)
+                    if may_suspend is None or may_suspend(request.method):
+                        tasked.append((index, handler(request), None))
+                        continue
+                    inline = (_step, handler, request)
+                context = copy_context()
+                reply = context.run(*inline)
+                if type(reply) is not Response and asyncio.iscoroutine(reply):
+                    tasked.append((index, reply, context))
+                else:
+                    responses[index] = reply
+        except BaseException:
+            # The batch fails as a whole; nothing collected has a task
+            # yet, so nothing is left running (or "never awaited").
+            for _, coro, _ in tasked:
+                coro.close()
+            raise
+        if tasked:
+            create_task = self._runtime.loop.create_task
+            replies = await asyncio.gather(
+                *(create_task(coro, context=context)
+                  for _, coro, context in tasked)
+            )
+            for (index, _, _), reply in zip(tasked, replies):
+                responses[index] = reply
+        return BatchResponse(entries=tuple(responses))
 
     # -- sync bridges (Transport protocol) ----------------------------------
 
@@ -502,6 +577,46 @@ class AsyncioTransport(_TransportBase):
             self._lag_task = None
         for task in list(self._tasks):
             task.cancel()
+
+
+def _step(handler: Any, request: Request) -> Any:
+    """Run a dispatch coroutine that should not suspend to its reply.
+
+    Called in the entry's own context.  Should the coroutine suspend
+    after all (``Skeleton.handle_async`` does when a plain method hands
+    back an awaitable, which it has then already put in a task of its
+    own), the rest of it is returned as a coroutine for the caller to
+    give a task, in this same context.
+    """
+    coro = handler(request)
+    try:
+        yielded = coro.send(None)
+    except StopIteration as done:
+        return done.value
+    return _finish(coro, yielded)
+
+
+async def _finish(coro: Any, yielded: Any) -> Any:
+    # A native coroutine around _rest: what create_task accepts on
+    # every supported interpreter.
+    return await _rest(coro, yielded)
+
+
+@types.coroutine
+def _rest(coro: Any, yielded: Any):
+    """Delegate to ``coro`` from its second step on: what ``await coro``
+    does, for a coroutine whose first step already ran and yielded
+    ``yielded`` (the future it waits on, passed up to the task)."""
+    try:
+        while True:
+            try:
+                sent = yield yielded
+            except BaseException as exc:  # noqa: BLE001 - thrown into coro
+                yielded = coro.throw(exc)
+            else:
+                yielded = coro.send(sent)
+    except StopIteration as done:
+        return done.value
 
 
 def _bridge(waiter: Future) -> DoneCallback:

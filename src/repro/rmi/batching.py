@@ -29,13 +29,31 @@ Three dispatch disciplines, chosen by the transport's capabilities:
   ``max_batch``, or the stub flushes on drain).  Single-threaded and
   reproducible, which keeps the obs determinism gate honest.
 - **loop drain** (asynchronous, :class:`~repro.rmi.aio.AsyncioTransport`)
-  — nobody's thread becomes a sender.  Enqueues schedule one deduped
-  drain sweep *on the transport's event loop*; the sweep takes batches
-  off the queue up to the in-flight window (``flying`` tracks wire
-  batches, completions re-kick while entries remain) and submits them
-  via the transport's callback API.  Entries settle on the loop, so a
-  full pipeline — submit window, coalesce, fly, complete — runs without
-  parking a single thread.
+  — nobody's thread becomes a sender.  A queue that fills schedules one
+  deduped sweep of itself *on the transport's event loop*; a *waiter*
+  — who has stopped submitting — schedules one sweep of **every** queue
+  that holds entries no sweep has seen (tracked as queues go non-empty,
+  never by scanning the map), so a gathered wave's batches, one per
+  member, leave in a single loop callback and share the wire: one loop
+  wake-up and one park/wake of the caller per wave.  A sweep takes
+  batches off a queue up to the in-flight window (``flying`` tracks
+  wire batches) and submits them via the transport's callback API;
+  completions sweep the queue again, on the loop, while entries remain.
+  Entries settle on the loop, so a full pipeline — submit window,
+  coalesce, fly, complete — runs without parking a single thread.
+
+What a call pays on the way in is one queue look-up and one critical
+section (append, fullness test, ready-marking or linger notify); the
+wait hook is built once per queue — once per batcher on the loop — and
+the loop-thread wait guard once per batcher.
+
+The queue map follows the membership instead of only growing: when a
+queue is made for a new endpoint, idle queues of endpoints the
+transport reports dead or unknown are left out of the new map.
+Everything below the public entry points is handed the queue *object*,
+never an id to look up again, so an entry submitted in a race with the
+prune still flies and fails with the dead endpoint's
+:class:`ConnectError`.
 
 Per-call semantics are preserved exactly: each entry's future resolves
 to that entry's own :class:`Response` (result / error / redirect /
@@ -63,7 +81,9 @@ Configuration (all read once, at stub construction):
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
@@ -123,19 +143,37 @@ class _EndpointQueue:
     free sender slot takes it, and a sender only retires after finding
     the queue empty under the same lock.
 
-    The loop drain discipline uses ``scheduled`` (a sweep is queued on
-    the event loop; dedups kicks) and ``flying`` (wire batches in
-    flight; the loop-side in-flight window) instead of ``senders``.
+    The loop drain discipline uses ``flying`` (wire batches in flight;
+    the loop-side in-flight window) instead of ``senders``, plus two
+    dedup flags: ``scheduled`` (a sweep of this queue alone is queued on
+    the event loop) and ``ready`` (the queue sits in the batcher's
+    ready list, waiting for a waiter's sweep).
+
+    ``wait_hook`` is what a waiter on any of this queue's futures runs
+    to get its entry moving; it is built once, with the queue.
     """
 
-    __slots__ = ("cond", "pending", "senders", "scheduled", "flying")
+    __slots__ = (
+        "endpoint_id", "wait_hook", "cond", "pending",
+        "senders", "scheduled", "flying", "ready",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, endpoint_id: str) -> None:
+        self.endpoint_id = endpoint_id
+        self.wait_hook: Callable[[], None] | None = None
         self.cond = threading.Condition()
         self.pending: list[_Entry] = []
         self.senders = 0
         self.scheduled = False
         self.flying = 0
+        self.ready = False
+
+    def idle(self) -> bool:
+        """Nothing queued, nothing on the wire, no sweep on its way."""
+        return not (
+            self.pending or self.senders or self.flying
+            or self.scheduled or self.ready
+        )
 
 
 class RequestBatcher:
@@ -162,6 +200,15 @@ class RequestBatcher:
         # Asynchronous transports drain on their event loop; callers
         # never become senders and never park while a batch flies.
         self._loop_native = bool(getattr(transport, "asynchronous", False))
+        # Waiting *on* the loop thread would deadlock: every future of a
+        # loop-native batcher carries the transport's guard.
+        self._wait_guard = transport.wait_guard if self._loop_native else None
+        # Loop drain: queues that went non-empty since the last waiter's
+        # sweep (each at most once, see ``_EndpointQueue.ready``), and
+        # whether such a sweep is already queued on the loop.
+        self._ready: deque[_EndpointQueue] = deque()
+        self._sweep_scheduled = False
+        self._sweep_lock = threading.Lock()
         self.stats = BatcherStats()
         self._stats_lock = threading.Lock()
         self._queues: dict[str, _EndpointQueue] = {}
@@ -182,20 +229,16 @@ class RequestBatcher:
         if self._max_batch <= 1:
             return self._transport.invoke(endpoint_id, request)
         if self._loop_native:
-            # The loop drains; this thread only waits (guarded: waiting
-            # *on* the loop thread would deadlock and raises instead).
-            future = self._enqueue(endpoint_id, request)
-            future.bind_wait_guard(self._transport.wait_guard)
-            self._kick_loop(endpoint_id)
-            return future.result()
-        if not self._transport.concurrent:
-            # Deterministic transport: a sync call flushes whatever
-            # deferred entries are already queued for this endpoint,
-            # pipelined together with its own entry — in this thread.
-            future = self._enqueue(endpoint_id, request)
-            self.flush(endpoint_id)
-            return future.result()
-        return self._combine(endpoint_id, request)
+            # The loop drains; this thread only waits.  Waiting *on* the
+            # loop thread would deadlock: refuse before queueing.
+            self._wait_guard()
+        elif self._transport.concurrent:
+            return self._combine(endpoint_id, request)
+        # The wait hook does the sending: a sweep on the loop, or — on a
+        # deterministic transport — a flush, in this thread, of whatever
+        # deferred entries are already queued for this endpoint,
+        # pipelined together with this one.
+        return self._enqueue(endpoint_id, request, None)[0].result()
 
     def submit(
         self,
@@ -220,61 +263,18 @@ class RequestBatcher:
         active combiner senders may also sweep deferred entries into
         their batches.
         """
-        future = self._enqueue(endpoint_id, request, completer)
-        future.bind_wait_hook(lambda: self.pump(endpoint_id))
-        if self._loop_native:
-            future.bind_wait_guard(self._transport.wait_guard)
-            q = self._queue(endpoint_id)
-            with q.cond:
-                full = len(q.pending) >= self._max_batch
-            if full:
-                self._kick_loop(endpoint_id)
-        elif self._transport.concurrent:
-            # Waiters *kick* rather than force-flush: at most
-            # ``inflight_limit`` senders fly concurrently, and each
-            # sweeps every gatherer's entries into shared batches.
-            self.kick(endpoint_id, only_if_full=True)
-        else:
-            q = self._queue(endpoint_id)
-            with q.cond:
-                full = len(q.pending) >= self._max_batch
-            if full:
-                self.flush(endpoint_id)
+        future, q, full = self._enqueue(endpoint_id, request, completer)
+        if full:
+            if self._loop_native:
+                self._kick_loop(q)
+            elif self._transport.concurrent:
+                # A *kick*, not a forced flush: at most
+                # ``inflight_limit`` senders fly concurrently, and each
+                # sweeps every gatherer's entries into shared batches.
+                self._kick(q, only_if_full=True)
+            else:
+                self._flush_queue(q)
         return future
-
-    def pump(self, endpoint_id: str) -> None:
-        """What a waiter does to get its entry moving: a windowed
-        :meth:`kick` on concurrent transports, a forced :meth:`flush`
-        on deterministic ones (nobody else will send).  This is the
-        wait hook stubs bind on deferred futures.
-        """
-        if self._loop_native:
-            # A sweep moves what the window allows now; completions
-            # re-kick until the waiter's entry has flown.
-            self._kick_loop(endpoint_id)
-        elif self._transport.concurrent:
-            self.kick(endpoint_id)
-        else:
-            self.flush(endpoint_id)
-
-    def kick(self, endpoint_id: str, only_if_full: bool = False) -> None:
-        """Elect this thread as a sender if the window has room.
-
-        Unlike :meth:`flush` this respects the in-flight window: when
-        every sender slot is busy the caller returns immediately and
-        relies on the active senders' drain loops, which by invariant
-        sweep the queue before retiring.
-        """
-        q = self._queues.get(endpoint_id)
-        if q is None:
-            return
-        with q.cond:
-            if not q.pending or q.senders >= self._inflight_limit:
-                return
-            if only_if_full and len(q.pending) < self._max_batch:
-                return
-            q.senders += 1
-        self._drain(endpoint_id, q, forced=False)
 
     def flush(self, endpoint_id: str | None = None) -> None:
         """Send every pending entry now (drain protocol / wait hooks).
@@ -283,39 +283,69 @@ class RequestBatcher:
         never strand queued calls behind backpressure.
         """
         if endpoint_id is None:
-            with self._admin_lock:
-                queued = list(self._queues)
-            for eid in queued:
-                self.flush(eid)
+            # The map is copy-on-write: this reference is a snapshot.
+            for q in self._queues.values():
+                self._flush_queue(q)
             return
         q = self._queues.get(endpoint_id)
-        if q is None:
-            return
-        if self._loop_native:
-            self._kick_loop(endpoint_id, forced=True)
-            return
-        with q.cond:
-            if not q.pending:
-                return
-            q.senders += 1  # forced: may exceed the window
-        self._drain(endpoint_id, q, forced=True)
+        if q is not None:
+            self._flush_queue(q)
 
     def pending_count(self, endpoint_id: str | None = None) -> int:
-        with self._admin_lock:
-            queues = (
-                list(self._queues.values()) if endpoint_id is None
-                else [q for eid, q in self._queues.items() if eid == endpoint_id]
-            )
+        if endpoint_id is None:
+            queues = list(self._queues.values())
+        else:
+            q = self._queues.get(endpoint_id)
+            queues = [] if q is None else [q]
         total = 0
         for q in queues:
             with q.cond:
                 total += len(q.pending)
         return total
 
+    # Everything below is handed the queue *object*: a queue pruned from
+    # the map (see ``_queue``) while a submitter still holds it must
+    # keep working, so nothing re-looks a queue up by endpoint id.
+
+    def _kick(self, q: _EndpointQueue, only_if_full: bool = False) -> None:
+        """Elect this thread as a sender if the window has room.
+
+        What a waiter on a concurrent transport does to get its entry
+        moving (its queue's wait hook).  Unlike a flush this respects
+        the in-flight window: when every sender slot is busy the caller
+        returns immediately and relies on the active senders' drain
+        loops, which by invariant sweep the queue before retiring.
+        """
+        with q.cond:
+            if not q.pending or q.senders >= self._inflight_limit:
+                return
+            if only_if_full and len(q.pending) < self._max_batch:
+                return
+            q.senders += 1
+        self._drain(q, forced=False)
+
+    def _flush_queue(self, q: _EndpointQueue) -> None:
+        """Send what ``q`` holds now, past the window.  Also the wait
+        hook on a deterministic transport: nobody else will send."""
+        if self._loop_native:
+            with q.cond:
+                if not q.pending:
+                    return
+            # Not deduped against ``q.scheduled``: a plain sweep may
+            # already be queued, but only a forced one is guaranteed to
+            # move everything.
+            self._transport.schedule(partial(self._loop_drain, q, True))
+            return
+        with q.cond:
+            if not q.pending:
+                return
+            q.senders += 1  # forced: may exceed the window
+        self._drain(q, forced=True)
+
     # -- combiner (live mode) ----------------------------------------------
 
     def _combine(self, endpoint_id: str, request: Request) -> Response:
-        q = self._queue(endpoint_id)
+        q = self._queues.get(endpoint_id) or self._queue(endpoint_id)
         future = RmiFuture()
         serve = False
         with q.cond:
@@ -326,10 +356,10 @@ class RequestBatcher:
             elif self._linger > 0:
                 q.cond.notify()  # a lingering sender is holding the door
         if serve:
-            self._drain(endpoint_id, q, forced=False)
+            self._drain(q, forced=False)
         return future.result()
 
-    def _drain(self, endpoint_id: str, q: _EndpointQueue, forced: bool) -> None:
+    def _drain(self, q: _EndpointQueue, forced: bool) -> None:
         """Sender loop: fly batches until the queue is empty, then retire.
 
         The empty-check and the sender-slot release are atomic (under
@@ -360,7 +390,7 @@ class RequestBatcher:
                         return
                     del q.pending[: len(batch)]
                     inflight = q.senders
-                self._deliver(endpoint_id, batch, inflight)
+                self._deliver(q.endpoint_id, batch, inflight)
         finally:
             if not retired:  # exception unwound past the loop
                 with q.cond:
@@ -369,58 +399,74 @@ class RequestBatcher:
 
     # -- loop drain (asynchronous mode) ------------------------------------
 
-    def _kick_loop(self, endpoint_id: str, forced: bool = False) -> None:
-        """Schedule one drain sweep on the transport's event loop.
+    def _kick_loop(self, q: _EndpointQueue) -> None:
+        """A full queue: schedule one sweep of it on the event loop.
 
         Deduped via ``q.scheduled``: a burst of submitters costs one
         loop callback, and that sweep takes everything the in-flight
-        window allows.  ``forced`` sweeps past the window (the drain
-        protocol's flush must never strand entries behind backpressure)
-        and bypasses the dedup — a plain sweep may already be queued,
-        but only a forced one is guaranteed to move everything.
+        window allows.
         """
-        q = self._queues.get(endpoint_id)
-        if q is None:
-            return
         with q.cond:
-            if not q.pending:
-                return
-            if q.scheduled and not forced:
+            if not q.pending or q.scheduled:
                 return
             q.scheduled = True
-        self._transport.schedule(
-            lambda: self._loop_drain(endpoint_id, q, forced)
-        )
+        self._transport.schedule(partial(self._loop_drain, q))
 
-    def _loop_drain(
-        self, endpoint_id: str, q: _EndpointQueue, forced: bool
-    ) -> None:
-        """One sweep, on the event loop: fly batches up to the window.
+    def _kick_ready(self) -> None:
+        """The wait hook of every loop-native future: schedule one sweep
+        of *all* the queues that hold entries no sweep has seen.
+
+        A waiter has stopped submitting, so nothing it sent is worth
+        holding back: the wave's batches — one per member — go out in
+        one loop callback and share the wire, and the waiter is parked
+        and woken once per wave, not once per member.  Only queues that
+        went non-empty are visited; the batcher never scans its map.
+        """
+        if not self._ready:
+            return
+        with self._sweep_lock:
+            if self._sweep_scheduled:
+                return
+            self._sweep_scheduled = True
+        self._transport.schedule(self._sweep_ready)
+
+    def _sweep_ready(self) -> None:  # event loop
+        # Cleared before the first pop: a waiter that finds it still set
+        # queued its entry before this sweep looks at the list.
+        self._sweep_scheduled = False
+        ready = self._ready
+        while ready:
+            q = ready.popleft()
+            with q.cond:
+                q.ready = False  # an entry queued from here on re-lists it
+            self._loop_drain(q)
+
+    def _loop_drain(self, q: _EndpointQueue, forced: bool = False) -> None:
+        """One sweep of one queue, on the event loop: fly batches up to
+        the window (``forced``: past it).
 
         Unlike a combiner sender this never parks — it takes what the
-        window allows, submits via the transport's callback API, and
-        returns to the loop.  Completions re-kick while entries remain,
-        so pending work always has a sweep coming.
+        window allows, submits via the transport's callback API (no hop:
+        this *is* the loop thread), and returns to the loop.  A
+        completion sweeps again while entries remain, so whatever the
+        window held back always has a sweep coming.
         """
         batches: list[tuple[list[_Entry], int]] = []
         with q.cond:
-            q.scheduled = False
+            q.scheduled = False  # whichever sweep this is, it serves a kick
             while q.pending and (forced or q.flying < self._inflight_limit):
                 batch = q.pending[: self._max_batch]
                 del q.pending[: len(batch)]
                 q.flying += 1
                 batches.append((batch, q.flying))
         for batch, inflight in batches:
-            self._deliver_loop(endpoint_id, q, batch, inflight)
+            self._deliver_loop(q, batch, inflight)
 
     def _deliver_loop(
-        self,
-        endpoint_id: str,
-        q: _EndpointQueue,
-        batch: list[_Entry],
-        inflight: int,
+        self, q: _EndpointQueue, batch: list[_Entry], inflight: int
     ) -> None:
         """Fly one batch via the callback API; settle on the loop."""
+        endpoint_id = q.endpoint_id
         self._note_batch(endpoint_id, len(batch), inflight)
 
         def on_done(result, error: BaseException | None) -> None:
@@ -436,7 +482,7 @@ class RequestBatcher:
             else:
                 self._settle(endpoint_id, batch, result.entries, None)
             if repend:
-                self._kick_loop(endpoint_id)
+                self._loop_drain(q)
 
         if len(batch) == 1:
             # A singleton is wire-identical to the unbatched path.
@@ -540,15 +586,30 @@ class RequestBatcher:
     # -- plumbing ----------------------------------------------------------
 
     def _queue(self, endpoint_id: str) -> _EndpointQueue:
-        q = self._queues.get(endpoint_id)
-        if q is not None:
-            return q
+        """The endpoint's queue, created (and the map pruned) on a miss.
+
+        The map is copy-on-write, matching the transports' read-mostly
+        maps, and the copy made for a new endpoint leaves out what a
+        resizing pool leaves behind: queues that are idle and whose
+        endpoint the transport reports dead or unknown.  A submitter
+        that raced the prune still holds its queue object, and every
+        path below the entry points works on the object: its entry flies
+        and fails with the ``ConnectError`` a dead endpoint gives.
+        """
         with self._admin_lock:
             q = self._queues.get(endpoint_id)
             if q is None:
-                q = _EndpointQueue()
-                # Copy-on-write, matching the transports' read-mostly maps.
-                queues = dict(self._queues)
+                q = _EndpointQueue(endpoint_id)
+                if self._loop_native:
+                    q.wait_hook = self._kick_ready
+                elif self._transport.concurrent:
+                    q.wait_hook = partial(self._kick, q)
+                else:
+                    q.wait_hook = partial(self._flush_queue, q)
+                queues = {
+                    eid: old for eid, old in self._queues.items()
+                    if not (old.idle() and self._gone(eid))
+                }
                 queues[endpoint_id] = q
                 self._queues = queues
             return q
@@ -557,15 +618,32 @@ class RequestBatcher:
         self,
         endpoint_id: str,
         request: Request,
-        completer: Completer | None = None,
-    ) -> RmiFuture:
-        q = self._queue(endpoint_id)
+        completer: Completer | None,
+    ) -> tuple[RmiFuture, _EndpointQueue, bool]:
+        """Queue one entry; returns its future, its queue, and whether
+        the queue now holds a full batch — one look-up, one critical
+        section."""
+        q = self._queues.get(endpoint_id) or self._queue(endpoint_id)
         future = RmiFuture()
+        future.bind_wait_hook(q.wait_hook)
+        if self._loop_native:
+            future.bind_wait_guard(self._wait_guard)
         with q.cond:
             q.pending.append((request, future, completer))
-            if self._linger > 0:
+            full = len(q.pending) >= self._max_batch
+            if self._loop_native:
+                if not q.ready:
+                    q.ready = True
+                    self._ready.append(q)
+            elif self._linger > 0:
                 q.cond.notify()  # a lingering sender may be waiting for us
-        return future
+        return future, q, full
+
+    def _gone(self, endpoint_id: str) -> bool:
+        try:
+            return not self._transport.endpoint(endpoint_id).alive
+        except ConnectError:
+            return True
 
     def _endpoint_name(self, endpoint_id: str) -> str:
         try:

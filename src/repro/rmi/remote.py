@@ -219,13 +219,18 @@ class Skeleton:
         self.draining = False
         self.pending = 0
         self._pending_lock = threading.Lock()
+        # Set while draining with nothing pending.  Only start_drain and
+        # the releases that follow it touch the event, always under
+        # _pending_lock: the dispatch path pays for it only on a member
+        # that is going away.
         self._drained = threading.Event()
-        self._drained.set()  # no pending work yet
+        # Method name -> can its coroutine dispatch suspend (may_suspend).
+        self._suspends: dict[str, bool] = {}
         # Redirect table installed by the sentinel: a callable deciding,
         # per call, whether to bounce it to another member.
         self.redirect_policy: Callable[[Request], RemoteRef | None] | None = None
         transport.endpoint(endpoint_id).export(
-            self.object_id, self.handle, self.handle_async
+            self.object_id, self.handle, self.handle_async, self.may_suspend
         )
 
     def ref(self) -> RemoteRef:
@@ -236,10 +241,12 @@ class Skeleton:
     def start_drain(self) -> None:
         """Stop accepting new calls; pending calls run to completion.
         This is step one of the paper's graceful removal protocol."""
-        self.draining = True
         with self._pending_lock:
+            self.draining = True
             if self.pending == 0:
                 self._drained.set()
+            else:
+                self._drained.clear()
 
     def wait_drained(self, timeout: float | None = None) -> bool:
         """Block until all pending invocations finished (live mode)."""
@@ -298,8 +305,12 @@ class Skeleton:
             if target is not None and target != self.ref():
                 return Response(kind="redirect", value=target), None, (), {}, 0.0
         with self._pending_lock:
+            # Checked again under the lock start_drain takes: a call
+            # that passed the check above must not be counted after the
+            # drain saw nothing pending and reported the member drained.
+            if self.draining:
+                return Response(kind="drained"), None, (), {}, 0.0
             self.pending += 1
-            self._drained.clear()
         accepted = False
         try:
             started = self.clock.now()
@@ -405,7 +416,10 @@ class Skeleton:
         :func:`repro.rmi.aio.blocking` are offloaded to the loop's
         default executor, and coroutine methods are awaited in place.
         Plain unmarked methods run inline on the loop and must be
-        CPU-light (the offload rules DESIGN.md documents).
+        CPU-light (the offload rules DESIGN.md documents): for them this
+        coroutine finishes in its first step, which is what lets the
+        transport step a batch's plain entries inside the batch's own
+        task (:meth:`may_suspend` is how it tells them apart).
         """
         refusal, method, args, kwargs, started = self._accept(request)
         if refusal is not None:
@@ -429,6 +443,13 @@ class Skeleton:
             else:
                 result = method(*args, **kwargs)
                 if inspect.iscoroutine(result):
+                    if not self.may_suspend(request.method):
+                        # A plain method handed back a coroutine (a
+                        # sync wrapper around an ``async def``): the
+                        # caller may be stepping us inside a task it
+                        # shares with other entries, so this user code
+                        # gets a task of its own before it runs.
+                        result = asyncio.get_running_loop().create_task(result)
                     result = await result
         except Exception as exc:
             return self._reply(request, started, None, exc)
@@ -436,6 +457,31 @@ class Skeleton:
             self._release()
             raise
         return self._reply(request, started, result, None)
+
+    def may_suspend(self, name: str) -> bool:
+        """Can dispatching method ``name`` suspend :meth:`handle_async`?
+
+        True for ``async def`` methods and for the two offloaded kinds
+        (``@blocking``, and ``@cpu_bound`` when a worker pool is
+        attached); False for a plain method, whose dispatch completes in
+        the coroutine's first step.  Decided from the method itself, once
+        per method name, and never by running it: user code in an
+        ``async def`` body must only ever run inside its own task.
+        """
+        verdict = self._suspends.get(name)
+        if verdict is None:
+            method = getattr(self.impl, name, None)
+            verdict = bool(
+                inspect.iscoroutinefunction(method)
+                or getattr(method, "__ermi_blocking__", False)
+                or (
+                    self._cpu is not None
+                    and getattr(method, "__ermi_cpu_bound__", False)
+                )
+            )
+            if method is not None:  # unknown names are refused, not cached
+                self._suspends[name] = verdict
+        return verdict
 
 
 MAX_REDIRECTS = 8

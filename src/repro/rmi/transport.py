@@ -142,6 +142,10 @@ class Endpoint:
     invoke path reads them without locking.  ``ahandlers`` holds the
     optional coroutine dispatch path a skeleton also exports — only the
     asyncio transport reads it; sync transports use ``handlers`` alone.
+    ``may_suspend`` holds, per object exported with one, the predicate
+    that says whether a *method name* can suspend its coroutine dispatch
+    (``async def``, offloaded): the asyncio transport runs the entries of
+    a batch that cannot inside the batch's own task.
     """
 
     name: str
@@ -150,6 +154,7 @@ class Endpoint:
     )
     handlers: dict[str, RequestHandler] = field(default_factory=dict)
     ahandlers: dict[str, AsyncRequestHandler] = field(default_factory=dict)
+    may_suspend: dict[str, Callable[[str], bool]] = field(default_factory=dict)
     alive: bool = True
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
@@ -160,6 +165,7 @@ class Endpoint:
         object_id: str,
         handler: RequestHandler,
         async_handler: AsyncRequestHandler | None = None,
+        may_suspend: Callable[[str], bool] | None = None,
     ) -> None:
         with self.lock:
             if object_id in self.handlers:
@@ -171,6 +177,10 @@ class Endpoint:
                 ahandlers = dict(self.ahandlers)
                 ahandlers[object_id] = async_handler
                 self.ahandlers = ahandlers
+                if may_suspend is not None:
+                    predicates = dict(self.may_suspend)
+                    predicates[object_id] = may_suspend
+                    self.may_suspend = predicates
 
     def unexport(self, object_id: str) -> None:
         with self.lock:
@@ -181,6 +191,10 @@ class Endpoint:
                 ahandlers = dict(self.ahandlers)
                 ahandlers.pop(object_id, None)
                 self.ahandlers = ahandlers
+            if object_id in self.may_suspend:
+                predicates = dict(self.may_suspend)
+                predicates.pop(object_id, None)
+                self.may_suspend = predicates
 
 
 class Transport(Protocol):

@@ -11,6 +11,7 @@ how its sends travelled.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from typing import Any
 
@@ -19,7 +20,7 @@ import pytest
 from repro.core.balancer import ElasticStub
 from repro.errors import ApplicationError, ConnectError, RemoteError
 from repro.obs import Observability
-from repro.rmi.aio import AsyncioTransport
+from repro.rmi.aio import AsyncioTransport, blocking
 from repro.rmi.batching import RequestBatcher
 from repro.rmi.future import gather
 from repro.rmi.remote import MAX_REDIRECTS, Remote, Skeleton, Stub
@@ -87,6 +88,14 @@ class Worker(Remote):
     def boom(self, value):
         self.calls += 1
         raise ValueError(f"kaboom {value}")
+
+    async def aecho(self, value):
+        await asyncio.sleep(0)
+        return value
+
+    @blocking
+    def becho(self, value):
+        return value
 
 
 def export(transport, impl, name):
@@ -261,6 +270,33 @@ class TestEveryDriverChargesTheSame:
             # The first failure discards the member; whether a later
             # call still picks it depends on who runs first.
             assert 1 <= spent.count(2) <= 2
+
+    def test_gathered_window_mixing_plain_async_and_blocking_methods(
+        self, driver
+    ):
+        """However a member dispatches a method — inline, awaited in a
+        task, offloaded — and whether or not it shares a batch with the
+        other kinds, a call is one attempt with its own reply."""
+        rig = Rig(driver)
+        methods = ["echo", "aecho", "becho", "boom"] * 6
+        futures = [
+            rig.stub.invoke_async(method, i) for i, method in enumerate(methods)
+        ]
+        for i, (method, future) in enumerate(zip(methods, futures)):
+            if method == "boom":
+                with pytest.raises(ApplicationError, match=f"kaboom {i}"):
+                    future.result(timeout=WAIT_S)
+            else:
+                assert future.result(timeout=WAIT_S) == i
+        assert rig.charged() == (24, 24, 0)
+        events = rig.call_events()
+        assert sorted(
+            (event["method"], event["outcome"]) for event in events
+        ) == sorted(
+            (method, "app-error" if method == "boom" else "ok")
+            for method in methods
+        )
+        assert {event["attempts"] for event in events} == {1}
 
 
 class TestRedirectBound:

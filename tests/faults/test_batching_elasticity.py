@@ -10,8 +10,13 @@ must send every coalesced call back through its own retry budget.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core.api import ElasticObject
+from repro.core.pool import MemberState
+from repro.core.runtime import ElasticRuntime
 from repro.faults.injector import FaultInjector
 from repro.rmi.batching import RequestBatcher
 from repro.rmi.future import gather
@@ -19,6 +24,7 @@ from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import DirectTransport
 
 from tests.faults.conftest import PingService, settle
+from tests.faults.test_cpu_crash import _wait_for
 
 
 def batched_stub(runtime, caller="batch-client", max_batch=8):
@@ -180,3 +186,73 @@ class TestDroppedBatchMessage:
             assert any(e.get("attempts") == 2 for e in calls)
         finally:
             injector.uninstall()
+
+
+class _Who(ElasticObject):
+    def __init__(self):
+        super().__init__()
+        self.set_min_pool_size(2)
+        self.set_max_pool_size(32)
+
+    def who(self):
+        return self._ermi_ctx.member.uid
+
+
+def _not_terminated(pool):
+    return [
+        m for m in list(pool.members.values())
+        if m.state is not MemberState.TERMINATED
+    ]
+
+
+class TestChurnDoesNotGrowTheBatcher:
+    """A client batcher under a resizing pool keeps queues for the
+    members that are there, not for every member there ever was."""
+
+    @pytest.mark.parametrize("transport", ["threaded", "asyncio"])
+    def test_200_resizes_under_a_gathered_load(self, transport):
+        runtime = ElasticRuntime.local(transport=transport, seed=1)
+        try:
+            pool = runtime.new_pool(_Who, name="svc", min_size=4)
+            assert _wait_for(lambda: len(pool.active_members()) == 4)
+            batcher = RequestBatcher(runtime.transport, max_batch=32, linger=0.0)
+            stub = runtime.stub("svc", batcher=batcher)
+            agent = runtime.record("svc").sentinel_agent
+            done = threading.Event()
+            problems = []
+
+            def churn():
+                try:
+                    for _ in range(200):
+                        assert pool.grow(1) == 1
+                        assert pool.shrink(1) == 1
+                        agent.tick()
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    problems.append(exc)
+                done.set()
+
+            thread = threading.Thread(target=churn)
+            thread.start()
+            calls = failed = hwm = 0
+            while not done.is_set():
+                futures = [stub.invoke_async("who") for _ in range(16)]
+                for future in futures:
+                    calls += 1
+                    failed += future.exception(timeout=30.0) is not None
+                hwm = max(hwm, len(batcher._queues))
+            thread.join(timeout=30.0)
+            assert not thread.is_alive() and not problems
+            assert calls >= 16 and failed == 0
+            # Let the last drains finish, then one more resize: the new
+            # member's first call makes its queue and prunes the map.
+            assert _wait_for(lambda: len(_not_terminated(pool)) == 4)
+            assert pool.grow(1) == 1
+            assert _wait_for(lambda: len(pool.active_members()) == 5)
+            uids = set(gather(
+                [stub.invoke_async("who") for _ in range(16)], timeout=30.0
+            ))
+            assert len(uids) == 5
+            assert len(batcher._queues) == 5
+            assert hwm <= 12
+        finally:
+            runtime.shutdown()

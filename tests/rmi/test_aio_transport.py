@@ -9,6 +9,8 @@ discipline, and the end-to-end runtime integration
 """
 
 import asyncio
+import contextvars
+import os
 import threading
 import time
 
@@ -23,9 +25,13 @@ from repro.rmi.aio import (
     loop_runtime,
 )
 from repro.rmi.batching import RequestBatcher
+from repro.rmi.cpu import cpu_bound
+from repro.rmi.fastpath import marshal_call, unmarshal_result
 from repro.rmi.future import gather
 from repro.rmi.remote import Remote, Skeleton, Stub
-from repro.rmi.transport import Request, Response
+from repro.rmi.transport import BatchRequest, Request, Response
+
+from tests.rmi.test_transport import _wait_for
 
 
 class Service(Remote):
@@ -312,3 +318,307 @@ class TestFanout:
             for i in range(64)
         ]
         assert gather(futures) == [2 * i for i in range(64)]
+
+
+# ----------------------------------------------------------------------
+# one task per batch: plain entries run inside the batch's own task
+# ----------------------------------------------------------------------
+
+_SEEN = contextvars.ContextVar("test_aio_seen", default=None)
+
+
+class Mixed(Remote):
+    """Every dispatch style one batch can hold.  Picklable: ``@cpu_bound``
+    calls ship a snapshot of it to a worker process."""
+
+    def double(self, n):
+        return 2 * n
+
+    async def adouble(self, n):
+        await asyncio.sleep(0)
+        return 2 * n
+
+    @blocking
+    def nap(self, seconds):
+        time.sleep(seconds)
+        return "rested"
+
+    @cpu_bound
+    def pid(self):
+        return os.getpid()
+
+    def explode(self):
+        raise ValueError("kaboom")
+
+    def mark(self, value):
+        """The ContextVar as this entry found it, then set for whoever
+        (wrongly) shares this entry's context."""
+        seen = _SEEN.get()
+        _SEEN.set(value)
+        return seen
+
+    def later(self, n):
+        """A plain method that hands back an awaitable."""
+        return self.adouble(n)
+
+    async def whoami(self):
+        """The task this body runs in, read before its first await."""
+        task = asyncio.current_task()
+        await asyncio.sleep(0)
+        return id(task)
+
+    async def impatient(self):
+        """A handler-level timeout, entered before the first await: it
+        binds to whatever task runs this body."""
+        async with asyncio.timeout(0.02):
+            await asyncio.sleep(5.0)
+
+    async def park(self):
+        await asyncio.Event().wait()
+
+
+def request_for(skeleton, method, *args):
+    return Request(skeleton.object_id, method, marshal_call(args, {}), "t")
+
+
+def outcome(response):
+    """``(kind, value)`` of one reply; an error's value is the exception."""
+    if response.kind in ("result", "error"):
+        return response.kind, unmarshal_result(response.payload)
+    return response.kind, response.value
+
+
+class TestBatchDispatch:
+    def test_every_kind_of_entry_replies_in_entry_order(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        leaving = Skeleton(Mixed(), transport, endpoint.endpoint_id)
+        leaving.start_drain()
+        batch = BatchRequest(entries=(
+            request_for(skeleton, "double", 1),
+            request_for(skeleton, "adouble", 2),
+            request_for(skeleton, "nap", 0.01),
+            request_for(skeleton, "pid"),
+            Request("no-such-object", "double", marshal_call((3,), {}), "t"),
+            request_for(skeleton, "explode"),
+            request_for(leaving, "double", 4),
+            request_for(skeleton, "no_such_method"),
+            request_for(skeleton, "double", 5),
+        ))
+        replies = [
+            outcome(r)
+            for r in transport.invoke_batch(endpoint.endpoint_id, batch).entries
+        ]
+        kinds = [kind for kind, _ in replies]
+        assert kinds == [
+            "result", "result", "result", "result", "unresolved",
+            "error", "drained", "error", "result",
+        ]
+        assert [replies[i][1] for i in (0, 1, 2, 8)] == [2, 4, "rested", 10]
+        assert replies[3][1] != os.getpid()  # served by a worker process
+        assert replies[4][1] == "no-such-object"
+        assert isinstance(replies[5][1], ValueError)
+        # Statistics stay per logical call, inline or not.
+        stats = skeleton.stats.snapshot()
+        assert stats["double"].calls == 2
+        assert stats["explode"].errors == 1
+        assert skeleton.pending == 0
+
+    def test_blocking_entries_of_one_batch_overlap(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        transport.invoke(endpoint.endpoint_id, request_for(skeleton, "nap", 0))
+        batch = BatchRequest(entries=tuple(
+            request_for(skeleton, "nap", 0.05) for _ in range(4)
+        ))
+        started = time.monotonic()
+        replies = transport.invoke_batch(endpoint.endpoint_id, batch).entries
+        assert time.monotonic() - started < 0.15
+        assert [outcome(r) for r in replies] == [("result", "rested")] * 4
+
+    def test_async_def_entries_run_in_tasks_of_their_own(self, transport):
+        """``asyncio.current_task()`` and ``asyncio.timeout()`` in an
+        ``async def`` method bind to that entry's task: its timeout fails
+        the entry, not the batch and its neighbours."""
+        endpoint, skeleton = exported(transport, Mixed())
+        batch = BatchRequest(entries=(
+            request_for(skeleton, "double", 1),
+            request_for(skeleton, "whoami"),
+            request_for(skeleton, "impatient"),
+            request_for(skeleton, "whoami"),
+            request_for(skeleton, "double", 2),
+        ))
+        replies = [
+            outcome(r)
+            for r in transport.invoke_batch(endpoint.endpoint_id, batch).entries
+        ]
+        assert replies[0] == ("result", 2)
+        assert replies[4] == ("result", 4)
+        assert replies[1][0] == replies[3][0] == "result"
+        assert replies[1][1] != replies[3][1]  # two entries, two tasks
+        kind, error = replies[2]
+        assert kind == "error" and isinstance(error, TimeoutError)
+
+    def test_plain_entries_do_not_share_a_context(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        batch = BatchRequest(entries=tuple(
+            request_for(skeleton, "mark", i) for i in range(4)
+        ))
+        replies = transport.invoke_batch(endpoint.endpoint_id, batch).entries
+        assert [outcome(r) for r in replies] == [("result", None)] * 4
+
+    def test_plain_method_returning_an_awaitable(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        batch = BatchRequest(entries=(
+            request_for(skeleton, "later", 1),
+            request_for(skeleton, "double", 2),
+            request_for(skeleton, "later", 3),
+        ))
+        replies = transport.invoke_batch(endpoint.endpoint_id, batch).entries
+        assert [outcome(r) for r in replies] == [
+            ("result", 2), ("result", 4), ("result", 6),
+        ]
+        stub = Stub(transport, skeleton.ref())
+        assert stub.later(4) == 8  # and unbatched
+
+    def test_raw_exported_callables(self, transport):
+        """Handlers exported without a skeleton: a callable returning a
+        ``Response`` is simply done, one returning a coroutine gets a
+        task."""
+        endpoint = transport.add_endpoint("raw")
+
+        async def slow(request):
+            await asyncio.sleep(0)
+            return Response(kind="result", payload=b"async")
+
+        endpoint.export("sync", lambda r: Response(kind="result", payload=b"sync"))
+        endpoint.export("async", lambda r: slow(r))
+        batch = BatchRequest(entries=(
+            Request("async", "m", b""), Request("sync", "m", b""),
+        ))
+        replies = transport.invoke_batch(endpoint.endpoint_id, batch).entries
+        assert [r.payload for r in replies] == [b"async", b"sync"]
+
+    def test_an_all_plain_batch_costs_one_task(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        batch = BatchRequest(entries=tuple(
+            request_for(skeleton, "double", i) for i in range(16)
+        ))
+        transport.invoke_batch(endpoint.endpoint_id, batch)  # warm
+        loop = loop_runtime().loop
+        created = []
+
+        def counting(loop, coro, **kwargs):
+            task = asyncio.Task(coro, loop=loop, **kwargs)
+            created.append(task)
+            return task
+
+        loop.set_task_factory(counting)
+        try:
+            replies = transport.invoke_batch(endpoint.endpoint_id, batch)
+        finally:
+            loop.set_task_factory(None)
+        assert [outcome(r) for r in replies.entries] == [
+            ("result", 2 * i) for i in range(16)
+        ]
+        assert len(created) == 1  # one per entry, plus one, before
+
+
+class TestBatchFailsAsAWhole:
+    """A batch with one parked entry: whatever ends the batch's task ends
+    every entry's call, and no task is left behind."""
+
+    def parked_batch(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        batcher = RequestBatcher(transport, max_batch=8, linger=0.0)
+        futures = [
+            batcher.submit(endpoint.endpoint_id, request_for(skeleton, method))
+            for method in ("explode", "park", "explode", "whoami")
+        ]
+        return skeleton, futures
+
+    def test_shutdown_fails_every_entry(self):
+        transport = AsyncioTransport()
+        try:
+            skeleton, futures = self.parked_batch(transport)
+            assert not futures[0].wait(timeout=0.05)  # flown, and parked
+            assert _wait_for(lambda: skeleton.pending == 1)
+        finally:
+            transport.shutdown()
+        for future in futures:
+            assert isinstance(future.exception(timeout=5.0), ConnectError)
+        assert _wait_for(lambda: not transport._tasks)
+        assert skeleton.pending == 0
+
+    def test_deadline_fails_every_entry(self):
+        transport = AsyncioTransport(timeout=0.05)
+        try:
+            skeleton, futures = self.parked_batch(transport)
+            for future in futures:
+                error = future.exception(timeout=5.0)
+                assert isinstance(error, RemoteError)
+                assert "timed out" in str(error)
+            assert _wait_for(lambda: not transport._tasks)
+            assert skeleton.pending == 0
+        finally:
+            transport.shutdown()
+
+
+class TestWaveOnLoop:
+    def test_one_gathered_wave_wakes_the_loop_once(self, transport):
+        """64 calls over 4 members: the waiter's hook sweeps all four
+        queues in one loop callback, and the sweep's ``submit_batch``
+        calls start their dispatches without hopping to the loop they
+        are already on."""
+        batcher = RequestBatcher(transport, max_batch=32, linger=0.0)
+        stubs = []
+        for i in range(4):
+            endpoint = transport.add_endpoint(f"member-{i}")
+            skeleton = Skeleton(Mixed(), transport, endpoint.endpoint_id)
+            stubs.append(Stub(transport, skeleton.ref(), batcher=batcher))
+        wave = [(stubs[i % 4], i) for i in range(64)]
+        gather([stub.invoke_async("double", i) for stub, i in wave])  # warm
+        loop = loop_runtime().loop
+        plain = loop.call_soon_threadsafe
+        wakeups = []
+
+        def counting(callback, *args, **kwargs):
+            wakeups.append(callback)
+            return plain(callback, *args, **kwargs)
+
+        before = batcher.stats.batches
+        loop.call_soon_threadsafe = counting
+        try:
+            futures = [stub.invoke_async("double", i) for stub, i in wave]
+            assert gather(futures, timeout=10.0) == [2 * i for i in range(64)]
+        finally:
+            del loop.call_soon_threadsafe
+        assert batcher.stats.batches - before == 4
+        assert len(wakeups) == 1  # four kicks and four re-posts, before
+
+    def test_submit_on_the_loop_thread_starts_at_once(self, transport):
+        """``submit`` from the loop thread creates the dispatch task
+        there and then; ``schedule`` still runs its callback on a later
+        turn, but without writing to the self-pipe."""
+        endpoint, skeleton = exported(transport, Mixed())
+        loop = loop_runtime().loop
+        order, finished = [], threading.Event()
+
+        def on_loop():
+            plain = loop.call_soon_threadsafe
+            loop.call_soon_threadsafe = lambda *a, **k: order.append("pipe")
+            try:
+                before = len(transport._tasks)
+                transport.submit(
+                    endpoint.endpoint_id, request_for(skeleton, "double", 2),
+                    lambda response, error: (order.append("done"), finished.set()),
+                )
+                order.append(len(transport._tasks) - before)
+                transport.schedule(lambda: order.append("scheduled"))
+                order.append("returned")
+            finally:
+                loop.call_soon_threadsafe = plain
+
+        transport.schedule(on_loop)
+        assert finished.wait(timeout=5.0)
+        assert _wait_for(lambda: "scheduled" in order)
+        assert order[:2] == [1, "returned"]
+        assert "pipe" not in order

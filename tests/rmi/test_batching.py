@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.errors import ApplicationError, ConnectError
+from repro.rmi.aio import AsyncioTransport
 from repro.rmi.batching import (
     BatcherStats,
     RequestBatcher,
@@ -20,7 +21,7 @@ from repro.rmi.batching import (
     batch_linger_from_env,
     batch_max_from_env,
 )
-from repro.rmi.fastpath import is_zero_copy
+from repro.rmi.fastpath import is_zero_copy, marshal_call
 from repro.rmi.future import gather
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import (
@@ -364,6 +365,110 @@ class TestCombinerDiscipline:
             assert batcher.stats.batches < batcher.stats.entries
         finally:
             transport.shutdown()
+
+
+class TestQueuePruning:
+    """The queue map follows the membership: making a queue for a new
+    endpoint leaves out idle queues of endpoints that are gone."""
+
+    def test_dead_endpoints_queues_go_when_a_new_one_is_made(self):
+        transport = DirectTransport()
+        skeletons = [exported(transport) for _ in range(5)]
+        batcher = RequestBatcher(transport, max_batch=8, linger=0.0)
+        stubs = [
+            Stub(transport, skeleton.ref(), batcher=batcher)
+            for skeleton in skeletons
+        ]
+        for stub in stubs[:4]:
+            assert stub.invoke_async("echo", 1).result(timeout=0) == 1
+        stranded = stubs[2].invoke_async("echo", 2)  # queued, never waited on
+        for skeleton in skeletons[:3]:
+            transport.kill(skeleton.endpoint_id)
+        before = dict(batcher._queues)
+        assert len(before) == 4  # nothing is pruned until a queue is made
+        assert stubs[4].invoke_async("echo", 3).result(timeout=0) == 3
+        # Idle and dead: gone.  Dead but holding an entry, or alive: kept.
+        kept = [s.endpoint_id for s in skeletons[2:]]
+        assert sorted(batcher._queues) == sorted(kept)
+        assert all(batcher._queues[eid] is before[eid] for eid in kept[:2])
+        with pytest.raises(ConnectError, match="is down"):
+            stranded.result(timeout=0)
+
+    @pytest.mark.parametrize("transport_cls", [ThreadedTransport, AsyncioTransport])
+    def test_submitters_racing_the_prune_always_complete(self, transport_cls):
+        """Submitters keep addressing endpoints that are being killed
+        while new ones (whose first submit prunes the map) appear: every
+        future completes — with its reply, or with the ``ConnectError``
+        of a dead endpoint — and the map stays small."""
+        import sys
+
+        transport = transport_cls()
+        batcher = RequestBatcher(transport, max_batch=4, linger=0.0)
+        current = [exported(transport) for _ in range(2)]
+        stop = threading.Event()
+        waves = threading.Semaphore(0)  # paces the rotation to the load
+        outcomes = {"ok": 0, "down": 0}
+        problems = []
+        lock = threading.Lock()
+
+        def submitter():
+            ok = down = 0
+            try:
+                while not stop.is_set():
+                    targets = list(current)
+                    futures = [
+                        batcher.submit(
+                            skeleton.endpoint_id,
+                            Request(
+                                skeleton.object_id, "echo",
+                                marshal_call((i,), {}), "t",
+                            ),
+                        )
+                        for i in range(3)
+                        for skeleton in targets
+                    ]
+                    for future in futures:
+                        error = future.exception(timeout=30.0)
+                        if error is None:
+                            ok += 1
+                        elif isinstance(error, ConnectError):
+                            down += 1
+                        else:
+                            raise error
+                    waves.release()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                problems.append(exc)
+            with lock:
+                outcomes["ok"] += ok
+                outcomes["down"] += down
+
+        threads = [threading.Thread(target=submitter) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            hwm = 0
+            for _ in range(300):
+                assert waves.acquire(timeout=30.0)
+                fresh = exported(transport)
+                gone = current[0]
+                current[:] = [current[1], fresh]
+                transport.kill(gone.endpoint_id)
+                hwm = max(hwm, len(batcher._queues))
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            transport.shutdown()
+        assert not problems
+        assert outcomes["ok"] > 0
+        assert batcher.pending_count() == 0
+        # 302 endpoints were addressed; a handful of queues at a time.
+        assert hwm <= 10
 
 
 class TestStats:

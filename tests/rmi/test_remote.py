@@ -1,6 +1,8 @@
 """Tests for skeletons and unicast stubs: dispatch, stats, drain,
 redirects, and failure semantics."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -8,6 +10,7 @@ from repro.errors import (
     ConnectError,
     MemberDrainedError,
 )
+from repro.rmi.fastpath import marshal_call
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import DirectTransport, Request, Response
 
@@ -141,6 +144,39 @@ class TestDrain:
         skeleton.unexport()
         with pytest.raises(ConnectError):
             stub.add(1, 1)
+
+    def test_call_racing_the_drain_is_refused_not_run_after_it(self, exported):
+        """A call that passed the unlocked ``draining`` check is stopped
+        at the pending count: once ``wait_drained`` has returned, nothing
+        runs on the member any more.
+
+        The redirect policy sits between that check and the count, so it
+        holds the dispatching thread exactly there while this thread
+        drains the member."""
+        skeleton, _ = exported
+        past_the_check, drained = threading.Event(), threading.Event()
+
+        def hold(request):
+            past_the_check.set()
+            assert drained.wait(timeout=5.0)
+            return None
+
+        skeleton.redirect_policy = hold
+        request = Request(skeleton.object_id, "store", marshal_call((7.0,), {}))
+        replies = []
+        caller = threading.Thread(
+            target=lambda: replies.append(skeleton.handle(request))
+        )
+        caller.start()
+        assert past_the_check.wait(timeout=5.0)
+        skeleton.start_drain()
+        assert skeleton.wait_drained(timeout=0) and skeleton.is_drained
+        drained.set()
+        caller.join(timeout=5.0)
+        assert not caller.is_alive()
+        assert [reply.kind for reply in replies] == ["drained"]
+        assert skeleton.impl.memory == 0.0  # the method never ran
+        assert skeleton.pending == 0 and skeleton.is_drained
 
 
 class TestRedirects:
