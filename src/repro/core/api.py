@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import PoolConfigurationError, ScalingDisabledError
-from repro.rmi.remote import Remote
+from repro.rmi.remote import Remote, RemoteRef
 
 if TYPE_CHECKING:
     from repro.core.pool import ElasticObjectPool
@@ -190,11 +190,13 @@ class ElasticObject(Elastic):
 
     # -- stub bootstrap (invoked remotely by elastic stubs) ---------------------
 
-    def ermi_member_identities(self) -> list[Any]:
-        """Identities (remote references) of every pool member, sentinel
-        first.  Client stubs call this on first contact with the sentinel
-        to learn where to load-balance (paper section 4.3); applications
-        never need it."""
+    def ermi_member_identities(self) -> tuple[RemoteRef, ...]:
+        """Identities (remote references) of every active pool member,
+        sentinel first.  Client stubs call this on first contact with the
+        sentinel, and again whenever the membership epoch moves, to learn
+        where to load-balance (paper section 4.3); applications never
+        need it.  A tuple of frozen refs, so the reply travels zero-copy
+        like the (empty) request: a membership refresh pickles nothing."""
         return self._ctx().pool.member_identities()
 
     # -- fine-grained scaling hook ------------------------------------------------

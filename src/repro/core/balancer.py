@@ -154,12 +154,30 @@ class ElasticStub:
         stub = Stub(self._transport, sentinel, caller=self._caller)
         refs = stub.ermi_member_identities()
         with self._lock:
-            # A previously-discarded member re-appearing means the
-            # rotation positions shifted under us: restart the cursor so
-            # round-robin stays balanced instead of skewing toward the
-            # members that happened to follow the revived slot.
-            if any(ref in self._discarded for ref in refs):
-                self._rr = itertools.count()
+            held = self._members
+            if held or self._discarded:  # not first contact
+                # Capacity that arrives serves at once: a ref this stub
+                # never held is a member that just activated, so the
+                # cursor restarts *at it* — the refreshing call itself
+                # goes there, and after grow(k) the next k calls walk
+                # the k new members (the sentinel lists by uid, so they
+                # sit together at the tail).  Round-robin would have
+                # reached each within one turn anyway; this only spends
+                # the turn on the member that has served nothing yet.
+                known = self._discarded.union(held)
+                fresh = next(
+                    (i for i, ref in enumerate(refs) if ref not in known),
+                    None,
+                )
+                if fresh is not None:
+                    self._rr = itertools.count(fresh)
+                elif any(ref in self._discarded for ref in refs):
+                    # A previously-discarded member re-appearing means
+                    # the rotation positions shifted under us: restart
+                    # the cursor so round-robin stays balanced instead
+                    # of skewing toward the members that happened to
+                    # follow the revived slot.
+                    self._rr = itertools.count()
             self._discarded.clear()
             self._members = list(refs)
             self._calls_since_refresh = 0

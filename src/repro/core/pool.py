@@ -172,7 +172,13 @@ class ElasticObjectPool:
         # pool-state broadcast, and traces carry the shard index.
         self.shard_of = shard_of
         self.channel = Channel(f"pool:{name}")
+        # The record of every member there ever was, terminated ones
+        # included (reports and benchmarks read their stamps and stats).
         self.members: dict[int, PoolMember] = {}
+        # The members that are not TERMINATED — what every scan walks, so
+        # a long-lived pool pays for the members alive, not for its
+        # history.  Entered in grow, left in _terminate, under _lock.
+        self._live: dict[int, PoolMember] = {}
         self._uid_counter = itertools.count(1)
         self._lock = threading.RLock()
         self.closed = False
@@ -219,7 +225,7 @@ class ElasticObjectPool:
         """Number of members currently serving (the paper's pool size)."""
         with self._lock:
             return sum(
-                1 for m in self.members.values() if m.state is MemberState.ACTIVE
+                1 for m in self._live.values() if m.state is MemberState.ACTIVE
             )
 
     def provisioned_size(self) -> int:
@@ -227,14 +233,14 @@ class ElasticObjectPool:
         with self._lock:
             return sum(
                 1
-                for m in self.members.values()
+                for m in self._live.values()
                 if m.state in (MemberState.ACTIVE, MemberState.STARTING)
             )
 
     def active_members(self) -> list[PoolMember]:
         with self._lock:
             return sorted(
-                (m for m in self.members.values() if m.state is MemberState.ACTIVE),
+                (m for m in self._live.values() if m.state is MemberState.ACTIVE),
                 key=lambda m: m.uid,
             )
 
@@ -243,10 +249,14 @@ class ElasticObjectPool:
         active = self.active_members()
         return active[0] if active else None
 
-    def member_identities(self) -> list[RemoteRef]:
+    def member_identities(self) -> tuple[RemoteRef, ...]:
         """Identities of active members, sentinel first — what the client
-        stub fetches on first contact."""
-        return [m.ref() for m in self.active_members()]
+        stub fetches on first contact and after every epoch move.
+
+        A tuple of frozen refs: the reply is provably immutable, so it
+        rides the zero-copy fast path (no pickle on a membership refresh)
+        and no caller can change what the next fetch returns."""
+        return tuple(m.ref() for m in self.active_members())
 
     def membership_epoch_key(self) -> str:
         """KV-store key of this pool's membership epoch."""
@@ -296,6 +306,7 @@ class ElasticObjectPool:
             )
             with self._lock:
                 self.members[member.uid] = member
+                self._live[member.uid] = member
             latency = self.services.provisioner.sample_up_latency(load)
             self.services.scheduler.call_after(
                 latency, lambda m=member: self._activate(m)
@@ -489,6 +500,7 @@ class ElasticObjectPool:
                 return
             member.state = MemberState.TERMINATED
             member.terminated_at = self.services.scheduler.clock.now()
+            del self._live[member.uid]
         if member.skeleton is not None:
             member.skeleton.unexport()
         if member.endpoint_id is not None:
@@ -532,7 +544,7 @@ class ElasticObjectPool:
         """A cluster node died under one of our members."""
         with self._lock:
             victim = next(
-                (m for m in self.members.values() if m.slice is sl), None
+                (m for m in self._live.values() if m.slice is sl), None
             )
         if victim is not None:
             self._terminate(victim, release_slice=False)
@@ -562,7 +574,7 @@ class ElasticObjectPool:
             candidates = sorted(
                 (
                     m
-                    for m in self.members.values()
+                    for m in self._live.values()
                     if m.state in (MemberState.ACTIVE, MemberState.DRAINING)
                 ),
                 key=lambda m: m.uid,
@@ -731,14 +743,9 @@ class ElasticObjectPool:
             if self.closed:
                 return
             self.closed = True
-            members = list(self.members.values())
+            members = list(self._live.values())
         for member in members:
-            if member.state in (
-                MemberState.ACTIVE,
-                MemberState.DRAINING,
-                MemberState.STARTING,
-            ):
-                self._terminate(member)
+            self._terminate(member)
 
     def _check_open(self) -> None:
         if self.closed:

@@ -47,7 +47,7 @@ from repro.core.pool import (
     ShardedElasticPool,
     ShardInfo,
 )
-from repro.core.scaling import ScalingPolicy, select_policy
+from repro.core.scaling import ScalingPolicy, note_policy_error, select_policy
 from repro.core.sentinel import SentinelAgent
 from repro.errors import MasterUnavailableError, PoolConfigurationError
 from repro.faults.policy import RetryPolicy
@@ -591,8 +591,9 @@ class ElasticRuntime:
         pool.roll_window()
         try:
             delta = record.policy.decide(pool)
-        except Exception:
+        except Exception as exc:
             delta = 0  # a broken policy must not stop monitoring
+            note_policy_error(pool, record.policy.name, exc)
         applied = self._apply_delta(record, delta)
         if self.obs is not None:
             self.obs.tracer.emit(

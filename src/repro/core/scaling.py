@@ -38,6 +38,21 @@ class ScalingPolicy(Protocol):
     def decide(self, pool: "ElasticObjectPool") -> int: ...
 
 
+def note_policy_error(
+    pool: "ElasticObjectPool", policy: str, error: Exception
+) -> None:
+    """A policy (or one voter of it) failed and abstained: count and
+    trace it.  Abstaining keeps monitoring alive; it must not also keep
+    the failure out of sight.  No-op without an Observability."""
+    obs = pool.services.obs
+    if obs is not None:
+        obs.registry.counter("runtime.policy_errors").inc()
+        obs.tracer.emit(
+            "runtime", "policy-error",
+            pool=pool.name, policy=policy, error=type(error).__name__,
+        )
+
+
 class ImplicitPolicy:
     """Paper defaults: +1 over 90% average CPU, -1 under 60%."""
 
@@ -89,11 +104,11 @@ class CoarseGrainedPolicy:
 class FineGrainedPolicy:
     """Poll ``change_pool_size`` on every member and average the votes.
 
-    A member whose vote raises is counted as 0 (abstain) — a misbehaving
-    member must not wedge the pool.  The averaged value is rounded toward
-    zero, matching "the values returned by the various objects in the
-    pool are averaged to determine the number of objects that have to be
-    added/removed".
+    A member whose vote raises is counted as 0 (abstain, and reported as
+    a policy error) — a misbehaving member must not wedge the pool.  The
+    averaged value is rounded toward zero, matching "the values returned
+    by the various objects in the pool are averaged to determine the
+    number of objects that have to be added/removed".
     """
 
     name = "fine-grained"
@@ -106,8 +121,9 @@ class FineGrainedPolicy:
                 continue
             try:
                 vote = instance.change_pool_size()
-            except Exception:
+            except Exception as exc:
                 vote = 0
+                note_policy_error(pool, self.name, exc)
             votes.append(int(vote) if vote is not None else 0)
         if not votes:
             return 0
@@ -118,7 +134,7 @@ class DeciderPolicy:
     """Application-level decisions via a :class:`Decider` (section 3.3).
 
     The decider returns the *desired* pool size; the policy converts it to
-    a delta.  Decider errors abstain.
+    a delta.  Decider errors abstain, and are reported as policy errors.
     """
 
     name = "decider"
@@ -129,7 +145,8 @@ class DeciderPolicy:
     def decide(self, pool: "ElasticObjectPool") -> int:
         try:
             desired = int(self.decider.get_desired_pool_size(pool))
-        except Exception:
+        except Exception as exc:
+            note_policy_error(pool, self.name, exc)
             return 0
         return desired - pool.size()
 

@@ -29,6 +29,7 @@ import asyncio
 import inspect
 import itertools
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Generator
@@ -130,7 +131,9 @@ class CallStats:
     def record(self, method: str, latency: float, error: bool = False) -> None:
         stripe = self._stripes.stripe()
         with stripe.lock:
-            stats = stripe.methods.setdefault(method, MethodStats())
+            stats = stripe.methods.get(method)
+            if stats is None:
+                stats = stripe.methods[method] = MethodStats()
             stats.calls += 1
             stats.total_latency += latency
             if error:
@@ -175,12 +178,27 @@ class CallStats:
         return total
 
 
+# Class -> does it declare a @cpu_bound method.  Weakly keyed: a class
+# defined inside a test or a reloaded module is not pinned by its answer.
+_cpu_bound_classes: "weakref.WeakKeyDictionary[type, bool]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _declares_cpu_bound(cls: type) -> bool:
-    """Does any method in the class's surface carry ``@cpu_bound``?"""
-    for name in dir(cls):
-        if getattr(getattr(cls, name, None), "__ermi_cpu_bound__", False):
-            return True
-    return False
+    """Does any method in the class's surface carry ``@cpu_bound``?
+
+    Scanned once per class — every member of a pool activates the same
+    class, and the scan (``dir`` plus a ``getattr`` per attribute) would
+    otherwise sit in the path of every scale-up."""
+    verdict = _cpu_bound_classes.get(cls)
+    if verdict is None:
+        verdict = any(
+            getattr(getattr(cls, name, None), "__ermi_cpu_bound__", False)
+            for name in dir(cls)
+        )
+        _cpu_bound_classes[cls] = verdict
+    return verdict
 
 
 class Skeleton:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.balancer import ElasticStub
+from repro.core.balancer import BalancingMode, ElasticStub
 from repro.errors import StoreError
 from repro.rmi.remote import Remote, Skeleton
 from repro.rmi.transport import DirectTransport
@@ -194,6 +194,128 @@ class TestTargetOrdering:
         stub._discard(members[2])
         snapshot = stub.members_snapshot()
         assert members[2] not in snapshot and len(snapshot) == 2
+
+
+def _add_workers(transport, sentinel, count):
+    """Export ``count`` more workers and list them at the sentinel's
+    tail (the pool lists members by uid, so new ones come last).  The
+    rig's ``members`` *is* the sentinel's list, so tests copy it first."""
+    added = []
+    for _ in range(count):
+        ep = transport.add_endpoint(f"worker-{len(sentinel.members)}")
+        ref = Skeleton(_Worker(), transport, ep.endpoint_id).ref()
+        sentinel.members.append(ref)
+        added.append(ref)
+    return added
+
+
+class TestNewCapacityHeadsTheRotation:
+    """Capacity that arrives serves at once: a refresh that brings refs
+    the stub never held restarts the cursor at the first of them."""
+
+    def test_refreshing_call_targets_the_new_member(self, rig):
+        transport, sentinel, members, state, stub = rig
+        old = list(members)
+        stub._refresh_members(epoch=1)
+        stub._targets()  # cursor now at 1
+        (new,) = _add_workers(transport, sentinel, 1)
+        state["epoch"] += 1
+        everyone = old + [new]
+        # The call that notices the epoch move is the one that refreshes,
+        # and its own primary target is the new member ...
+        assert stub._targets() == [new] + old
+        # ... and the rotation continues from it.
+        assert stub._targets() == everyone
+        assert stub._targets() == everyone[1:] + everyone[:1]
+        assert sentinel.fetches == 2
+
+    def test_three_new_members_are_the_next_three_primaries(self, rig):
+        transport, sentinel, members, state, stub = rig
+        old = list(members)
+        stub._refresh_members(epoch=1)
+        stub._targets()
+        stub._targets()  # cursor now at 2
+        added = _add_workers(transport, sentinel, 3)
+        state["epoch"] += 1
+        primaries = [stub._targets()[0] for _ in range(6)]
+        assert primaries == added + old
+
+    def test_new_member_beside_a_removed_one(self, rig):
+        """The cursor goes to the new ref's index in the *installed*
+        list, whatever else the refresh dropped."""
+        transport, sentinel, members, state, stub = rig
+        stub._refresh_members(epoch=1)
+        kept = members[1:]
+        del sentinel.members[0]
+        (new,) = _add_workers(transport, sentinel, 1)
+        state["epoch"] += 1
+        assert stub._targets() == [new] + kept
+
+    def test_refresh_that_only_removes_keeps_the_cursor(self, rig):
+        _, sentinel, members, state, stub = rig
+        stub._refresh_members(epoch=1)
+        stub._targets()  # cursor now at 1
+        second = members[1]
+        del sentinel.members[2]
+        state["epoch"] += 1
+        assert stub._targets()[0] == second
+
+    def test_first_contact_starts_at_zero(self, rig):
+        """Every ref is new to a stub that has held none: that is not
+        arriving capacity, and the rotation starts where it always did."""
+        _, _, members, _, stub = rig
+        assert stub._targets() == members
+
+    def test_all_failed_recovery_shares_the_rule(self, rig):
+        """The refresh after every cached member failed goes through the
+        same method: a replacement the stub never held heads the
+        rotation, where revived refs alone would restart it at 0."""
+        transport, sentinel, members, _, stub = rig
+        first = members[0]
+        stub._refresh_members(epoch=1)
+        stub._targets()
+        for ref in list(members):
+            stub._discard(ref)
+        assert stub.members_snapshot() == []
+        del sentinel.members[1:]
+        (new,) = _add_workers(transport, sentinel, 1)
+        stub._refresh_members()
+        assert stub._targets() == [new, first]
+
+    def test_legacy_count_based_refresh_shares_the_rule(self, rig):
+        transport, sentinel, members, _, epoch_stub = rig
+        old = list(members)
+        stub = ElasticStub(
+            transport, epoch_stub._resolve_sentinel, refresh_every=2
+        )
+        assert stub._targets()[0] == old[0]
+        assert stub._targets()[0] == old[1]
+        (new,) = _add_workers(transport, sentinel, 1)
+        assert stub._targets()[0] == new  # third call: periodic refresh
+        assert stub._targets()[0] == old[0]
+
+    def test_random_mode_draws_as_before(self, rig):
+        """Random spreading never waits a turn — the new member is in
+        the draw from the refresh on — so the draws are exactly what the
+        same seed gives over the same list sizes, cursor rule or not."""
+        import random
+
+        transport, sentinel, members, state, epoch_stub = rig
+        old = list(members)
+        stub = ElasticStub(
+            transport,
+            epoch_stub._resolve_sentinel,
+            mode=BalancingMode.RANDOM,
+            rng=random.Random(7),
+            epoch_source=lambda: state["epoch"],
+        )
+        shadow = random.Random(7)
+        assert stub._targets()[0] == old[shadow.randrange(3)]
+        (new,) = _add_workers(transport, sentinel, 1)
+        state["epoch"] += 1
+        everyone = old + [new]
+        for _ in range(8):
+            assert stub._targets()[0] == everyone[shadow.randrange(4)]
 
 
 class TestDiscardSetLifecycle:

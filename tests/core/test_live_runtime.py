@@ -12,6 +12,7 @@ import pytest
 from repro.core.api import ElasticObject
 from repro.core.fields import elastic_field, synchronized
 from repro.core.runtime import ElasticRuntime
+from tests.rmi.test_transport import _wait_for
 
 
 class LiveCache(ElasticObject):
@@ -45,7 +46,8 @@ def live():
 class TestLiveMode:
     def test_pool_starts_and_serves(self, live):
         pool = live.new_pool(LiveCache)
-        assert pool.size() == 2
+        # Activation runs on timer threads: wait for it, do not bet on it.
+        assert _wait_for(lambda: pool.size() == 2)
         stub = live.stub("LiveCache")
         assert stub.get("abc") == "ABC"
         assert stub.put("k", "v") == "stored:k"
@@ -94,6 +96,7 @@ class TestLiveMode:
 
     def test_member_failure_masked_from_clients(self, live):
         pool = live.new_pool(LiveCache)
+        assert _wait_for(lambda: pool.size() == 2)
         stub = live.stub("LiveCache")
         stub.get("warm")
         victim = pool.active_members()[1]
@@ -162,7 +165,7 @@ class TestAsyncioLiveMode:
 
     def test_pool_starts_and_serves(self, aio_live):
         pool = aio_live.new_pool(LiveCache)
-        assert pool.size() == 2
+        assert _wait_for(lambda: pool.size() == 2)
         stub = aio_live.stub("LiveCache")
         assert stub.get("abc") == "ABC"
         assert stub.put("k", "v") == "stored:k"
@@ -189,6 +192,7 @@ class TestAsyncioLiveMode:
 
     def test_member_failure_masked_from_clients(self, aio_live):
         pool = aio_live.new_pool(LiveCache)
+        assert _wait_for(lambda: pool.size() == 2)
         stub = aio_live.stub("LiveCache")
         stub.get("warm")
         victim = pool.active_members()[1]

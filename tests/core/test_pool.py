@@ -6,6 +6,7 @@ import pytest
 from repro.core.pool import MemberState
 from repro.errors import PoolShutdownError
 from tests.core.conftest import EchoService, settle
+from tests.faults.test_drain_race import ReleaseCounter
 
 
 @pytest.fixture
@@ -219,3 +220,123 @@ class TestShutdown:
     def test_double_shutdown_is_noop(self, pool):
         pool.shutdown()
         pool.shutdown()
+
+
+class _Visits(dict):
+    """A member map that counts the members a scan walks."""
+
+    visited = 0
+
+    def values(self):
+        for member in super().values():
+            self.visited += 1
+            yield member
+
+
+class TestLiveSet:
+    """``pool.members`` is the record of every member there ever was;
+    the scans walk the members alive."""
+
+    CYCLES = 300
+
+    def churn(self, pool, kernel):
+        # Steps far shorter than the burst interval: no control tick
+        # fires, so every resize below is this test's own.
+        for _ in range(self.CYCLES):
+            assert pool.grow(1) == 1
+            settle(kernel, 0.01)
+            assert pool.shrink(1) == 1
+            settle(kernel, 0.01)
+
+    def test_scans_visit_the_members_alive(self, pool, kernel, runtime):
+        releases = ReleaseCounter(runtime.master)
+        self.churn(pool, kernel)
+        alive = [
+            m for m in pool.members.values()
+            if m.state is not MemberState.TERMINATED
+        ]
+        assert len(alive) == 2
+        # The record keeps everyone, with what reports read from it ...
+        assert len(pool.members) == self.CYCLES + 2
+        gone = [m for m in pool.members.values() if m not in alive]
+        assert all(
+            m.skeleton is not None and m.active_at is not None
+            and m.requested_at <= m.active_at <= m.terminated_at
+            for m in gone
+        )
+        # ... one release per member gone (the cluster hands the same
+        # slices out again and again) ...
+        assert sum(releases.calls.values()) == len(gone)
+        assert runtime.master.allocated_slices() == 1 + len(alive)
+        # ... and the live set holds the two that are left.
+        assert list(pool._live.values()) == alive
+        pool.members = _Visits(pool.members)
+        pool._live = _Visits(pool._live)
+        assert pool.size() == 2
+        assert pool.provisioned_size() == 2
+        assert [m.uid for m in pool.active_members()] == [1, 2]
+        assert pool.reap_failures() == []
+        pool.handle_slice_lost(gone[0].slice)
+        assert pool._live.visited == 5 * len(alive)
+        assert pool.members.visited == 0
+
+    def in_every_live_state(self, pool, kernel):
+        """One ACTIVE (beside the sentinel), one DRAINING, one STARTING:
+        the queued finalization and activation have not run."""
+        assert pool.grow(1) == 1
+        settle(kernel)
+        assert pool.shrink(1) == 1
+        assert pool.grow(1) == 1
+        by_state = {m.state: m for m in pool._live.values() if m.uid > 1}
+        assert set(by_state) == {
+            MemberState.ACTIVE, MemberState.DRAINING, MemberState.STARTING,
+        }
+        return by_state
+
+    def test_shutdown_reaches_every_live_state(self, pool, kernel, runtime):
+        releases = ReleaseCounter(runtime.master)
+        members = self.in_every_live_state(pool, kernel)
+        pool.shutdown()
+        settle(kernel)  # the queued activation and finalization: no-ops
+        assert pool._live == {}
+        assert all(
+            m.state is MemberState.TERMINATED for m in members.values()
+        )
+        assert [releases.count(m.slice) for m in pool.members.values()] == [
+            1, 1, 1, 1,
+        ]
+        assert runtime.master.allocated_slices() == 1
+
+    def test_slice_loss_reaches_every_live_state(self, pool, kernel, runtime):
+        releases = ReleaseCounter(runtime.master)
+        members = self.in_every_live_state(pool, kernel)
+        for member in members.values():
+            pool.handle_slice_lost(member.slice)
+            assert member.state is MemberState.TERMINATED
+            assert member.uid not in pool._live
+        settle(kernel)
+        assert members[MemberState.STARTING].skeleton is None  # never booted
+        # A lost slice is never handed back: the node took it along.
+        assert releases.calls == {}
+        assert pool.size() == 1
+
+    def test_reap_reaches_serving_and_draining_members(
+        self, pool, kernel, runtime
+    ):
+        releases = ReleaseCounter(runtime.master)
+        members = self.in_every_live_state(pool, kernel)
+        serving = members[MemberState.ACTIVE]
+        draining = members[MemberState.DRAINING]
+        for member in (serving, draining):
+            runtime.transport.kill(member.endpoint_id)
+        assert pool.reap_failures() == [serving, draining]
+        assert [r.kind for r in pool.failure_records] == [
+            "endpoint-dead", "drain-crashed",
+        ]
+        settle(kernel)  # the drain's own finalization must not re-release
+        assert releases.count(serving.slice) == 1
+        assert releases.count(draining.slice) == 1
+        assert sum(releases.calls.values()) == 2
+        # The member that was booting is untouched by the reap and serves.
+        assert members[MemberState.STARTING].state is MemberState.ACTIVE
+        assert sorted(pool._live) == [1, members[MemberState.STARTING].uid]

@@ -166,6 +166,80 @@ class TestDeciderIntegration:
         assert pool.size() == 2
 
 
+class TestPolicyErrors:
+    """A policy that fails abstains — and says so."""
+
+    @staticmethod
+    def run(decider=None, policy=None):
+        from repro.obs import Observability
+        from repro.sim.kernel import Kernel
+
+        kernel = Kernel()
+        obs = Observability(clock=kernel.clock)
+        runtime = ElasticRuntime.simulated(
+            kernel, nodes=8, slices_per_node=4,
+            provisioner=InstantProvisioner(), observability=obs,
+        )
+        pool = runtime.new_pool(EchoService, decider=decider)
+        record = runtime.record("EchoService")
+        if policy is not None:
+            record.policy = policy
+        settle(kernel)
+        sizes = []
+        record.on_tick.append(lambda p: sizes.append(p.size()))
+        run_bursts(kernel, 4)
+        trace = [e.as_dict() for e in obs.tracer.events()]
+        errors = [e["fields"] for e in trace if e["kind"] == "policy-error"]
+        counter = obs.registry.counter("runtime.policy_errors").value
+        return record, sizes, errors, counter, trace
+
+    class SecondVoteRaises(Decider):
+        def __init__(self):
+            self.votes = 0
+
+        def get_desired_pool_size(self, pool):
+            self.votes += 1
+            if self.votes == 2:
+                raise KeyError("no such metric")
+            return 3
+
+    def test_decider_that_raises_once_is_counted_once(self):
+        decider = self.SecondVoteRaises()
+        record, sizes, errors, counter, _ = self.run(decider=decider)
+        # Monitoring went on: four ticks, four votes.  The first vote
+        # grew the pool to three (the hook sees it one tick later); the
+        # failed second vote changed no size.
+        assert record.tick_count == 4 and decider.votes == 4
+        assert sizes == [2, 3, 3, 3]
+        assert counter == 1
+        assert errors == [
+            {"pool": "EchoService", "policy": "decider", "error": "KeyError"}
+        ]
+
+    def test_policy_that_raises_every_tick_keeps_the_pool_ticking(self):
+        class Broken:
+            name = "broken"
+
+            def decide(self, pool):
+                raise ZeroDivisionError
+
+        record, sizes, errors, counter, _ = self.run(policy=Broken())
+        assert record.tick_count == 4
+        assert sizes == [2, 2, 2, 2]
+        assert counter == 4
+        assert {(e["policy"], e["error"]) for e in errors} == {
+            ("broken", "ZeroDivisionError")
+        }
+
+    def test_same_run_same_trace(self):
+        first = self.run(decider=self.SecondVoteRaises())[4]
+        second = self.run(decider=self.SecondVoteRaises())[4]
+        assert first == second
+        assert [e["component"] for e in first if e["kind"] == "policy-error"] == [
+            "runtime"
+        ]
+
+
 class TestMesosOutage:
     def test_scaling_pauses_during_outage(self, runtime, kernel):
         """Paper section 4.4: Mesos failures affect addition/removal of

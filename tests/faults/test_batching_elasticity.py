@@ -198,6 +198,16 @@ class _Who(ElasticObject):
         return self._ermi_ctx.member.uid
 
 
+def _grow_one(pool):
+    """``grow(1)``, then wait until the new member serves.  Activation
+    runs on a timer thread, and ``shrink`` only ever picks an ACTIVE
+    victim: the wait is on that condition, not on who gets the GIL."""
+    known = set(pool.members)
+    assert pool.grow(1) == 1
+    (uid,) = set(pool.members) - known
+    assert _wait_for(lambda: pool.members[uid].state is MemberState.ACTIVE)
+
+
 def _not_terminated(pool):
     return [
         m for m in list(pool.members.values())
@@ -224,7 +234,7 @@ class TestChurnDoesNotGrowTheBatcher:
             def churn():
                 try:
                     for _ in range(200):
-                        assert pool.grow(1) == 1
+                        _grow_one(pool)
                         assert pool.shrink(1) == 1
                         agent.tick()
                 except BaseException as exc:  # noqa: BLE001 - surfaced below

@@ -71,6 +71,31 @@ class TestDecorator:
         assert _declares_cpu_bound(_Hasher)
         assert not _declares_cpu_bound(_Plain)
 
+    def test_class_scan_runs_once_and_pins_no_class(self):
+        """Every activation of a pool's class asks; the class is walked
+        once, and a class that goes away takes its answer with it."""
+        import gc
+        import weakref
+
+        walks = []
+
+        class Meta(type):
+            def __dir__(cls):
+                walks.append(cls.__name__)
+                return super().__dir__()
+
+        class Local(Remote, metaclass=Meta):
+            @cpu_bound
+            def crunch(self):
+                return 1
+
+        assert [_declares_cpu_bound(Local) for _ in range(3)] == [True] * 3
+        assert walks == ["Local"]
+        gone = weakref.ref(Local)
+        del Local
+        gc.collect()
+        assert gone() is None
+
 
 class TestOutOfBandPickle:
     def test_small_values_stay_inline(self):
