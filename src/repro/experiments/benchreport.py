@@ -10,8 +10,8 @@ The suite measures calls/sec and p50/p99 latency for:
 
 - the marshalling layer alone (``marshal-*``): one call+result
   round-trip through :mod:`repro.rmi.fastpath` in each mode —
-  ``pickle`` (the seed baseline), ``cache`` (LRU-memoized pickles), and
-  ``zerocopy`` (immutable pass-by-reference).  The zero-copy/pickle
+  ``pickle`` (the seed baseline) and ``zerocopy`` (immutable
+  pass-by-reference).  The zero-copy/pickle
   ratio is the headline number;
 - unicast stubs over :class:`DirectTransport` and
   :class:`ThreadedTransport` (``direct-unicast``, ``threaded-unicast``);
@@ -212,7 +212,7 @@ _PAYLOAD_ARGS = ("get", _PAYLOAD_KEY, _PAYLOAD_BLOB, 7)
 def run_marshal_microbench(scale: float = 1.0) -> list[BenchRecord]:
     """One call+result marshal round-trip per mode, same payload.
 
-    All three modes are measured in the same run so the zero-copy /
+    Both modes are measured in the same run so the zero-copy /
     pickled-baseline throughput ratio is apples to apples.
     """
     from repro.rmi import fastpath
@@ -232,10 +232,9 @@ def run_marshal_microbench(scale: float = 1.0) -> list[BenchRecord]:
         reply = fastpath.marshal_result(server_blob)
         fastpath.unmarshal_result(reply)
 
-    for mode in ("pickle", "cache", "zerocopy"):
+    for mode in ("pickle", "zerocopy"):
         previous = fastpath.set_mode(mode)
         try:
-            fastpath.marshal_cache().clear()
             records.append(
                 bench(
                     f"marshal-{mode}",
@@ -474,7 +473,6 @@ def _make_batch_harness(batched: bool) -> tuple[Any, Any, Any]:
             transport,
             max_batch=BATCH_MAX,
             inflight_limit=BATCH_INFLIGHT,
-            linger=0.0,
         )
         if batched
         else None

@@ -52,8 +52,8 @@ BURST_INTERVAL = 5.0
 # The batched client: every BATCH_TICK seconds it issues BATCH_WINDOW
 # pipelined ``invoke_async`` pings and gathers them, so each burst
 # coalesces into batch wire messages (BATCH_WINDOW < BATCH_MAX keeps the
-# final flush on the gather's wait hook — the deferred discipline the
-# summary's "batching" section measures).
+# final flush on the gather's wait hook — the sweep the summary's
+# "batching" section measures).
 BATCH_WINDOW = 6
 BATCH_MAX = 8
 BATCH_TICK = 1.0
@@ -186,7 +186,6 @@ def run_traced_scenario(
         batcher=RequestBatcher(
             runtime.transport,
             max_batch=BATCH_MAX,
-            linger=0.0,
             caller="obs-batch",
             obs=obs,
         ),

@@ -29,7 +29,6 @@ from repro.rmi.batching import BatcherStats, RequestBatcher
 from repro.rmi.cpu import CpuExecutor, cpu_bound
 from repro.rmi.fastpath import (
     FastPayload,
-    MarshalCache,
     is_immutable,
     is_zero_copy,
     marshal_call,
@@ -69,7 +68,6 @@ __all__ = [
     "Endpoint",
     "FastPayload",
     "InvocationTimeout",
-    "MarshalCache",
     "MethodStats",
     "Registry",
     "Remote",

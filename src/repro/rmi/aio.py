@@ -39,10 +39,10 @@ Dispatch rules
 
 Bridging
     ``submit()``/``submit_batch()`` are the native, callback-based API
-    (the stub's loop-native path and the batcher's loop drain discipline
-    use them).  From another thread they hop to the loop
-    (``call_soon_threadsafe``); called on the loop thread — the
-    batcher's sweeps are — they start the dispatch at once, and
+    (the stub's loop-native path and the batcher's sweeps use them).
+    From another thread they hop to the loop (``call_soon_threadsafe``);
+    called on the loop thread — the batcher's sweeps are — they start
+    the dispatch at once, and
     ``schedule()`` there is a plain ``call_soon``: no write to the
     loop's self-pipe for a hop to the thread one is already on.
     ``invoke()``/``invoke_batch()`` bridge synchronously for
@@ -233,7 +233,7 @@ class AsyncioTransport(_TransportBase):
     def schedule(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the event loop; safe from any thread.
 
-        The batcher's loop drain discipline schedules its sweeps here.
+        The batcher schedules its sweeps here.
         """
         self._runtime.call_soon(fn)
 
@@ -315,23 +315,20 @@ class AsyncioTransport(_TransportBase):
     ) -> None:
         """Batch analogue of :meth:`submit`; completes with a
         :class:`BatchResponse`."""
-        self._runtime.run(self._start_batch, endpoint_id, batch, on_done)
+        self._runtime.run(self._start, endpoint_id, batch, on_done)
 
     def _start(
-        self, endpoint_id: str, request: Request, on_done: DoneCallback
+        self,
+        endpoint_id: str,
+        message: Request | BatchRequest,
+        on_done: DoneCallback,
     ) -> None:  # loop thread
-        self._spawn(self._run_one(endpoint_id, request, on_done))
-
-    def _start_batch(
-        self, endpoint_id: str, batch: BatchRequest, on_done: DoneCallback
-    ) -> None:  # loop thread
-        self._spawn(self._run_batch(endpoint_id, batch, on_done))
-
-    def _spawn(self, coro: Any) -> None:  # loop thread
         # Tasks need a strong reference until done; _reap also surfaces
         # completion-callback bugs via the loop's exception handler
         # instead of a silent "exception never retrieved".
-        task = self._runtime.loop.create_task(coro)
+        task = self._runtime.loop.create_task(
+            self._run(endpoint_id, message, on_done)
+        )
         self._tasks.add(task)
         task.add_done_callback(self._reap)
 
@@ -346,29 +343,20 @@ class AsyncioTransport(_TransportBase):
                  "exception": exc}
             )
 
-    async def _run_one(
-        self, endpoint_id: str, request: Request, on_done: DoneCallback
+    async def _run(
+        self,
+        endpoint_id: str,
+        message: Request | BatchRequest,
+        on_done: DoneCallback,
     ) -> None:
         try:
-            response = await self._invoke_async(endpoint_id, request)
+            reply = await self._invoke_async(endpoint_id, message)
         except asyncio.CancelledError:
             on_done(None, ConnectError("asyncio transport shut down"))
         except BaseException as exc:  # noqa: BLE001 - relayed to completer
             on_done(None, exc)
         else:
-            on_done(response, None)
-
-    async def _run_batch(
-        self, endpoint_id: str, batch: BatchRequest, on_done: DoneCallback
-    ) -> None:
-        try:
-            response = await self._invoke_batch_async(endpoint_id, batch)
-        except asyncio.CancelledError:
-            on_done(None, ConnectError("asyncio transport shut down"))
-        except BaseException as exc:  # noqa: BLE001 - relayed to completer
-            on_done(None, exc)
-        else:
-            on_done(response, None)
+            on_done(reply, None)
 
     # -- dispatch coroutines ------------------------------------------------
 
@@ -377,77 +365,50 @@ class AsyncioTransport(_TransportBase):
     ) -> tuple[Endpoint, Any]:
         """Resolve to the endpoint's *async* handler when exported, the
         raw sync handler otherwise (tests export plain callables)."""
-        ep = self.endpoint(endpoint_id)
-        if not ep.alive:
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        ep = self._resolve_endpoint(endpoint_id)
         handler = ep.ahandlers.get(request.object_id)
         if handler is None:
             handler = ep.handlers.get(request.object_id)
-            if handler is None:
-                raise ConnectError(
-                    f"no object {request.object_id!r} at endpoint {ep.name}"
-                )
+        if handler is None:
+            raise ConnectError(
+                f"no object {request.object_id!r} at endpoint {ep.name}"
+            )
         return ep, handler
 
     async def _invoke_async(
-        self, endpoint_id: str, request: Request
-    ) -> Response:
+        self, endpoint_id: str, message: Request | BatchRequest
+    ) -> Any:
+        """Deliver one wire message, a call or a batch: one slot of the
+        dispatch window, one fault-hook consultation, one message
+        counted and one trace event, however many calls it carries."""
         if self._closed:
             raise ConnectError("asyncio transport shut down")
-        ep, handler = self._resolve_aio(endpoint_id, request)
+        if type(message) is BatchRequest:
+            ep, handler = self._resolve_endpoint(endpoint_id), None
+            size = len(message.entries)
+            what = f"batch of {size} invocations"
+        else:
+            ep, handler = self._resolve_aio(endpoint_id, message)
+            size, what = 1, f"invocation of {message.method!r}"
         async with self._sema:
-            self._note_inflight(+1)
+            self._note_inflight(+size)
             try:
                 hook = self._fault_hook
                 if hook is not None:
                     # Hooks may sleep (injected delays); keep the loop
                     # live by consulting them on the offload executor.
                     await self._runtime.loop.run_in_executor(
-                        None, hook, endpoint_id, request
+                        None, hook, endpoint_id,
+                        message if handler is not None else batch_envelope(message),
                     )
                 self._messages.increment()
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "transport", "message",
-                        endpoint=ep.name, method=request.method,
-                        caller=request.caller,
-                    )
+                if self._tracer is not None:
+                    self._trace_message(ep, message)
                 return await self._timed(
-                    self._call_handler(handler, request),
-                    f"invocation of {request.method!r}",
+                    self._dispatch(ep, handler, message), what
                 )
             finally:
-                self._note_inflight(-1)
-
-    async def _invoke_batch_async(
-        self, endpoint_id: str, batch: BatchRequest
-    ) -> BatchResponse:
-        if self._closed:
-            raise ConnectError("asyncio transport shut down")
-        ep = self._resolve_endpoint(endpoint_id)
-        async with self._sema:  # one wire message, one window slot
-            self._note_inflight(+len(batch.entries))
-            try:
-                hook = self._fault_hook
-                if hook is not None:
-                    await self._runtime.loop.run_in_executor(
-                        None, hook, endpoint_id, batch_envelope(batch)
-                    )
-                self._messages.increment()
-                tracer = self._tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "transport", "batch-message",
-                        endpoint=ep.name, size=len(batch.entries),
-                        caller=batch.caller,
-                    )
-                return await self._timed(
-                    self._dispatch_batch(ep, batch),
-                    f"batch of {len(batch.entries)} invocations",
-                )
-            finally:
-                self._note_inflight(-len(batch.entries))
+                self._note_inflight(-size)
 
     async def _timed(self, coro: Any, what: str) -> Any:
         if self._timeout is None:
@@ -460,17 +421,11 @@ class AsyncioTransport(_TransportBase):
                 f"{what} timed out after {self._timeout}s"
             ) from exc
 
-    @staticmethod
-    async def _call_handler(handler: Any, request: Request) -> Response:
-        result = handler(request)
-        if asyncio.iscoroutine(result):
-            return await result
-        return result
-
-    async def _dispatch_batch(
-        self, ep: Endpoint, batch: BatchRequest
-    ) -> BatchResponse:
-        """Unbatch on the loop; replies reassemble in entry order.
+    async def _dispatch(
+        self, ep: Endpoint, handler: Any, message: Request | BatchRequest
+    ) -> Any:
+        """Run a call's handler, or unbatch a batch (``handler`` None) on
+        the loop, its replies reassembled in entry order.
 
         An entry whose method cannot suspend (its skeleton says so, see
         ``Endpoint.may_suspend``) is stepped to its reply right here, in
@@ -481,7 +436,10 @@ class AsyncioTransport(_TransportBase):
         entry runs in its own copy of the context, as its task would
         have given it.
         """
-        entries = batch.entries
+        if handler is not None:
+            reply = handler(message)
+            return (await reply) if asyncio.iscoroutine(reply) else reply
+        entries = message.entries
         responses: list[Any] = [None] * len(entries)
         tasked: list[tuple[int, Any, Any]] = []  # (index, coroutine, context)
         ahandlers, predicates = ep.ahandlers, ep.may_suspend
@@ -530,20 +488,21 @@ class AsyncioTransport(_TransportBase):
     # -- sync bridges (Transport protocol) ----------------------------------
 
     def invoke(self, endpoint_id: str, request: Request) -> Response:
-        self.wait_guard()
-        waiter: Future[Response] = Future()
-        self.submit(endpoint_id, request, _bridge(waiter))
-        return self._bridge_result(waiter, request.method)
+        return self._wait_for(self.submit, endpoint_id, request, request.method)
 
     def invoke_batch(
         self, endpoint_id: str, batch: BatchRequest
     ) -> BatchResponse:
-        self.wait_guard()
-        waiter: Future[BatchResponse] = Future()
-        self.submit_batch(endpoint_id, batch, _bridge(waiter))
-        return self._bridge_result(waiter, f"batch[{len(batch.entries)}]")
+        return self._wait_for(
+            self.submit_batch, endpoint_id, batch, f"batch[{len(batch.entries)}]"
+        )
 
-    def _bridge_result(self, waiter: Future, what: str) -> Any:
+    def _wait_for(
+        self, submit: Callable[..., None], endpoint_id: str, message: Any, what: str
+    ) -> Any:
+        self.wait_guard()
+        waiter: Future = Future()
+        submit(endpoint_id, message, _bridge(waiter))
         # The dispatch deadline lives on the loop; the grace period only
         # covers a loop that died and can never complete the waiter.
         grace = None if self._timeout is None else self._timeout + 5.0

@@ -8,44 +8,36 @@ executor submission) across many logical invocations — the JCloudScale/
 Swift observation that elastic-RMI cost is dominated by per-message
 setup, not by payload bytes.
 
-Three dispatch disciplines, chosen by the transport's capabilities:
+One discipline: a FIFO queue per endpoint, a window of batches in
+flight per queue, and a pending entry that always has a sweep coming.
+A *sweep* takes up to ``max_batch`` entries off a queue while the window
+has room (a forced sweep — a flush — goes past it) and flies them as one
+batch, and repeats until the queue is empty or the window is full.  A
+batch's completion frees its slot and settles its entries.  What the
+transport decides is read once, at construction:
 
-- **combiner** (live, :class:`ThreadedTransport`) — an arriving caller
-  enqueues its entry and, if fewer than ``inflight_limit`` *senders*
-  are active for the endpoint, becomes one: it loops taking batches of
-  up to ``max_batch`` entries off the queue and flying them, retiring
-  only once the queue is empty.  Everyone else parks on their own
-  future alone — no shared condition, so a batch completion wakes
-  exactly the callers it resolved.  The sender cap is the bounded
-  in-flight window: backpressure, and the mechanism that grows batches
-  (while every sender slot is busy, arrivals accumulate and the next
-  take sweeps them all).  A lone caller elects itself, flies a
-  singleton, finds the queue empty and retires — one lock handoff over
-  the unbatched path.
-- **deferred** (deterministic, :class:`DirectTransport`) — nothing runs
-  on other threads.  ``submit`` queues the entry and returns a future
-  whose *wait hook* flushes the queue: the batch is sent in the waiting
-  thread the moment someone calls ``result()`` (or the queue reaches
-  ``max_batch``, or the stub flushes on drain).  Single-threaded and
-  reproducible, which keeps the obs determinism gate honest.
-- **loop drain** (asynchronous, :class:`~repro.rmi.aio.AsyncioTransport`)
-  — nobody's thread becomes a sender.  A queue that fills schedules one
-  deduped sweep of itself *on the transport's event loop*; a *waiter*
-  — who has stopped submitting — schedules one sweep of **every** queue
-  that holds entries no sweep has seen (tracked as queues go non-empty,
-  never by scanning the map), so a gathered wave's batches, one per
-  member, leave in a single loop callback and share the wire: one loop
-  wake-up and one park/wake of the caller per wave.  A sweep takes
-  batches off a queue up to the in-flight window (``flying`` tracks
-  wire batches) and submits them via the transport's callback API;
-  completions sweep the queue again, on the loop, while entries remain.
-  Entries settle on the loop, so a full pipeline — submit window,
-  coalesce, fly, complete — runs without parking a single thread.
-
-What a call pays on the way in is one queue look-up and one critical
-section (append, fullness test, ready-marking or linger notify); the
-wait hook is built once per queue — once per batcher on the loop — and
-the loop-thread wait guard once per batcher.
+- **How a batch flies, and who sweeps.**  On an asynchronous transport
+  (:class:`~repro.rmi.aio.AsyncioTransport`) a batch flies through the
+  callback API (``submit`` / ``submit_batch``) and the send returns at
+  once; sweeps run on the event loop, and a completion that finds
+  entries the window held back sweeps again there.  A queue that fills
+  schedules one deduped sweep of itself; a *waiter* schedules one sweep
+  of every queue that went non-empty since the last one
+  (:meth:`RequestBatcher._kick_ready`).  Entries settle on the loop; a
+  full pipeline parks no thread.  Elsewhere a batch flies
+  through ``invoke`` / ``invoke_batch`` and has completed when the send
+  returns, in the thread that sent it, which goes on sweeping.  Sweeps
+  run inline in the waiting or submitting thread, so up to ``window``
+  caller threads sweep one endpoint at once and everyone else parks on
+  their own future alone — a completion wakes exactly the callers it
+  resolved.  Blocking delivery stays on the sending thread because that
+  thread is what enforces :class:`ThreadedTransport`'s deadline.
+- **How wide the window is** (``inflight_limit``).  Where completions
+  run in the caller's own thread (:class:`DirectTransport`) it is
+  unbounded: nothing else will ever send, so a handler's re-entrant
+  batched call must fly past the batch it runs inside instead of
+  waiting on it.  Single-threaded and reproducible, which keeps the obs
+  determinism gate honest.
 
 The queue map follows the membership instead of only growing: when a
 queue is made for a new endpoint, idle queues of endpoints the
@@ -67,19 +59,18 @@ here to the :class:`ConnectError` the unbatched path would have raised.
 Entry payloads — pickled bytes or zero-copy ``FastPayload`` — ride the
 batch exactly as marshalled; the batcher never touches them.
 
-Configuration (all read once, at stub construction):
+Configuration (read once, at stub construction):
 
 - ``ERMI_BATCH_MAX`` — max entries per batch; ``1`` (default) disables
   batching entirely (stubs skip the batcher, zero new branches hot).
-- ``ERMI_BATCH_LINGER_MS`` — how long an elected sender waits for the
-  queue to fill before flying a partial batch; ``0`` (default) never
-  waits.
 - ``ERMI_BATCH_INFLIGHT`` — in-flight batch window per endpoint
   (default 2: one on the wire, one forming).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -87,17 +78,17 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
-from repro.rmi.envcfg import env_float, env_int
+from repro.rmi.envcfg import env_int
 from repro.rmi.future import RmiFuture
 from repro.rmi.transport import BatchRequest, Request, Response, Transport
 
 DEFAULT_INFLIGHT = 2
 
-# A completer owns finishing one entry's future: called by the sender
-# thread with exactly one of (response, error) non-None, it must call
-# set_result/set_exception itself.  Stubs use completers to interpret
-# the raw Response (unmarshal, follow redirects, feed the retry loop)
-# without a second chained future per call.
+# A completer owns finishing one entry's future: called by whoever
+# completes the batch with exactly one of (response, error) non-None, it
+# must call set_result/set_exception itself.  Stubs use completers to
+# interpret the raw Response (unmarshal, follow redirects, feed the
+# retry loop) without a second chained future per call.
 Completer = Callable[
     [RmiFuture, "Response | None", "BaseException | None"], None
 ]
@@ -109,11 +100,6 @@ _Entry = tuple[Request, RmiFuture, "Completer | None"]
 
 def batch_max_from_env() -> int:
     return env_int("ERMI_BATCH_MAX", 1)
-
-
-def batch_linger_from_env() -> float:
-    """Linger in *seconds* (the env var is milliseconds)."""
-    return env_float("ERMI_BATCH_LINGER_MS", 0.0) / 1e3
 
 
 def batch_inflight_from_env() -> int:
@@ -134,46 +120,35 @@ class BatcherStats:
 
 
 class _EndpointQueue:
-    """Pending entries + active senders for one endpoint.
+    """Pending entries and in-flight batches for one endpoint.
 
-    ``senders`` counts the caller threads currently draining this queue
-    (each has at most one batch on the wire, so it is also the in-flight
-    batch window).  Invariant, maintained under ``cond``: a pending
-    entry implies at least one active sender — an enqueuer that sees a
-    free sender slot takes it, and a sender only retires after finding
-    the queue empty under the same lock.
-
-    The loop drain discipline uses ``flying`` (wire batches in flight;
-    the loop-side in-flight window) instead of ``senders``, plus two
-    dedup flags: ``scheduled`` (a sweep of this queue alone is queued on
-    the event loop) and ``ready`` (the queue sits in the batcher's
-    ready list, waiting for a waiter's sweep).
+    ``flying`` counts this queue's batches on the wire: the window.  Two
+    flags dedupe sweeps: ``scheduled`` (a sweep of this queue alone is
+    on its way) and ``ready`` (on the loop: the queue sits in the
+    batcher's ready list, waiting for a waiter's sweep).  All four
+    fields change only under ``lock``.
 
     ``wait_hook`` is what a waiter on any of this queue's futures runs
     to get its entry moving; it is built once, with the queue.
     """
 
     __slots__ = (
-        "endpoint_id", "wait_hook", "cond", "pending",
-        "senders", "scheduled", "flying", "ready",
+        "endpoint_id", "wait_hook", "lock", "pending",
+        "flying", "scheduled", "ready",
     )
 
     def __init__(self, endpoint_id: str) -> None:
         self.endpoint_id = endpoint_id
         self.wait_hook: Callable[[], None] | None = None
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()
         self.pending: list[_Entry] = []
-        self.senders = 0
-        self.scheduled = False
         self.flying = 0
+        self.scheduled = False
         self.ready = False
 
     def idle(self) -> bool:
         """Nothing queued, nothing on the wire, no sweep on its way."""
-        return not (
-            self.pending or self.senders or self.flying
-            or self.scheduled or self.ready
-        )
+        return not (self.pending or self.flying or self.scheduled or self.ready)
 
 
 class RequestBatcher:
@@ -183,29 +158,41 @@ class RequestBatcher:
         self,
         transport: Transport,
         max_batch: int | None = None,
-        linger: float | None = None,
+        linger: float = 0.0,
         inflight_limit: int | None = None,
         caller: str = "client",
         obs: Any = None,
     ) -> None:
+        if linger:
+            raise ValueError(
+                "RequestBatcher linger was removed: a sweep never holds "
+                "a partial batch back; pass linger=0 or leave it out"
+            )
         self._transport = transport
         self._max_batch = batch_max_from_env() if max_batch is None else max_batch
-        self._linger = batch_linger_from_env() if linger is None else linger
-        self._inflight_limit = (
+        inflight_limit = (
             batch_inflight_from_env() if inflight_limit is None
             else max(1, inflight_limit)
         )
         self._caller = caller
         self._obs = obs
-        # Asynchronous transports drain on their event loop; callers
-        # never become senders and never park while a batch flies.
-        self._loop_native = bool(getattr(transport, "asynchronous", False))
+        # Completions on the event loop: batches fly through the callback
+        # API, and sweeps run on the loop.  Elsewhere they run right here,
+        # in the calling thread.
+        self._on_loop = bool(getattr(transport, "asynchronous", False))
+        self._run: Callable[[Callable[[], None]], None] = (
+            transport.schedule if self._on_loop else operator.call
+        )
+        # Completions in the caller's own thread: nobody else will ever
+        # send, so a window could only make a re-entrant call wait on
+        # the batch it runs inside.
+        self._window = inflight_limit if transport.concurrent else math.inf
         # Waiting *on* the loop thread would deadlock: every future of a
-        # loop-native batcher carries the transport's guard.
-        self._wait_guard = transport.wait_guard if self._loop_native else None
-        # Loop drain: queues that went non-empty since the last waiter's
+        # loop batcher carries the transport's guard.
+        self._wait_guard = transport.wait_guard if self._on_loop else None
+        # On the loop: queues that went non-empty since the last waiter's
         # sweep (each at most once, see ``_EndpointQueue.ready``), and
-        # whether such a sweep is already queued on the loop.
+        # whether such a sweep is already scheduled.
         self._ready: deque[_EndpointQueue] = deque()
         self._sweep_scheduled = False
         self._sweep_lock = threading.Lock()
@@ -224,20 +211,14 @@ class RequestBatcher:
         """Send one call through the batcher and block for its reply.
 
         This is the drop-in replacement for ``transport.invoke`` on the
-        stub's synchronous path; raises whatever the wire raised.
+        stub's synchronous path; raises whatever the wire raised.  The
+        future's wait hook gets the entry moving, pipelined with
+        whatever is already queued for this endpoint.
         """
         if self._max_batch <= 1:
             return self._transport.invoke(endpoint_id, request)
-        if self._loop_native:
-            # The loop drains; this thread only waits.  Waiting *on* the
-            # loop thread would deadlock: refuse before queueing.
-            self._wait_guard()
-        elif self._transport.concurrent:
-            return self._combine(endpoint_id, request)
-        # The wait hook does the sending: a sweep on the loop, or — on a
-        # deterministic transport — a flush, in this thread, of whatever
-        # deferred entries are already queued for this endpoint,
-        # pipelined together with this one.
+        if self._on_loop:
+            self._wait_guard()  # refuse before queueing
         return self._enqueue(endpoint_id, request, None)[0].result()
 
     def submit(
@@ -249,172 +230,69 @@ class RequestBatcher:
         """Deferred enqueue (the async path).
 
         Without a ``completer`` the returned future resolves to this
-        entry's raw :class:`Response`.  With one, the sender thread
-        calls ``completer(future, response, error)`` instead — exactly
-        one of ``response``/``error`` is non-None — and the completer
-        owns completing the future (stubs use this to interpret the
-        response in place, so one future carries the call end to end).
+        entry's raw :class:`Response`.  With one, whoever completes the
+        batch calls ``completer(future, response, error)`` instead —
+        exactly one of ``response``/``error`` is non-None — and the
+        completer owns completing the future (stubs use this to
+        interpret the response in place, so one future carries the call
+        end to end).
 
         The entry is sent when the queue reaches ``max_batch``, when the
-        owning stub flushes (drain, membership change), or — via the
-        bound wait hook — the moment anyone waits on the future.  The
+        owning stub flushes (drain, membership change), when a sweep
+        already under way reaches it, or — via the bound wait hook — the
+        moment anyone waits on the future.  Short of filling the queue
+        (off the loop, the submit that fills it sweeps it) the
         submitting thread never parks, so a caller can pipeline a
-        window of submissions and gather once; on concurrent transports
-        active combiner senders may also sweep deferred entries into
-        their batches.
+        window of submissions and gather once.
         """
         future, q, full = self._enqueue(endpoint_id, request, completer)
         if full:
-            if self._loop_native:
-                self._kick_loop(q)
-            elif self._transport.concurrent:
-                # A *kick*, not a forced flush: at most
-                # ``inflight_limit`` senders fly concurrently, and each
-                # sweeps every gatherer's entries into shared batches.
-                self._kick(q, only_if_full=True)
-            else:
-                self._flush_queue(q)
+            self._kick(q)
         return future
 
     def flush(self, endpoint_id: str | None = None) -> None:
-        """Send every pending entry now (drain protocol / wait hooks).
+        """Send every pending entry now (drain protocol).
 
         Forced: ignores the in-flight window so a draining stub can
         never strand queued calls behind backpressure.
         """
-        if endpoint_id is None:
-            # The map is copy-on-write: this reference is a snapshot.
-            for q in self._queues.values():
-                self._flush_queue(q)
-            return
-        q = self._queues.get(endpoint_id)
-        if q is not None:
-            self._flush_queue(q)
+        for q in self._selected(endpoint_id):
+            if q.pending:
+                self._run(partial(self._sweep, q, True))
 
     def pending_count(self, endpoint_id: str | None = None) -> int:
-        if endpoint_id is None:
-            queues = list(self._queues.values())
-        else:
-            q = self._queues.get(endpoint_id)
-            queues = [] if q is None else [q]
         total = 0
-        for q in queues:
-            with q.cond:
+        for q in self._selected(endpoint_id):
+            with q.lock:
                 total += len(q.pending)
         return total
+
+    def _selected(self, endpoint_id: str | None) -> list[_EndpointQueue]:
+        """Every queue, or the endpoint's own (if it has one).  The map
+        is copy-on-write: what this returns is a snapshot."""
+        if endpoint_id is None:
+            return list(self._queues.values())
+        q = self._queues.get(endpoint_id)
+        return [] if q is None else [q]
 
     # Everything below is handed the queue *object*: a queue pruned from
     # the map (see ``_queue``) while a submitter still holds it must
     # keep working, so nothing re-looks a queue up by endpoint id.
 
-    def _kick(self, q: _EndpointQueue, only_if_full: bool = False) -> None:
-        """Elect this thread as a sender if the window has room.
+    # -- who sweeps ----------------------------------------------------------
 
-        What a waiter on a concurrent transport does to get its entry
-        moving (its queue's wait hook).  Unlike a flush this respects
-        the in-flight window: when every sender slot is busy the caller
-        returns immediately and relies on the active senders' drain
-        loops, which by invariant sweep the queue before retiring.
-        """
-        with q.cond:
-            if not q.pending or q.senders >= self._inflight_limit:
-                return
-            if only_if_full and len(q.pending) < self._max_batch:
-                return
-            q.senders += 1
-        self._drain(q, forced=False)
-
-    def _flush_queue(self, q: _EndpointQueue) -> None:
-        """Send what ``q`` holds now, past the window.  Also the wait
-        hook on a deterministic transport: nobody else will send."""
-        if self._loop_native:
-            with q.cond:
-                if not q.pending:
-                    return
-            # Not deduped against ``q.scheduled``: a plain sweep may
-            # already be queued, but only a forced one is guaranteed to
-            # move everything.
-            self._transport.schedule(partial(self._loop_drain, q, True))
-            return
-        with q.cond:
-            if not q.pending:
-                return
-            q.senders += 1  # forced: may exceed the window
-        self._drain(q, forced=True)
-
-    # -- combiner (live mode) ----------------------------------------------
-
-    def _combine(self, endpoint_id: str, request: Request) -> Response:
-        q = self._queues.get(endpoint_id) or self._queue(endpoint_id)
-        future = RmiFuture()
-        serve = False
-        with q.cond:
-            q.pending.append((request, future, None))
-            if q.senders < self._inflight_limit:
-                q.senders += 1
-                serve = True
-            elif self._linger > 0:
-                q.cond.notify()  # a lingering sender is holding the door
-        if serve:
-            self._drain(q, forced=False)
-        return future.result()
-
-    def _drain(self, q: _EndpointQueue, forced: bool) -> None:
-        """Sender loop: fly batches until the queue is empty, then retire.
-
-        The empty-check and the sender-slot release are atomic (under
-        ``q.cond``), so an enqueuer can never observe an active sender
-        that will not see its entry — pending work always has a sender.
-        A sender's own future typically resolves in its first batch; it
-        keeps serving whatever accumulated behind it, which is exactly
-        the back-to-back pipelining that amortizes per-message cost.
-        """
-        retired = False
-        try:
-            while True:
-                with q.cond:
-                    if (
-                        not forced
-                        and self._linger > 0
-                        and q.pending
-                        and len(q.pending) < self._max_batch
-                    ):
-                        # Hold the door for concurrent enqueuers
-                        # (they notify when a sender might be lingering).
-                        q.cond.wait(self._linger)
-                    batch = q.pending[: self._max_batch]
-                    if not batch:
-                        q.senders -= 1
-                        q.cond.notify_all()
-                        retired = True
-                        return
-                    del q.pending[: len(batch)]
-                    inflight = q.senders
-                self._deliver(q.endpoint_id, batch, inflight)
-        finally:
-            if not retired:  # exception unwound past the loop
-                with q.cond:
-                    q.senders -= 1
-                    q.cond.notify_all()
-
-    # -- loop drain (asynchronous mode) ------------------------------------
-
-    def _kick_loop(self, q: _EndpointQueue) -> None:
-        """A full queue: schedule one sweep of it on the event loop.
-
-        Deduped via ``q.scheduled``: a burst of submitters costs one
-        loop callback, and that sweep takes everything the in-flight
-        window allows.
-        """
-        with q.cond:
-            if not q.pending or q.scheduled:
+    def _kick(self, q: _EndpointQueue) -> None:
+        """A full queue: one sweep of it, deduped via ``q.scheduled`` —
+        on the loop a burst of submitters costs one callback."""
+        with q.lock:
+            if q.scheduled:
                 return
             q.scheduled = True
-        self._transport.schedule(partial(self._loop_drain, q))
+        self._run(partial(self._sweep, q))
 
     def _kick_ready(self) -> None:
-        """The wait hook of every loop-native future: schedule one sweep
-        of *all* the queues that hold entries no sweep has seen.
+        """The wait hook of every loop future: schedule one sweep of
+        *all* the queues that hold entries no sweep has seen.
 
         A waiter has stopped submitting, so nothing it sent is worth
         holding back: the wave's batches — one per member — go out in
@@ -437,117 +315,107 @@ class RequestBatcher:
         ready = self._ready
         while ready:
             q = ready.popleft()
-            with q.cond:
+            with q.lock:
                 q.ready = False  # an entry queued from here on re-lists it
-            self._loop_drain(q)
+            self._sweep(q)
 
-    def _loop_drain(self, q: _EndpointQueue, forced: bool = False) -> None:
-        """One sweep of one queue, on the event loop: fly batches up to
-        the window (``forced``: past it).
+    # -- the sweep -----------------------------------------------------------
 
-        Unlike a combiner sender this never parks — it takes what the
-        window allows, submits via the transport's callback API (no hop:
-        this *is* the loop thread), and returns to the loop.  A
-        completion sweeps again while entries remain, so whatever the
-        window held back always has a sweep coming.
+    def _sweep(self, q: _EndpointQueue, forced: bool = False) -> None:
+        """Fly batches off ``q`` until it is empty or the window is full
+        (``forced``: until it is empty).
+
+        On the loop every flight returns at once, so one sweep fills the
+        window and each completion sweeps again.  Elsewhere each flight
+        has completed when it returns, so the sweeping thread serves
+        batch after batch — its own entry usually in the first — and
+        leaves only when the queue is empty or the window is held by
+        other threads, each of which sweeps again after its own flight:
+        a pending entry always has a sweep coming.
         """
-        batches: list[tuple[list[_Entry], int]] = []
-        with q.cond:
-            q.scheduled = False  # whichever sweep this is, it serves a kick
-            while q.pending and (forced or q.flying < self._inflight_limit):
+        while True:
+            with q.lock:
+                q.scheduled = False  # whichever sweep this is, it serves a kick
+                if not q.pending or (q.flying >= self._window and not forced):
+                    return
                 batch = q.pending[: self._max_batch]
                 del q.pending[: len(batch)]
                 q.flying += 1
-                batches.append((batch, q.flying))
-        for batch, inflight in batches:
-            self._deliver_loop(q, batch, inflight)
+                inflight = q.flying
+            self._fly(q, batch, inflight)
 
-    def _deliver_loop(
-        self, q: _EndpointQueue, batch: list[_Entry], inflight: int
-    ) -> None:
-        """Fly one batch via the callback API; settle on the loop."""
+    def _fly(self, q: _EndpointQueue, batch: list[_Entry], inflight: int) -> None:
+        """Put one batch on the wire; :meth:`_done` completes it."""
         endpoint_id = q.endpoint_id
         self._note_batch(endpoint_id, len(batch), inflight)
-
-        def on_done(result, error: BaseException | None) -> None:
-            # Runs on the event loop.  Completers must not block here;
-            # stubs offload anything that re-dispatches synchronously.
-            with q.cond:
-                q.flying -= 1
-                repend = bool(q.pending)
-            if error is not None:
-                self._settle(endpoint_id, batch, None, error)
-            elif len(batch) == 1:
-                self._settle(endpoint_id, batch, (result,), None)
-            else:
-                self._settle(endpoint_id, batch, result.entries, None)
-            if repend:
-                self._loop_drain(q)
-
+        transport = self._transport
         if len(batch) == 1:
             # A singleton is wire-identical to the unbatched path.
-            self._transport.submit(endpoint_id, batch[0][0], on_done)
+            message: Any = batch[0][0]
+            send = transport.submit if self._on_loop else transport.invoke
         else:
-            requests = tuple(request for request, _, _ in batch)
-            self._transport.submit_batch(
-                endpoint_id,
-                BatchRequest(entries=requests, caller=self._caller),
-                on_done,
+            message = BatchRequest(
+                entries=tuple([request for request, _, _ in batch]),
+                caller=self._caller,
             )
-
-    # -- the wire ----------------------------------------------------------
-
-    def _deliver(
-        self,
-        endpoint_id: str,
-        batch: list[_Entry],
-        inflight: int,
-    ) -> None:
-        self._note_batch(endpoint_id, len(batch), inflight)
-        try:
-            if len(batch) == 1:
-                # A singleton is wire-identical to the unbatched path.
-                responses: tuple[Response, ...] = (
-                    self._transport.invoke(endpoint_id, batch[0][0]),
-                )
-            else:
-                requests = tuple(request for request, _, _ in batch)
-                responses = self._transport.invoke_batch(
-                    endpoint_id,
-                    BatchRequest(entries=requests, caller=self._caller),
-                ).entries
-        except BaseException as exc:  # noqa: BLE001 - relayed per entry
-            self._settle(endpoint_id, batch, None, exc)
+            send = transport.submit_batch if self._on_loop else transport.invoke_batch
+        if self._on_loop:
+            send(endpoint_id, message, partial(self._done, q, batch))
             return
-        self._settle(endpoint_id, batch, responses, None)
+        try:
+            reply, error = send(endpoint_id, message), None
+        except BaseException as exc:  # noqa: BLE001 - relayed per entry
+            reply, error = None, exc
+        self._done(q, batch, reply, error)
+
+    def _done(
+        self,
+        q: _EndpointQueue,
+        batch: list[_Entry],
+        reply: Any,
+        error: BaseException | None,
+    ) -> None:
+        """One batch completed: free its slot, settle every entry and —
+        on the loop, where no sweeping thread is waiting to go on —
+        sweep again if the window held entries back.  Completers must
+        not block on the loop; stubs offload anything that re-dispatches
+        synchronously."""
+        with q.lock:
+            q.flying -= 1
+            # Decided before settling: entries a settled caller queues
+            # next belong to its next wave and to the sweep its wait
+            # schedules, not to a partial batch flown from here.
+            held_back = self._on_loop and bool(q.pending)
+        self._settle(q.endpoint_id, batch, reply, error)
+        if held_back:
+            self._sweep(q)
 
     def _settle(
         self,
         endpoint_id: str,
         batch: list[_Entry],
-        responses: "tuple[Response, ...] | None",
+        reply: Any,
         error: BaseException | None,
     ) -> None:
         """Complete every entry of one delivered (or failed) batch.
 
-        Per-call semantics live here, shared by the sender-thread and
-        loop-drain paths: a whole-batch failure (drop, dead endpoint,
-        timeout) fails every entry identically so each logical call
-        re-enters its own retry loop; a shape mismatch is a wire-protocol
-        error for all; an ``unresolved`` entry becomes the ConnectError
-        the unbatched resolve path would have raised.
+        ``reply`` is a :class:`Response` for a singleton, a
+        :class:`BatchResponse` otherwise.  A whole-batch failure (drop,
+        dead endpoint, timeout) fails every entry identically so each
+        logical call re-enters its own retry loop; a shape mismatch is a
+        wire-protocol error for all; an ``unresolved`` entry becomes the
+        ConnectError the unbatched resolve path would have raised.
         """
+        if error is None:
+            responses = (reply,) if len(batch) == 1 else reply.entries
+            if len(responses) != len(batch):
+                error = RemoteError(
+                    f"batch reply shape mismatch: {len(batch)} entries, "
+                    f"{len(responses)} responses"
+                )
         if error is not None:
             for _, future, completer in batch:
                 self._resolve(future, completer, None, error)
-            return
-        if len(responses) != len(batch):
-            mismatch = RemoteError(
-                f"batch reply shape mismatch: {len(batch)} entries, "
-                f"{len(responses)} responses"
-            )
-            for _, future, completer in batch:
-                self._resolve(future, completer, None, mismatch)
             return
         for (request, future, completer), response in zip(batch, responses):
             if response.kind == "unresolved":
@@ -600,12 +468,10 @@ class RequestBatcher:
             q = self._queues.get(endpoint_id)
             if q is None:
                 q = _EndpointQueue(endpoint_id)
-                if self._loop_native:
-                    q.wait_hook = self._kick_ready
-                elif self._transport.concurrent:
-                    q.wait_hook = partial(self._kick, q)
-                else:
-                    q.wait_hook = partial(self._flush_queue, q)
+                q.wait_hook = (
+                    self._kick_ready if self._on_loop
+                    else partial(self._sweep, q)
+                )
                 queues = {
                     eid: old for eid, old in self._queues.items()
                     if not (old.idle() and self._gone(eid))
@@ -626,17 +492,13 @@ class RequestBatcher:
         q = self._queues.get(endpoint_id) or self._queue(endpoint_id)
         future = RmiFuture()
         future.bind_wait_hook(q.wait_hook)
-        if self._loop_native:
-            future.bind_wait_guard(self._wait_guard)
-        with q.cond:
+        future.bind_wait_guard(self._wait_guard)
+        with q.lock:
             q.pending.append((request, future, completer))
             full = len(q.pending) >= self._max_batch
-            if self._loop_native:
-                if not q.ready:
-                    q.ready = True
-                    self._ready.append(q)
-            elif self._linger > 0:
-                q.cond.notify()  # a lingering sender may be waiting for us
+            if self._on_loop and not q.ready:
+                q.ready = True
+                self._ready.append(q)
         return future, q, full
 
     def _gone(self, endpoint_id: str) -> bool:

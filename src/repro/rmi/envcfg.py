@@ -74,8 +74,8 @@ def env_float(name: str, default: float, minimum: float = 0.0) -> float:
     """``float(os.environ[name])`` clamped to ``minimum``, or ``default``.
 
     Raises a :class:`ValueError` that names the variable when the value
-    is set but not a number (NaN included — a NaN window or linger
-    would poison every comparison downstream).
+    is set but not a number (NaN included — a NaN lease would poison
+    every comparison downstream).
     """
     raw = os.environ.get(name)
     if raw is None or raw == "":

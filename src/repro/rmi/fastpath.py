@@ -8,15 +8,11 @@ itself preserves pass-by-value semantics exactly while skipping four
 pickle operations per call (marshal/unmarshal of the arguments, then of
 the result).
 
-Three marshalling modes, selectable at runtime:
+Two marshalling modes, selectable at runtime:
 
 - ``zerocopy`` (default) — provably-immutable payloads travel as
   :class:`FastPayload` wrappers holding the live object; everything else
   falls back to pickling.
-- ``cache`` — payloads are always real bytes, but pickles of immutable
-  payloads are memoized in an LRU keyed on the payload value (exact
-  types included, so ``1``/``1.0``/``True`` never collide).  Repeated
-  idempotent calls with equal arguments skip re-pickling.
 - ``pickle`` — the seed behaviour, kept as the measured baseline for
   ``BENCH_rmi_hotpath.json``.
 
@@ -35,9 +31,7 @@ exceptions (mutable) always take the pickled path.
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any
 
 from repro.rmi.marshal import marshal_value, unmarshal_value
 
@@ -46,7 +40,7 @@ _SCALAR_TYPES = frozenset(
 )
 _registered_immutable: set[type] = set()
 
-MODES = ("zerocopy", "cache", "pickle")
+MODES = ("zerocopy", "pickle")
 _mode = os.environ.get("ERMI_FASTPATH", "zerocopy")
 if _mode not in MODES:  # unknown value: fail safe to the seed behaviour
     _mode = "pickle"
@@ -137,99 +131,6 @@ def is_zero_copy(payload: Any) -> bool:
     return type(payload) is FastPayload
 
 
-class MarshalCache:
-    """LRU of pickled bytes for immutable payloads.
-
-    Keys embed the exact type of every component, so values that compare
-    equal across types (``1 == 1.0 == True``) occupy distinct entries
-    and unmarshal to the type that was marshalled.  Only immutable
-    payloads are cached — their bytes can never go stale.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive: {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[Any, bytes] = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def cache_key(value: Any) -> Any:
-        """A hashable, type-exact key for an immutable value (or None
-        when the value is not provably immutable / not cacheable)."""
-        t = type(value)
-        if t in _SCALAR_TYPES:
-            return (t, value)
-        if t is tuple or t is frozenset:
-            parts = []
-            for item in value:
-                key = MarshalCache.cache_key(item)
-                if key is None:
-                    return None
-                parts.append(key)
-            return (t, tuple(parts))
-        if t in _registered_immutable:
-            try:
-                hash(value)
-            except TypeError:
-                return None
-            return (t, value)
-        return None
-
-    def dumps(self, value: Any) -> bytes:
-        """Pickle ``value``, memoizing when it is provably immutable."""
-        key = self.cache_key(value)
-        if key is None:
-            return marshal_value(value)
-        return self._memoized(("value", key), lambda: marshal_value(value))
-
-    def dumps_call(self, args: tuple) -> bytes:
-        """Pickle an empty-kwargs invocation payload ``(args, {})``,
-        memoized on the (immutable) args alone — the kwargs dict never
-        reaches the key, and each unpickle yields a fresh dict."""
-        key = self.cache_key(args)
-        if key is None:
-            return marshal_value((args, {}))
-        return self._memoized(
-            ("call", key), lambda: marshal_value((args, {}))
-        )
-
-    def _memoized(self, key: Any, produce: Callable[[], bytes]) -> bytes:
-        with self._lock:
-            data = self._entries.get(key)
-            if data is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return data
-        data = produce()
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = data
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return data
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_cache = MarshalCache()
-
-
-def marshal_cache() -> MarshalCache:
-    """The process-wide marshal cache (for stats and tests)."""
-    return _cache
-
-
 def _call_is_fast(args: tuple, kwargs: dict) -> bool:
     # The args tuple is shared as-is (immutable elements make that safe);
     # kwargs values must be immutable too — the dict itself is copied on
@@ -260,8 +161,6 @@ def marshal_call(args: tuple, kwargs: dict) -> Any:
     """Marshal an invocation's ``(args, kwargs)`` for the wire."""
     if _mode == "zerocopy" and _call_is_fast(args, kwargs):
         return FastPayload((args, kwargs))
-    if _mode == "cache" and not kwargs:
-        return _cache.dumps_call(args)
     return marshal_value((args, kwargs))
 
 
@@ -279,8 +178,6 @@ def marshal_result(value: Any) -> Any:
     """Marshal a return value (or exception) for the reply."""
     if _mode == "zerocopy" and is_immutable(value):
         return FastPayload(value)
-    if _mode == "cache":
-        return _cache.dumps(value)
     return marshal_value(value)
 
 

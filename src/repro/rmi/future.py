@@ -11,11 +11,11 @@ Two execution styles feed an RmiFuture:
 
 - **threaded** — live runtimes complete the future from whatever thread
   carried the invocation (an async-invoker worker or a batch sender);
-- **deferred** — deterministic runtimes queue the invocation in the
-  request batcher and complete the future *when someone waits on it*
-  (or the batch fills, or the stub is flushed).  The wait hook installed
-  via :meth:`bind_wait_hook` is what lets :meth:`result` force the flush
-  instead of deadlocking on a call that was never sent.
+- **deferred** — the request batcher queues the invocation and sends
+  it when the batch fills, the stub is flushed, or *someone waits on
+  it*.  The wait hook installed via :meth:`bind_wait_hook` is what lets
+  :meth:`result` start a sweep of the queue instead of deadlocking on a
+  call that was never sent.
 
 A shared :func:`async_executor` carries ``invoke_async`` bodies in live
 mode.  It is created lazily, sized for stub fan-out rather than CPU
@@ -107,9 +107,9 @@ class RmiFuture:
     def bind_wait_hook(self, hook: Callable[[], None]) -> None:
         """Install the callable a blocking wait runs first.
 
-        The deferred batcher binds a flush here, so ``result()`` on a
-        queued-but-unsent invocation dispatches the pending batch
-        instead of waiting forever.
+        The request batcher binds a sweep here, so ``result()`` on a
+        queued-but-unsent invocation sends the pending batch instead of
+        waiting forever.
         """
         self._wait_hook = hook
 

@@ -201,8 +201,8 @@ class Transport(Protocol):
     """Moves requests between endpoints."""
 
     # True when invocations really block OS threads (the live threaded
-    # transport); False for deterministic in-thread delivery.  The
-    # batcher picks its dispatch discipline from this.
+    # transport); False for deterministic in-thread delivery, where the
+    # batcher's in-flight window is unbounded.
     concurrent: bool
 
     def add_endpoint(self, name: str) -> Endpoint: ...
@@ -384,12 +384,21 @@ class _TransportBase:
         if hook is not None:
             hook(endpoint_id, batch_envelope(batch))
         self._messages.increment()
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(
+        if self._tracer is not None:
+            self._trace_message(ep, batch)
+
+    def _trace_message(self, ep: Endpoint, message: Request | BatchRequest) -> None:
+        """The transport trace event of one wire message (tracer set)."""
+        if type(message) is BatchRequest:
+            self._tracer.emit(
                 "transport", "batch-message",
-                endpoint=ep.name, size=len(batch.entries),
-                caller=batch.caller,
+                endpoint=ep.name, size=len(message.entries),
+                caller=message.caller,
+            )
+        else:
+            self._tracer.emit(
+                "transport", "message",
+                endpoint=ep.name, method=message.method, caller=message.caller,
             )
 
     @staticmethod
@@ -434,12 +443,8 @@ class DirectTransport(_TransportBase):
         if hook is not None:
             hook(endpoint_id, request)
         self._messages.increment()
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(
-                "transport", "message",
-                endpoint=ep.name, method=request.method, caller=request.caller,
-            )
+        if self._tracer is not None:
+            self._trace_message(ep, request)
         if self._on_message is not None:
             self._on_message(endpoint_id, request)
         return handler(request)
@@ -749,12 +754,8 @@ class ThreadedTransport(_TransportBase):
         if hook is not None:
             hook(endpoint_id, request)
         self._messages.increment()
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(
-                "transport", "message",
-                endpoint=ep.name, method=request.method, caller=request.caller,
-            )
+        if self._tracer is not None:
+            self._trace_message(ep, request)
         job = dispatcher.submit(handler, request)
         if not job.done.acquire(True, self._timeout):
             raise RemoteError(

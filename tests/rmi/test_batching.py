@@ -9,16 +9,16 @@ window.
 
 import dataclasses
 import threading
+import time
 
 import pytest
 
-from repro.errors import ApplicationError, ConnectError
+from repro.errors import ApplicationError, ConnectError, RemoteError
 from repro.rmi.aio import AsyncioTransport
 from repro.rmi.batching import (
     BatcherStats,
     RequestBatcher,
     batch_inflight_from_env,
-    batch_linger_from_env,
     batch_max_from_env,
 )
 from repro.rmi.fastpath import is_zero_copy, marshal_call
@@ -58,18 +58,14 @@ def make_stub(transport, skeleton, **batcher_kwargs):
 class TestEnvConfig:
     def test_defaults_disable_batching(self, monkeypatch):
         monkeypatch.delenv("ERMI_BATCH_MAX", raising=False)
-        monkeypatch.delenv("ERMI_BATCH_LINGER_MS", raising=False)
         monkeypatch.delenv("ERMI_BATCH_INFLIGHT", raising=False)
         assert batch_max_from_env() == 1
-        assert batch_linger_from_env() == 0.0
         assert batch_inflight_from_env() == 2
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("ERMI_BATCH_MAX", "32")
-        monkeypatch.setenv("ERMI_BATCH_LINGER_MS", "2.5")
         monkeypatch.setenv("ERMI_BATCH_INFLIGHT", "4")
         assert batch_max_from_env() == 32
-        assert batch_linger_from_env() == pytest.approx(0.0025)
         assert batch_inflight_from_env() == 4
 
     def test_disabled_batcher_is_inert(self):
@@ -469,6 +465,80 @@ class TestQueuePruning:
         assert batcher.pending_count() == 0
         # 302 endpoints were addressed; a handful of queues at a time.
         assert hwm <= 10
+
+
+class Nest(Remote):
+    """Calls itself, synchronously and batched, ``depth`` levels down."""
+
+    def __init__(self):
+        self.stub = None
+        self.entered = []
+
+    def down(self, depth):
+        self.entered.append(depth)
+        if depth == 0:
+            return [0]
+        return self.stub.down(depth - 1) + [depth]
+
+
+class TestReentrantCallOnDirect:
+    """DirectTransport completes a batch in the caller's own thread, so
+    nothing else will ever send: a handler's batched call to its own
+    endpoint must fly past the batch it runs inside, whatever the
+    window says, or it would wait on itself forever."""
+
+    def test_nested_batched_calls_complete_in_order(self):
+        transport = DirectTransport()
+        endpoint = transport.add_endpoint("server")
+        impl = Nest()
+        skeleton = Skeleton(impl, transport, endpoint.endpoint_id)
+        batcher = RequestBatcher(transport, max_batch=8, inflight_limit=1)
+        impl.stub = Stub(transport, skeleton.ref(), batcher=batcher)
+        assert impl.stub.down(3) == [0, 1, 2, 3]
+        assert impl.entered == [3, 2, 1, 0]
+        # Four batches, each flown while the one it was called from was
+        # still on the wire.
+        assert batcher.stats.batches == 4
+        assert batcher.stats.inflight_hwm == 4
+
+
+class Parked(Remote):
+    def __init__(self):
+        self.release = threading.Event()
+
+    def park(self, value):
+        self.release.wait(10.0)
+        return value
+
+
+class TestThreadedDeadline:
+    """ThreadedTransport's deadline is enforced by the thread that sent
+    the batch: through the batcher, one deadline fails every entry."""
+
+    def test_one_deadline_fails_the_sync_call_and_its_batch(self):
+        deadline = 0.05
+        transport = ThreadedTransport(workers_per_endpoint=8, timeout=deadline)
+        impl = Parked()
+        try:
+            endpoint = transport.add_endpoint("server")
+            skeleton = Skeleton(impl, transport, endpoint.endpoint_id)
+            stub, batcher = make_stub(transport, skeleton, max_batch=8)
+            queued = [stub.invoke_async("park", i) for i in range(7)]
+            started = time.monotonic()
+            with pytest.raises(RemoteError, match="timed out"):
+                stub.park(7)
+            elapsed = time.monotonic() - started
+            for future in queued:
+                error = future.exception(timeout=0)
+                assert isinstance(error, RemoteError)
+                assert "timed out" in str(error)
+            # The sync call swept the seven queued entries into its own
+            # batch: eight entries, eight dispatch chunks, one deadline.
+            assert (batcher.stats.batches, batcher.stats.entries) == (1, 8)
+            assert elapsed < 6 * deadline
+        finally:
+            impl.release.set()
+            transport.shutdown()
 
 
 class TestStats:

@@ -12,17 +12,12 @@ import pytest
 from repro.kvstore.cache import store_lease_ms_from_env
 from repro.kvstore.watch import watch_queue_from_env
 from repro.rmi.aio import aio_inflight_from_env, blocking_workers_from_env
-from repro.rmi.batching import (
-    batch_inflight_from_env,
-    batch_linger_from_env,
-    batch_max_from_env,
-)
+from repro.rmi.batching import batch_inflight_from_env, batch_max_from_env
 from repro.rmi.cpu import cpu_shm_min_from_env, cpu_workers_from_env
 from repro.rmi.envcfg import env_bytes, env_float, env_int
 
 KNOBS = [
     ("ERMI_BATCH_MAX", batch_max_from_env),
-    ("ERMI_BATCH_LINGER_MS", batch_linger_from_env),
     ("ERMI_BATCH_INFLIGHT", batch_inflight_from_env),
     ("ERMI_AIO_INFLIGHT", aio_inflight_from_env),
     ("ERMI_STORE_LEASE_MS", store_lease_ms_from_env),
@@ -122,10 +117,6 @@ class TestKnobReaders:
     def test_batch_max_parses(self, monkeypatch):
         monkeypatch.setenv("ERMI_BATCH_MAX", "64")
         assert batch_max_from_env() == 64
-
-    def test_batch_linger_is_seconds_from_ms(self, monkeypatch):
-        monkeypatch.setenv("ERMI_BATCH_LINGER_MS", "2")
-        assert batch_linger_from_env() == pytest.approx(0.002)
 
     def test_store_lease_parses_ms(self, monkeypatch):
         monkeypatch.setenv("ERMI_STORE_LEASE_MS", "125.5")

@@ -1,5 +1,5 @@
 """Fast-path marshalling: the immutability analyzer, the zero-copy and
-cached modes, and the invariant that RMI call semantics are unchanged.
+pickle modes, and the invariant that RMI call semantics are unchanged.
 
 The contract under test (DESIGN.md "fast-path invocation layer"):
 
@@ -19,10 +19,8 @@ from repro.errors import ApplicationError, MarshalError, UnmarshalError
 from repro.rmi.fastpath import (
     MODES,
     FastPayload,
-    MarshalCache,
     is_immutable,
     marshal_call,
-    marshal_cache,
     marshal_result,
     register_immutable,
     set_mode,
@@ -30,7 +28,6 @@ from repro.rmi.fastpath import (
     unmarshal_result,
 )
 from repro.rmi import fastpath
-from repro.rmi.marshal import unmarshal_value
 from repro.rmi.remote import Remote, RemoteRef, Skeleton, Stub
 from repro.rmi.transport import DirectTransport
 
@@ -40,7 +37,6 @@ def _restore_mode():
     previous = fastpath.mode()
     yield
     set_mode(previous)
-    marshal_cache().clear()
 
 
 class TestImmutabilityAnalyzer:
@@ -119,7 +115,7 @@ class TestModes:
             set_mode("turbo")
 
     def test_all_modes_listed(self):
-        assert set(MODES) == {"zerocopy", "cache", "pickle"}
+        assert set(MODES) == {"zerocopy", "pickle"}
 
 
 class TestZeroCopyMarshalling:
@@ -171,56 +167,6 @@ class TestZeroCopyMarshalling:
         assert isinstance(payload, bytes)
         (out,), _ = unmarshal_call(payload)
         assert out == blob and out is not blob
-
-
-class TestMarshalCache:
-    def test_hits_and_misses_counted(self):
-        cache = MarshalCache(capacity=8)
-        first = cache.dumps(("op", 1))
-        second = cache.dumps(("op", 1))
-        assert first is second  # the memoized bytes object itself
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_equal_values_of_different_types_do_not_collide(self):
-        cache = MarshalCache()
-        assert unmarshal_value(cache.dumps(1)) == 1
-        assert type(unmarshal_value(cache.dumps(1.0))) is float
-        assert type(unmarshal_value(cache.dumps(True))) is bool
-        assert type(unmarshal_value(cache.dumps(1))) is int
-        assert len(cache) == 3
-
-    def test_mutable_values_never_cached(self):
-        cache = MarshalCache()
-        cache.dumps([1, 2])
-        cache.dumps({"k": 1})
-        assert len(cache) == 0
-
-    def test_lru_eviction_respects_capacity(self):
-        cache = MarshalCache(capacity=2)
-        cache.dumps("a")
-        cache.dumps("b")
-        cache.dumps("a")  # refresh "a"
-        cache.dumps("c")  # evicts "b"
-        assert len(cache) == 2
-        cache.dumps("a")
-        assert cache.hits == 2  # "a" survived the eviction
-
-    def test_dumps_call_roundtrip_gives_fresh_kwargs(self):
-        cache = MarshalCache()
-        payload = cache.dumps_call(("get", "key", 1))
-        args1, kwargs1 = unmarshal_value(payload)
-        args2, kwargs2 = unmarshal_value(cache.dumps_call(("get", "key", 1)))
-        assert args1 == args2 == ("get", "key", 1)
-        assert kwargs1 == {} and kwargs1 is not kwargs2
-        assert cache.hits == 1
-
-    def test_cache_mode_uses_process_cache(self):
-        set_mode("cache")
-        marshal_cache().clear()
-        args = ("idempotent", 99)
-        first = marshal_call(args, {})
-        second = marshal_call(args, {})
-        assert isinstance(first, bytes) and first is second
 
 
 class Holder(Remote):
