@@ -14,7 +14,6 @@ inside the bound (scheduler blips inflate times, never deflate them).
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any
 
@@ -27,13 +26,13 @@ from repro.errors import (
     MemberDrainedError,
     RemoteError,
 )
+from repro.experiments.benchreport import bench_scale
 from repro.obs import Observability
 from repro.rmi.remote import Remote, Skeleton, attempt
 from repro.rmi.transport import DirectTransport
 from repro.sim.clock import SimClock
 
-SCALE = float(os.environ.get("ERMI_BENCH_SCALE", "1.0"))
-CALLS = max(200, int(20_000 * SCALE))
+CALLS = max(200, int(20_000 * bench_scale()))
 TRIALS = 5
 TOLERANCE = 0.05
 

@@ -1,8 +1,10 @@
 """Cpu-suite benchmark: multi-core skeleton execution claims.
 
-Runs :func:`repro.experiments.benchreport.run_cpu_suite` once, writes
-``BENCH_rmi_cpu.json`` at the repo root, and asserts the headline
-claims at floors that depend on the cores actually available:
+Runs the ``cpu`` suite once through
+:func:`repro.experiments.benchreport.run_suite` (which validates the
+report against its spec), writes ``BENCH_rmi_cpu.json`` at the repo
+root, and asserts the headline claims at floors that depend on the
+cores actually available:
 
 - with >= 4 cores, the process pool beats the threaded offload pool by
   >= 3x on cpu-bound handlers of >= 5 ms (>= 2x at smoke scale, where
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import os
 import pathlib
 import time
 from typing import Any
@@ -37,22 +38,22 @@ from typing import Any
 import pytest
 
 from repro.experiments.benchreport import (
-    CPU_COSTS_MS,
     CPU_PAYLOAD_MIB,
+    SUITES,
+    bench_scale,
     format_table,
     load_report,
-    run_cpu_suite,
+    run_suite,
+    spec_problems,
     validate_report,
-    write_report,
 )
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import DirectTransport, Response
 
-REPORT_PATH = (
-    pathlib.Path(__file__).resolve().parents[1] / "BENCH_rmi_cpu.json"
-)
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SUITE = "cpu"
 
-SCALE = float(os.environ.get("ERMI_BENCH_SCALE", "1.0"))
+SCALE = bench_scale()
 FULL_SCALE = SCALE >= 0.999
 
 # Parallelism floors (process pool vs threaded offload, >= 5 ms legs).
@@ -69,31 +70,18 @@ TOLERANCE = 0.05
 
 @pytest.fixture(scope="module")
 def suite():
-    extra: dict = {}
-    records = run_cpu_suite(extra_out=extra)
-    write_report(str(REPORT_PATH), "rmi_cpu", records, extra=extra)
-    print("\n" + format_table(records))
-    return {record.name: record for record in records}, extra
+    doc = run_suite(SUITE, str(REPO_ROOT))["BENCH_rmi_cpu.json"]
+    print("\n" + format_table(doc))
+    return {record["name"]: record for record in doc["records"]}, doc["extra"]
 
 
 class TestCpuBenchmark:
     def test_report_emitted_and_wellformed(self, suite):
-        assert REPORT_PATH.exists()
-        doc = load_report(str(REPORT_PATH))
+        path = REPO_ROOT / "BENCH_rmi_cpu.json"
+        assert path.exists()
+        doc = load_report(str(path))
         assert validate_report(doc) == []
-        names = {record["name"] for record in doc["records"]}
-        expected = {
-            f"cpu-{kind}-{cost}ms"
-            for kind in ("thread", "proc")
-            for cost in CPU_COSTS_MS
-        }
-        expected.add("cpu-aio-proc-5ms")
-        expected |= {
-            f"cpu-{kind}-{mib}mib"
-            for kind in ("pipe", "shm")
-            for mib in CPU_PAYLOAD_MIB
-        }
-        assert expected <= names
+        assert spec_problems(SUITES[SUITE], {path.name: doc}) == []
         assert doc["extra"]["cpu_count"] >= 1
 
     def test_process_pool_parallelism(self, suite):
@@ -126,8 +114,8 @@ class TestCpuBenchmark:
         """The aio leg routes @cpu_bound through the same pool without
         blocking the loop; it must land near the raw-executor leg."""
         records, _ = suite
-        aio = records["cpu-aio-proc-5ms"].calls_per_sec
-        proc = records["cpu-proc-5ms"].calls_per_sec
+        aio = records["cpu-aio-proc-5ms"]["calls_per_sec"]
+        proc = records["cpu-proc-5ms"]["calls_per_sec"]
         assert aio >= 0.5 * proc, (
             f"aio cpu dispatch {aio:.0f} calls/s < half of the raw "
             f"executor leg {proc:.0f} calls/s"
@@ -152,9 +140,9 @@ class TestCpuBenchmark:
     def test_percentiles_are_coherent(self, suite):
         records, _ = suite
         for record in records.values():
-            assert 0 < record.p50_us <= record.p99_us
-            assert record.calls > 0
-            assert record.elapsed_s > 0
+            assert 0 < record["p50_us"] <= record["p99_us"]
+            assert record["calls"] > 0
+            assert record["elapsed_s"] > 0
 
 
 # -- zero-overhead gate ----------------------------------------------------

@@ -1,8 +1,9 @@
 """Sharded-routing benchmark: the key-affinity claims.
 
-Runs :func:`repro.experiments.benchreport.run_shard_suite` once, writes
-``BENCH_rmi_shard.json`` at the repo root, and asserts the headline
-claims:
+Runs the ``shard`` suite once through
+:func:`repro.experiments.benchreport.run_suite` (which validates the
+report against its spec), writes ``BENCH_rmi_shard.json`` at the repo
+root, and asserts the headline claims:
 
 - affinity routing beats flat round-robin on hot-key p99 latency at
   c256 — per-member caches stay warm when each member only sees its
@@ -11,8 +12,7 @@ claims:
 - the Decider-driven elasticity probe shows exactly one (hot) shard
   growing while the others hold their minimum — per-shard independent
   scaling;
-- the emitted JSON is well-formed against the ``repro.bench/v1``
-  schema.
+- the emitted JSON is well-formed and satisfies the suite's spec.
 
 Set ``ERMI_BENCH_SCALE`` (e.g. ``0.05``) to shrink the measured window
 count for CI smoke runs; warmup is fixed-size so the assertions compare
@@ -27,16 +27,16 @@ import pytest
 
 from repro.experiments.benchreport import (
     SHARD_COUNT,
+    SUITES,
     format_table,
     load_report,
-    run_shard_suite,
+    run_suite,
+    spec_problems,
     validate_report,
-    write_report,
 )
 
-REPORT_PATH = (
-    pathlib.Path(__file__).resolve().parents[1] / "BENCH_rmi_shard.json"
-)
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SUITE = "shard"
 
 #: Required hot-key p99 advantage of affinity over flat routing.  The
 #: measured ratio sits near 3x; 1.3x keeps noisy CI runners honest
@@ -46,20 +46,18 @@ HOT_P99_RATIO_FLOOR = 1.3
 
 @pytest.fixture(scope="module")
 def suite():
-    extra: dict = {}
-    records = run_shard_suite(extra_out=extra)
-    write_report(str(REPORT_PATH), "rmi_shard", records, extra=extra)
-    print("\n" + format_table(records))
-    return {record.name: record for record in records}, extra
+    doc = run_suite(SUITE, str(REPO_ROOT))["BENCH_rmi_shard.json"]
+    print("\n" + format_table(doc))
+    return {record["name"]: record for record in doc["records"]}, doc["extra"]
 
 
 class TestShardBenchmark:
     def test_report_emitted_and_wellformed(self, suite):
-        assert REPORT_PATH.exists()
-        doc = load_report(str(REPORT_PATH))
+        path = REPO_ROOT / "BENCH_rmi_shard.json"
+        assert path.exists()
+        doc = load_report(str(path))
         assert validate_report(doc) == []
-        names = {record["name"] for record in doc["records"]}
-        assert {"shard-flat-c256", "shard-affinity-c256"} <= names
+        assert spec_problems(SUITES[SUITE], {path.name: doc}) == []
 
     def test_affinity_beats_flat_on_hot_key_p99(self, suite):
         """The tentpole claim: routing a key's calls to its shard keeps
@@ -110,6 +108,6 @@ class TestShardBenchmark:
     def test_percentiles_are_coherent(self, suite):
         records, _ = suite
         for record in records.values():
-            assert 0 < record.p50_us <= record.p99_us
-            assert record.calls > 0
-            assert record.elapsed_s > 0
+            assert 0 < record["p50_us"] <= record["p99_us"]
+            assert record["calls"] > 0
+            assert record["elapsed_s"] > 0

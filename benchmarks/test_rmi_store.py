@@ -1,8 +1,9 @@
 """Store watch/cache benchmark: push beats poll on the coordination path.
 
-Runs :func:`repro.experiments.benchreport.run_store_suite` once, writes
-``BENCH_rmi_store.json`` at the repo root, and asserts the headline
-claims:
+Runs the ``store`` suite once through
+:func:`repro.experiments.benchreport.run_suite` (which validates the
+report against its spec), writes ``BENCH_rmi_store.json`` at the repo
+root, and asserts the headline claims:
 
 - the watched epoch path performs **zero** store reads per steady-state
   invocation (the poll baseline pays exactly one ``get`` per call);
@@ -11,7 +12,7 @@ claims:
 - membership convergence after an epoch bump is at least 2x faster for
   256 watch-mode client caches than for the lease-mode (throttled-poll)
   baseline under the c256 churn scenario;
-- the emitted JSON is well-formed against the ``repro.bench/v1`` schema.
+- the emitted JSON is well-formed and satisfies the suite's spec.
 
 Set ``ERMI_BENCH_SCALE`` (e.g. ``0.05``) to shrink iteration counts for
 CI smoke runs; the read-per-call and convergence contrasts hold at any
@@ -25,16 +26,16 @@ import pathlib
 import pytest
 
 from repro.experiments.benchreport import (
+    SUITES,
     format_table,
     load_report,
-    run_store_suite,
+    run_suite,
+    spec_problems,
     validate_report,
-    write_report,
 )
 
-REPORT_PATH = (
-    pathlib.Path(__file__).resolve().parents[1] / "BENCH_rmi_store.json"
-)
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SUITE = "store"
 
 #: Required convergence advantage of push over lease-poll.  Measured
 #: ratios sit around 100-250x (sub-ms push vs ~lease-length wait); 2x is
@@ -48,25 +49,18 @@ WATCH_P50_SLACK = 1.20
 
 @pytest.fixture(scope="module")
 def suite():
-    extra: dict = {}
-    records = run_store_suite(extra_out=extra)
-    write_report(str(REPORT_PATH), "rmi_store", records, extra=extra)
-    print("\n" + format_table(records))
-    return {record.name: record for record in records}, extra
+    doc = run_suite(SUITE, str(REPO_ROOT))["BENCH_rmi_store.json"]
+    print("\n" + format_table(doc))
+    return {record["name"]: record for record in doc["records"]}, doc["extra"]
 
 
 class TestStoreBenchmark:
     def test_report_emitted_and_wellformed(self, suite):
-        assert REPORT_PATH.exists()
-        doc = load_report(str(REPORT_PATH))
+        path = REPO_ROOT / "BENCH_rmi_store.json"
+        assert path.exists()
+        doc = load_report(str(path))
         assert validate_report(doc) == []
-        names = {record["name"] for record in doc["records"]}
-        assert {
-            "epoch-poll-c1",
-            "epoch-watch-c1",
-            "churn-poll-c256",
-            "churn-watch-c256",
-        } <= names
+        assert spec_problems(SUITES[SUITE], {path.name: doc}) == []
 
     def test_watched_epoch_path_does_zero_store_reads(self, suite):
         """The tentpole claim: the per-call epoch ``get`` is gone —
@@ -81,8 +75,9 @@ class TestStoreBenchmark:
         records, _ = suite
         poll = records["epoch-poll-c1"]
         watch = records["epoch-watch-c1"]
-        assert watch.p50_us <= poll.p50_us * WATCH_P50_SLACK, (
-            f"watched p50 {watch.p50_us:.1f}us vs poll {poll.p50_us:.1f}us"
+        assert watch["p50_us"] <= poll["p50_us"] * WATCH_P50_SLACK, (
+            f"watched p50 {watch['p50_us']:.1f}us vs "
+            f"poll {poll['p50_us']:.1f}us"
         )
 
     def test_push_convergence_beats_lease_poll(self, suite):
@@ -100,5 +95,5 @@ class TestStoreBenchmark:
         assert extra["convergence"]["clients"] == 256
         # Every cache converged in every round: calls = clients * rounds.
         rounds = extra["convergence"]["rounds"]
-        assert records["churn-watch-c256"].calls == 256 * rounds
-        assert records["churn-poll-c256"].calls == 256 * rounds
+        assert records["churn-watch-c256"]["calls"] == 256 * rounds
+        assert records["churn-poll-c256"]["calls"] == 256 * rounds

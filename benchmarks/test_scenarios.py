@@ -43,15 +43,8 @@ def suite():
     results = run_scenario_suite(out_dir=str(REPO_ROOT))
     for _name, result, doc in results:
         print("\n" + result.describe())
-        print(format_table_from_doc(doc))
+        print(format_table(doc))
     return {name: (result, doc) for name, result, doc in results}
-
-
-def format_table_from_doc(doc):
-    from repro.experiments.benchreport import BenchRecord
-
-    records = [BenchRecord(**record) for record in doc["records"]]
-    return format_table(records)
 
 
 class TestScenarioReports:

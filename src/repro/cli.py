@@ -9,9 +9,10 @@ Commands:
   on an elastic class and print the report;
 - ``transform <file.py>`` — apply the Figure 6 source rewrite and print
   (or write) the transformed module;
-- ``bench`` — run the RMI benchmark suites (hot path + batching +
-  async transport + sharded routing) and emit their ``BENCH_*.json``
-  reports (schema documented in README.md);
+- ``bench`` — run the RMI benchmark suites (async transport, sharded
+  routing, store watches, cpu pool, scenario matrix), write their
+  ``BENCH_*.json`` reports (schema documented in README.md) and, with
+  ``--check DIR``, gate them against the committed baselines;
 - ``chaos`` — run the scripted fault-injection scenario and emit a
   ``CHAOS_report.json`` recovery-latency report (schema
   ``repro.chaos/v1``); exits non-zero if any failure leaked to the
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 
 
@@ -169,93 +171,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = sub.add_parser(
         "bench",
-        help="run the RMI benchmark suites "
-        "(hot-path + batching + async + shard + store + cpu)",
+        help="run the RMI benchmark suites (async + shard + store + cpu + "
+        "scenario) and write their BENCH_*.json reports",
     )
     bench_cmd.add_argument(
-        "--suite",
-        choices=(
-            "all", "hotpath", "batching", "async", "shard", "store",
-            "cpu", "scenario",
-        ),
-        default="all",
-        help="which suite(s) to run (default: all)",
+        "--suite", default="all",
+        help="a suite from repro.experiments.benchreport.SUITES, or all "
+        "(default)",
     )
     bench_cmd.add_argument(
-        "-o", "--output", default="BENCH_rmi_hotpath.json",
-        help="hot-path report path (default: BENCH_rmi_hotpath.json)",
+        "--out-dir", metavar="DIR", default=".",
+        help="directory the reports are written to (default: .)",
     )
     bench_cmd.add_argument(
-        "--batching-output", default="BENCH_rmi_batching.json",
-        help="batching report path (default: BENCH_rmi_batching.json)",
-    )
-    bench_cmd.add_argument(
-        "--async-output", default="BENCH_rmi_async.json",
-        help="async-transport report path (default: BENCH_rmi_async.json)",
-    )
-    bench_cmd.add_argument(
-        "--shard-output", default="BENCH_rmi_shard.json",
-        help="sharded-routing report path (default: BENCH_rmi_shard.json)",
-    )
-    bench_cmd.add_argument(
-        "--store-output", default="BENCH_rmi_store.json",
-        help="store watch/cache report path (default: BENCH_rmi_store.json)",
-    )
-    bench_cmd.add_argument(
-        "--cpu-output", default="BENCH_rmi_cpu.json",
-        help="cpu process-pool report path (default: BENCH_rmi_cpu.json)",
-    )
-    bench_cmd.add_argument(
-        "--scale", type=float, default=None,
-        help="iteration scale factor (default: ERMI_BENCH_SCALE or 1.0)",
-    )
-    bench_cmd.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare the hot-path run against a committed baseline "
-        "report; exit non-zero on a regression beyond the tolerance",
-    )
-    bench_cmd.add_argument(
-        "--check-batching", metavar="BASELINE", default=None,
-        help="compare the batching run against a committed baseline report",
-    )
-    bench_cmd.add_argument(
-        "--check-async", metavar="BASELINE", default=None,
-        help="compare the async-transport run against a committed baseline",
-    )
-    bench_cmd.add_argument(
-        "--check-shard", metavar="BASELINE", default=None,
-        help="compare the sharded-routing run against a committed baseline",
-    )
-    bench_cmd.add_argument(
-        "--check-store", metavar="BASELINE", default=None,
-        help="compare the store watch/cache run against a committed baseline",
-    )
-    bench_cmd.add_argument(
-        "--check-cpu", metavar="BASELINE", default=None,
-        help="compare the cpu process-pool run against a committed "
-        "baseline (always normalized per gate family — thread / process "
-        "/ payload — so 1-core and 4-core machines compare cleanly)",
-    )
-    bench_cmd.add_argument(
-        "--scenario-dir", metavar="DIR", default=".",
-        help="directory for BENCH_scenario_*.json reports (default: .)",
-    )
-    bench_cmd.add_argument(
-        "--check-scenario", metavar="DIR", default=None,
-        help="compare the scenario matrix against the committed "
-        "BENCH_scenario_*.json baselines in DIR (raw comparison — "
-        "scenario metrics are virtual-time and machine-independent)",
-    )
-    bench_cmd.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional throughput drop per record (default 0.30)",
-    )
-    bench_cmd.add_argument(
-        "--normalize", action="store_true",
-        help="normalize each record by the run's anchor record "
-        "(marshal-pickle / batch-off-c1 / threaded-c64 / shard-flat-c256 "
-        "/ epoch-poll-c1) before comparing — absorbs machine-speed "
-        "differences in CI",
+        "--check", metavar="DIR", default=None,
+        help="gate each report against the same-named baseline in DIR, "
+        "read before the run writes anything; exit non-zero on a regression",
     )
     bench_cmd.set_defaults(fn=_cmd_bench)
 
@@ -364,154 +295,46 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.benchreport import (
-        compare_cpu_reports,
-        compare_reports,
+        SUITES,
+        check_suite,
         format_table,
-        load_report,
-        run_async_suite,
-        run_batching_suite,
-        run_cpu_suite,
-        run_hotpath_suite,
-        run_shard_suite,
-        run_store_suite,
-        write_report,
+        load_baselines,
+        run_suite,
     )
 
-    # Load baselines up front: when --output and --check name the same
-    # file, writing first would silently compare the run to itself.
-    runs = []  # (suite, records, extra, output, baseline, anchor)
-    if args.suite in ("all", "hotpath"):
-        baseline = None if args.check is None else load_report(args.check)
-        records = run_hotpath_suite(scale=args.scale)
-        runs.append(
-            ("rmi_hotpath", records, None, args.output, baseline,
-             "marshal-pickle")
+    if args.suite != "all" and args.suite not in SUITES:
+        print(
+            f"bench: unknown suite {args.suite!r} "
+            f"(choose from all, {', '.join(SUITES)})",
+            file=sys.stderr,
         )
-    if args.suite in ("all", "batching"):
-        baseline = (
-            None if args.check_batching is None
-            else load_report(args.check_batching)
-        )
-        extra: dict = {}
-        records = run_batching_suite(scale=args.scale, extra_out=extra)
-        runs.append(
-            ("rmi_batching", records, extra, args.batching_output, baseline,
-             "batch-off-c1")
-        )
-    if args.suite in ("all", "async"):
-        baseline = (
-            None if args.check_async is None
-            else load_report(args.check_async)
-        )
-        extra = {}
-        records = run_async_suite(scale=args.scale, extra_out=extra)
-        runs.append(
-            ("rmi_async", records, extra, args.async_output, baseline,
-             "threaded-c64")
-        )
-    if args.suite in ("all", "shard"):
-        baseline = (
-            None if args.check_shard is None
-            else load_report(args.check_shard)
-        )
-        extra = {}
-        records = run_shard_suite(scale=args.scale, extra_out=extra)
-        runs.append(
-            ("rmi_shard", records, extra, args.shard_output, baseline,
-             "shard-flat-c256")
-        )
-    if args.suite in ("all", "store"):
-        baseline = (
-            None if args.check_store is None
-            else load_report(args.check_store)
-        )
-        extra = {}
-        records = run_store_suite(scale=args.scale, extra_out=extra)
-        runs.append(
-            ("rmi_store", records, extra, args.store_output, baseline,
-             "epoch-poll-c1")
-        )
-    if args.suite in ("all", "cpu"):
-        baseline = (
-            None if args.check_cpu is None
-            else load_report(args.check_cpu)
-        )
-        extra = {}
-        records = run_cpu_suite(scale=args.scale, extra_out=extra)
-        # anchor=None marks the family-normalized cpu comparison below.
-        runs.append(
-            ("rmi_cpu", records, extra, args.cpu_output, baseline, None)
-        )
-
+        return 2
     status = 0
-    for suite, records, extra, output, baseline, anchor in runs:
-        write_report(output, suite, records, extra=extra)
-        print(format_table(records))
-        print(f"wrote {output}")
-        if baseline is None:
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        baselines = (
+            None if args.check is None else load_baselines(name, args.check)
+        )
+        try:
+            docs = run_suite(name, args.out_dir)
+        except ValueError as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            status = 1
             continue
-        if anchor is None:
-            # The cpu suite's thread-vs-process ratios depend on the
-            # machine's core count, so its gate always normalizes
-            # within each record family (--normalize is implied).
-            result = compare_cpu_reports(
-                baseline, records, tolerance=args.tolerance
-            )
-        else:
-            result = compare_reports(
-                baseline,
-                records,
-                tolerance=args.tolerance,
-                normalize=args.normalize,
-                anchor=anchor,
-            )
-        for line in result.lines:
-            print(line)
-        if not result.ok:
-            failed = (
-                result.regressions
-                + [f"{m} (missing)" for m in result.missing]
-            )
+        for file, doc in docs.items():
+            print(format_table(doc))
+            print(f"wrote {os.path.join(args.out_dir, file)}")
+        if baselines is None:
+            continue
+        failures, lines = check_suite(name, docs, baselines)
+        print("\n".join(lines))
+        if failures:
             print(
-                f"REGRESSION ({suite}): {len(failed)} record(s) beyond "
-                f"-{args.tolerance:.0%}: {', '.join(failed)}",
+                f"REGRESSION ({name}) vs {args.check}: {', '.join(failures)}",
                 file=sys.stderr,
             )
             status = 1
         else:
-            print(f"bench check OK ({suite})")
-
-    # The scenario suite writes one deterministic report per scenario
-    # (BENCH_scenario_<name>.json under --scenario-dir), so it runs as
-    # its own block rather than through the single-file loop above.
-    if args.suite in ("all", "scenario"):
-        from repro.scenarios.bench import (
-            check_scenario_reports,
-            run_scenario_suite,
-            scenario_report_path,
-        )
-
-        results = run_scenario_suite(
-            scale=args.scale, out_dir=args.scenario_dir
-        )
-        for name, result, _doc in results:
-            print(result.describe())
-            print(f"wrote {scenario_report_path(args.scenario_dir, name)}")
-        if args.check_scenario is not None:
-            ok, lines = check_scenario_reports(
-                results, args.check_scenario, tolerance=args.tolerance
-            )
-            for line in lines:
-                print(line)
-            if ok:
-                print("bench check OK (scenario)")
-            else:
-                print(
-                    "REGRESSION (scenario): drift beyond "
-                    f"-{args.tolerance:.0%} vs {args.check_scenario}",
-                    file=sys.stderr,
-                )
-                status = 1
+            print(f"bench check OK ({name})")
     return status
 
 
@@ -575,7 +398,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
-    import os
 
     from repro.obs.export import validate_summary
     from repro.scenarios import SCENARIOS, run_scenario

@@ -1,33 +1,29 @@
-"""RMI hot-path benchmark suite and ``BENCH_*.json`` reporting.
+"""The RMI benchmark suites, their specs, and the one baseline gate.
 
-Every perf PR from this one onward is measured against the same
-reproducible harness: :func:`run_hotpath_suite` exercises the invocation
-fast path end to end and :func:`write_report` emits a ``BENCH_*.json``
-file whose schema is stable (documented in README.md), so successive
-reports are directly comparable.
+Each suite measures one claim the end-to-end workloads in
+``benchmarks/e2e`` cannot isolate, and is one declarative
+:class:`SuiteSpec` in :data:`SUITES`: the function that runs it, the
+``BENCH_*.json`` report(s) it writes, its gate families, and the record
+names and ``extra`` keys every report must carry.
 
-The suite measures calls/sec and p50/p99 latency for:
+- ``async`` — asyncio vs threaded transport at c64–c4096 in-flight
+  calls, the c4096 in-flight probe, and batched vs unbatched pipelined
+  callers on the threaded transport;
+- ``shard`` — key-affinity vs flat routing on a sharded pool (hot-key
+  p99), plus the per-shard elasticity probe;
+- ``store`` — watched vs polled epoch reads, and watch vs lease
+  convergence under c256 churn;
+- ``cpu`` — process pool vs threaded offload, and shm vs pipe payloads;
+- ``scenario`` — the open-loop scenario matrix in virtual time
+  (:mod:`repro.scenarios.bench`).
 
-- the marshalling layer alone (``marshal-*``): one call+result
-  round-trip through :mod:`repro.rmi.fastpath` in each mode —
-  ``pickle`` (the seed baseline) and ``zerocopy`` (immutable
-  pass-by-reference).  The zero-copy/pickle
-  ratio is the headline number;
-- unicast stubs over :class:`DirectTransport` and
-  :class:`ThreadedTransport` (``direct-unicast``, ``threaded-unicast``);
-- :class:`ElasticStub` fan-out over pools of 2, 8, and 32 members
-  (``elastic-poolN``), driven on a simulated runtime so results are
-  deterministic in shape.
-
-Two further suites share the harness and schema:
-:func:`run_batching_suite` (batched vs unbatched pipelining, anchored
-on ``batch-off-c1``) and :func:`run_async_suite` (asyncio vs threaded
-transport at c64–c4096 in-flight calls, anchored on ``threaded-c64``).
-
-Run them via ``python -m repro bench`` or through
-``benchmarks/test_rmi_hotpath.py``; ``--scale`` (or the
-``ERMI_BENCH_SCALE`` environment variable) shrinks iteration counts for
-CI smoke runs.
+:func:`run_suite` runs a suite, validates every report against its spec
+before writing it, and with a baseline directory applies
+:func:`compare_reports`: each record is divided by its family's anchor
+(or compared raw when the family has none) and flagged when it drops
+more than :data:`TOLERANCE`.  ``python -m repro bench --suite X
+--check DIR`` is the command; ``ERMI_BENCH_SCALE`` shrinks iteration
+counts for smoke runs.
 """
 
 from __future__ import annotations
@@ -38,6 +34,9 @@ import platform
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
+
+from repro.rmi.cpu import cpu_bound
+from repro.rmi.envcfg import env_float
 
 SCHEMA = "repro.bench/v1"
 
@@ -92,47 +91,25 @@ def time_calls(
 
 
 def summarize(
-    name: str, config: dict[str, Any], durations: list[float]
-) -> BenchRecord:
-    """Fold per-call durations into one :class:`BenchRecord`."""
-    elapsed = sum(durations)
-    calls = len(durations)
-    return BenchRecord(
-        name=name,
-        config=config,
-        calls=calls,
-        elapsed_s=elapsed,
-        calls_per_sec=calls / elapsed if elapsed > 0 else 0.0,
-        p50_us=percentile(durations, 0.50) * 1e6,
-        p99_us=percentile(durations, 0.99) * 1e6,
-        mean_us=(elapsed / calls) * 1e6 if calls else 0.0,
-    )
-
-
-def bench(
-    name: str,
-    config: dict[str, Any],
-    fn: Callable[[], Any],
-    calls: int,
-) -> BenchRecord:
-    """Measure ``fn`` ``calls`` times and summarize."""
-    return summarize(name, config, time_calls(fn, calls))
-
-
-def summarize_wall(
     name: str,
     config: dict[str, Any],
     durations: list[float],
-    wall_s: float,
+    wall_s: float | None = None,
+    calls: int | None = None,
 ) -> BenchRecord:
-    """Fold a *concurrent* run into one record.
+    """Fold measured durations into one :class:`BenchRecord`.
 
-    Unlike :func:`summarize`, throughput is total calls over wall-clock
-    time — with N callers the per-call durations overlap, so summing
-    them would understate throughput N-fold.  Latency percentiles still
-    come from the individual call durations.
+    Throughput is calls over ``wall_s``, which defaults to the sum of
+    the durations (calls made one after another).  Pass the wall clock
+    for a *concurrent* run, whose durations overlap, and ``calls`` when
+    each duration covers several logical calls (a window or a wave).
+    Latency percentiles come from the individual durations.
     """
-    calls = len(durations)
+    samples = len(durations)
+    if wall_s is None:
+        wall_s = sum(durations)
+    if calls is None:
+        calls = samples
     return BenchRecord(
         name=name,
         config=config,
@@ -141,472 +118,39 @@ def summarize_wall(
         calls_per_sec=calls / wall_s if wall_s > 0 else 0.0,
         p50_us=percentile(durations, 0.50) * 1e6,
         p99_us=percentile(durations, 0.99) * 1e6,
-        mean_us=(sum(durations) / calls) * 1e6 if calls else 0.0,
+        mean_us=(sum(durations) / samples) * 1e6 if samples else 0.0,
     )
 
 
-def time_concurrent(
-    make_worker: Callable[[int], Callable[[], list[float]]],
-    callers: int,
+def time_waves(
+    submit: Callable[[], Any], waves: int, width: int
 ) -> tuple[list[float], float]:
-    """Run ``callers`` worker threads and collect their call durations.
+    """``waves`` rounds of ``width`` outstanding futures from ``submit``,
+    each round awaited in full.  Returns the per-wave durations and the
+    wall time of the whole run."""
+    clock = time.perf_counter
+    durations = []
+    begun = clock()
+    for _ in range(waves):
+        started = clock()
+        futures = [submit() for _ in range(width)]
+        for future in futures:
+            future.result()
+        durations.append(clock() - started)
+    return durations, clock() - begun
 
-    ``make_worker(i)`` returns the i-th caller's body, which performs
-    its share of calls and returns their individual durations.  All
-    workers start together (barrier) and the wall clock covers first
-    start to last finish.  Returns ``(all_durations, wall_seconds)``.
+
+def bench_scale() -> float:
+    """Iteration scale factor from ``ERMI_BENCH_SCALE`` (default 1.0).
+
+    A malformed value raises naming the variable: a typo must not turn a
+    smoke run into a full-scale one.
     """
-    import threading
-
-    workers = [make_worker(i) for i in range(callers)]
-    results: list[list[float]] = [[] for _ in range(callers)]
-    barrier = threading.Barrier(callers + 1)
-
-    def body(i: int) -> None:
-        barrier.wait()
-        results[i] = workers[i]()
-
-    threads = [
-        threading.Thread(target=body, args=(i,)) for i in range(callers)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    merged: list[float] = []
-    for partial in results:
-        merged.extend(partial)
-    return merged, wall
-
-
-# ----------------------------------------------------------------------
-# the hot-path suite
-# ----------------------------------------------------------------------
+    return env_float("ERMI_BENCH_SCALE", 1.0)
 
 
 def _scaled(default_calls: int, scale: float) -> int:
     return max(50, int(default_calls * scale))
-
-
-def bench_scale() -> float:
-    """Iteration scale factor from ``ERMI_BENCH_SCALE`` (default 1.0)."""
-    try:
-        return max(0.0, float(os.environ.get("ERMI_BENCH_SCALE", "1")))
-    except ValueError:
-        return 1.0
-
-
-# An immutable payload representative of a hot RPC: an op name, a key,
-# a data blob large enough that copying it is real work, and a small
-# int.  Few elements (analysis stays O(1)-ish), large scalar fields
-# (the pickle baseline pays the full serialize/deserialize memcpy on
-# both ends — exactly the work zero-copy elides).
-_PAYLOAD_BLOB = bytes(range(256)) * 256  # 64 KiB
-_PAYLOAD_KEY = "user:profile:" + "f" * 51
-_PAYLOAD_ARGS = ("get", _PAYLOAD_KEY, _PAYLOAD_BLOB, 7)
-
-
-def run_marshal_microbench(scale: float = 1.0) -> list[BenchRecord]:
-    """One call+result marshal round-trip per mode, same payload.
-
-    Both modes are measured in the same run so the zero-copy /
-    pickled-baseline throughput ratio is apples to apples.
-    """
-    from repro.rmi import fastpath
-
-    calls = _scaled(20_000, scale)
-    records = []
-
-    # The "server" holds the blob, as a read-mostly service would: the
-    # reply marshals the server's own stable object, not a per-call
-    # copy.  (In zerocopy mode args[2] *is* this object anyway.)
-    server_blob = _PAYLOAD_BLOB
-
-    def roundtrip() -> None:
-        payload = fastpath.marshal_call(_PAYLOAD_ARGS, {})
-        args, _kwargs = fastpath.unmarshal_call(payload)
-        assert args[0] == "get"
-        reply = fastpath.marshal_result(server_blob)
-        fastpath.unmarshal_result(reply)
-
-    for mode in ("pickle", "zerocopy"):
-        previous = fastpath.set_mode(mode)
-        try:
-            records.append(
-                bench(
-                    f"marshal-{mode}",
-                    {"layer": "marshal", "mode": mode,
-                     "payload_bytes": len(_PAYLOAD_BLOB)},
-                    roundtrip,
-                    calls,
-                )
-            )
-        finally:
-            fastpath.set_mode(previous)
-    return records
-
-
-def run_unicast_bench(scale: float = 1.0) -> list[BenchRecord]:
-    """Stub→Skeleton echo over both transports (pool size 1)."""
-    from repro.rmi.remote import Remote, Skeleton, Stub
-    from repro.rmi.transport import DirectTransport, ThreadedTransport
-
-    class Echo(Remote):
-        def echo(self, op, key, blob, seq):
-            return blob
-
-    records = []
-
-    direct = DirectTransport()
-    ep = direct.add_endpoint("bench-direct")
-    skel = Skeleton(Echo(), direct, ep.endpoint_id)
-    stub = Stub(direct, skel.ref())
-    records.append(
-        bench(
-            "direct-unicast",
-            {"transport": "direct", "pool_size": 1},
-            lambda: stub.echo(*_PAYLOAD_ARGS),
-            _scaled(5_000, scale),
-        )
-    )
-
-    threaded = ThreadedTransport(workers_per_endpoint=4)
-    try:
-        ep = threaded.add_endpoint("bench-threaded")
-        skel = Skeleton(Echo(), threaded, ep.endpoint_id)
-        stub = Stub(threaded, skel.ref())
-        records.append(
-            bench(
-                "threaded-unicast",
-                {"transport": "threaded", "pool_size": 1, "workers": 4},
-                lambda: stub.echo(*_PAYLOAD_ARGS),
-                _scaled(2_000, scale),
-            )
-        )
-    finally:
-        threaded.shutdown()
-    return records
-
-
-def run_elastic_fanout_bench(
-    scale: float = 1.0, pool_sizes: tuple[int, ...] = (2, 8, 32)
-) -> list[BenchRecord]:
-    """ElasticStub round-robin fan-out at several pool sizes.
-
-    Runs on the simulated runtime (direct transport, virtual clock) so
-    the measured path is the middleware itself — marshalling, balancing,
-    membership caching, skeleton dispatch — with zero sleep time.
-    """
-    from repro.cluster.provisioner import InstantProvisioner
-    from repro.core.api import ElasticObject
-    from repro.core.runtime import ElasticRuntime
-    from repro.sim.kernel import Kernel
-
-    largest = max(pool_sizes)
-
-    class EchoBench(ElasticObject):
-        def __init__(self):
-            super().__init__()
-            self.set_min_pool_size(2)
-            self.set_max_pool_size(largest)
-
-        def echo(self, op, key, blob, seq):
-            return blob
-
-    records = []
-    for size in pool_sizes:
-        kernel = Kernel()
-        runtime = ElasticRuntime.simulated(
-            kernel,
-            nodes=(largest // 2) + 4,
-            slices_per_node=4,
-            provisioner=InstantProvisioner(),
-        )
-        try:
-            pool = runtime.new_pool(
-                EchoBench, name=f"bench-pool{size}", max_size=size
-            )
-            kernel.run_until(kernel.clock.now() + 1.0)
-            if size > pool.size():
-                pool.grow(size - pool.size())
-                kernel.run_until(kernel.clock.now() + 1.0)
-            stub = runtime.stub(pool.name)
-            records.append(
-                bench(
-                    f"elastic-pool{size}",
-                    {
-                        "transport": "direct",
-                        "stub": "elastic",
-                        "pool_size": pool.size(),
-                    },
-                    lambda: stub.echo(*_PAYLOAD_ARGS),
-                    _scaled(3_000, scale),
-                )
-            )
-        finally:
-            runtime.shutdown()
-    return records
-
-
-def run_stats_bench(scale: float = 1.0, callers: int = 8) -> list[BenchRecord]:
-    """Concurrent ``CallStats.record`` under a polling snapshotter.
-
-    This is the shape skeleton stats actually run in: many dispatch
-    threads recording, while the sentinel polls ``snapshot()`` for its
-    rebalancing decisions.  The reference implementation is the
-    pre-striping design — one lock serializing every record *and* the
-    whole snapshot copy, so each poll stalls every recorder — measured
-    against the thread-striped :class:`~repro.rmi.remote.CallStats`,
-    where recorders only ever touch their own stripe's (uncontended)
-    lock and the poll takes stripes one at a time.
-    """
-    import threading
-    from copy import deepcopy
-
-    from repro.rmi.remote import CallStats, MethodStats
-
-    class LockedStats:
-        """The old design: one lock for recorders and snapshots alike."""
-
-        def __init__(self) -> None:
-            self._lock = threading.Lock()
-            self._methods: dict[str, MethodStats] = {}
-
-        def record(self, method: str, elapsed: float, error: bool = False) -> None:
-            with self._lock:
-                stats = self._methods.setdefault(method, MethodStats())
-                stats.calls += 1
-                stats.total_latency += elapsed
-                if error:
-                    stats.errors += 1
-
-        def snapshot(self) -> dict[str, MethodStats]:
-            with self._lock:
-                return deepcopy(self._methods)
-
-    methods = [f"method-{i}" for i in range(32)]
-    per_caller = _scaled(20_000, scale)
-    records = []
-    for name, stats in (
-        ("stats-locked", LockedStats()),
-        ("stats-striped", CallStats()),
-    ):
-        stop = threading.Event()
-
-        def poll(stats: Any = stats, stop: threading.Event = stop) -> None:
-            while not stop.is_set():
-                stats.snapshot()
-
-        def make_worker(i: int, stats: Any = stats) -> Callable[[], list[float]]:
-            def worker() -> list[float]:
-                clock = time.perf_counter
-                durations = []
-                append = durations.append
-                for j in range(per_caller):
-                    method = methods[j & 31]
-                    started = clock()
-                    stats.record(method, 0.001)
-                    append(clock() - started)
-                return durations
-
-            return worker
-
-        poller = threading.Thread(target=poll, daemon=True)
-        poller.start()
-        try:
-            durations, wall = time_concurrent(make_worker, callers)
-        finally:
-            stop.set()
-            poller.join()
-        records.append(
-            summarize_wall(
-                f"{name}-c{callers}",
-                {"layer": "stats", "impl": name, "callers": callers,
-                 "snapshotter": True, "methods": len(methods)},
-                durations,
-                wall,
-            )
-        )
-    return records
-
-
-def run_hotpath_suite(scale: float | None = None) -> list[BenchRecord]:
-    """The full RMI hot-path suite in one run."""
-    if scale is None:
-        scale = bench_scale()
-    records = []
-    records += run_marshal_microbench(scale)
-    records += run_unicast_bench(scale)
-    records += run_elastic_fanout_bench(scale)
-    records += run_stats_bench(scale)
-    return records
-
-
-# ----------------------------------------------------------------------
-# the batching suite
-# ----------------------------------------------------------------------
-
-BATCH_CALLERS = (1, 8, 64)
-BATCH_WINDOW = 16
-BATCH_MAX = 64
-BATCH_INFLIGHT = 4
-
-
-def _make_batch_harness(batched: bool) -> tuple[Any, Any, Any]:
-    """A ThreadedTransport echo service plus the stub under test."""
-    from repro.rmi.batching import RequestBatcher
-    from repro.rmi.remote import Remote, Skeleton, Stub
-    from repro.rmi.transport import ThreadedTransport
-
-    class Echo(Remote):
-        def echo(self, op, key, blob, seq):
-            return seq
-
-    transport = ThreadedTransport(workers_per_endpoint=4)
-    ep = transport.add_endpoint("bench-batch")
-    skel = Skeleton(Echo(), transport, ep.endpoint_id)
-    batcher = (
-        RequestBatcher(
-            transport,
-            max_batch=BATCH_MAX,
-            inflight_limit=BATCH_INFLIGHT,
-        )
-        if batched
-        else None
-    )
-    stub = Stub(transport, skel.ref(), batcher=batcher)
-    return transport, stub, batcher
-
-
-def run_batching_suite(
-    scale: float | None = None, extra_out: dict[str, Any] | None = None
-) -> list[BenchRecord]:
-    """Batched vs unbatched invocation throughput and latency.
-
-    The workload is the pipelined-async shape the batching layer is
-    built for: every caller issues a window of ``BATCH_WINDOW``
-    ``invoke_async`` calls, gathers, repeats.  Both legs run the *same*
-    caller code — the only toggle is whether the stub carries a
-    :class:`~repro.rmi.batching.RequestBatcher` — so the record ratio
-    isolates what coalescing buys (``batch-on-c64`` vs ``batch-off-c64``
-    is the headline).  Latency samples are per *window* (submit of the
-    first call to gather completion), the latency a pipelined caller
-    actually observes.
-
-    Two further records pin down idle-cost neutrality: a synchronous
-    single caller with no batcher attached (``sync-c1-nobatcher``, the
-    seed-identical path) vs the same caller with a batcher attached but
-    disabled (``sync-c1-batcher-off``, ``max_batch=1``) — their
-    latencies must stay within a few percent, showing the feature costs
-    nothing until it is switched on.
-    """
-    from repro.rmi.batching import RequestBatcher
-    from repro.rmi.future import gather
-
-    if scale is None:
-        scale = bench_scale()
-
-    records = []
-    extra: dict[str, Any] = {} if extra_out is None else extra_out
-    for callers in BATCH_CALLERS:
-        per_caller = _scaled(
-            {1: 4_000, 8: 2_000}.get(callers, 500), scale
-        )
-        # Whole windows only, so every latency sample covers a full window.
-        per_caller -= per_caller % BATCH_WINDOW
-        per_caller = max(BATCH_WINDOW, per_caller)
-        for batched in (False, True):
-            transport, stub, batcher = _make_batch_harness(batched)
-            try:
-                def make_worker(i: int, stub: Any = stub) -> Callable[[], list[float]]:
-                    def worker() -> list[float]:
-                        clock = time.perf_counter
-                        windows = []
-                        append = windows.append
-                        for base in range(0, per_caller, BATCH_WINDOW):
-                            started = clock()
-                            futures = [
-                                stub.invoke_async(
-                                    "echo", *_PAYLOAD_ARGS[:3], base + j
-                                )
-                                for j in range(BATCH_WINDOW)
-                            ]
-                            gather(futures)
-                            append(clock() - started)
-                        return windows
-
-                    return worker
-
-                # Warm one window per caller outside the clock.
-                gather([
-                    stub.invoke_async("echo", *_PAYLOAD_ARGS[:3], j)
-                    for j in range(BATCH_WINDOW)
-                ])
-                windows, wall = time_concurrent(make_worker, callers)
-                name = f"batch-{'on' if batched else 'off'}-c{callers}"
-                record = summarize_wall(
-                    name,
-                    {
-                        "transport": "threaded",
-                        "callers": callers,
-                        "window": BATCH_WINDOW,
-                        "batching": batched,
-                        "max_batch": BATCH_MAX if batched else 1,
-                        "inflight": BATCH_INFLIGHT if batched else 0,
-                    },
-                    windows,
-                    wall,
-                )
-                # Throughput is logical calls/s, not windows/s.
-                record.calls = len(windows) * BATCH_WINDOW
-                record.calls_per_sec = record.calls / wall if wall > 0 else 0.0
-                records.append(record)
-                if batcher is not None:
-                    extra[name] = {
-                        "coalesce_ratio": round(
-                            batcher.stats.coalesce_ratio(), 2
-                        ),
-                        "batches": batcher.stats.batches,
-                        "inflight_hwm": batcher.stats.inflight_hwm,
-                    }
-            finally:
-                transport.shutdown()
-
-    # Idle-cost neutrality: sync single caller, batching disabled.
-    from repro.rmi.remote import Stub
-
-    sync_calls = _scaled(2_000, scale)
-    for name, with_batcher in (
-        ("sync-c1-nobatcher", False),
-        ("sync-c1-batcher-off", True),
-    ):
-        transport, stub, _ = _make_batch_harness(False)
-        try:
-            if with_batcher:
-                stub = Stub(
-                    transport,
-                    stub.ref,
-                    batcher=RequestBatcher(transport, max_batch=1),
-                )
-            records.append(
-                bench(
-                    name,
-                    {
-                        "transport": "threaded",
-                        "callers": 1,
-                        "batching": False,
-                        "batcher_attached": with_batcher,
-                    },
-                    lambda: stub.echo(*_PAYLOAD_ARGS),
-                    sync_calls,
-                )
-            )
-        finally:
-            transport.shutdown()
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -703,9 +247,7 @@ def _probe_inflight(target: int = ASYNC_PROBE_TARGET) -> dict[str, Any]:
         transport.shutdown()
 
 
-def run_async_suite(
-    scale: float | None = None, extra_out: dict[str, Any] | None = None
-) -> list[BenchRecord]:
+def run_async_suite(scale: float) -> dict[str, Any]:
     """Asyncio vs threaded transport at c64–c4096 concurrent calls.
 
     One caller thread pipelines ``concurrency`` ``invoke_async`` calls
@@ -715,19 +257,19 @@ def run_async_suite(
     threaded records saturate at roughly
     ``workers / service_time`` calls/s no matter the concurrency (one
     blocked thread per in-flight call); the asyncio records keep
-    scaling, which is the transport's reason to exist.
+    scaling, which is the transport's reason to exist.  Two further
+    records, ``batch-off-c64`` and ``batch-on-c64``, measure request
+    batching on the threaded transport (:func:`_run_batching_leg`).
 
-    ``extra_out`` (surfaced as the report's ``extra`` section) records
-    each asyncio run's in-flight high-water mark and the gated
-    ``inflight-probe`` result proving the ≥ 2048-sustained claim.
+    The report's ``extra`` records each asyncio run's in-flight
+    high-water mark and the ``inflight-probe`` result proving the
+    ≥ 2048-sustained claim.
     """
     from repro.rmi.future import gather
 
-    if scale is None:
-        scale = bench_scale()
     rounds = max(1, int(round(3 * scale)))
     records = []
-    extra: dict[str, Any] = {} if extra_out is None else extra_out
+    extra: dict[str, Any] = {}
     for kind in ("threaded", "aio"):
         for concurrency in ASYNC_CONCURRENCY:
             transport, stub = _make_async_harness(kind)
@@ -737,18 +279,10 @@ def run_async_suite(
                     stub.invoke_async("echo", seq)
                     for seq in range(min(concurrency, 64))
                 ])
-                clock = time.perf_counter
-                windows = []
-                for _ in range(rounds):
-                    started = clock()
-                    futures = [
-                        stub.invoke_async("echo", seq)
-                        for seq in range(concurrency)
-                    ]
-                    gather(futures)
-                    windows.append(clock() - started)
-                wall = sum(windows)
-                record = summarize_wall(
+                windows, wall = time_waves(
+                    lambda: stub.invoke_async("echo", 1), rounds, concurrency
+                )
+                record = summarize(
                     f"{kind}-c{concurrency}",
                     {
                         "transport": kind,
@@ -762,11 +296,7 @@ def run_async_suite(
                     },
                     windows,
                     wall,
-                )
-                # Throughput is logical calls/s, not windows/s.
-                record.calls = rounds * concurrency
-                record.calls_per_sec = (
-                    record.calls / wall if wall > 0 else 0.0
+                    calls=rounds * concurrency,
                 )
                 records.append(record)
                 if kind == "aio":
@@ -777,7 +307,114 @@ def run_async_suite(
             finally:
                 transport.shutdown()
     extra["inflight-probe"] = _probe_inflight()
-    return records
+    for batched in (False, True):
+        record, stats = _run_batching_leg(batched, scale)
+        records.append(record)
+        if stats is not None:
+            extra[record.name] = stats
+    return build_report("rmi_async", records, extra)
+
+
+# Threaded batching legs: BATCH_CALLERS sender threads, each pipelining
+# windows of BATCH_WINDOW calls.  No end-to-end workload batches on the
+# threaded transport, so these two records are its only measurement.
+BATCH_CALLERS = 64
+BATCH_WINDOW = 16
+BATCH_MAX = 64
+BATCH_INFLIGHT = 4
+_BATCH_PAYLOAD = ("get", "user:profile:" + "f" * 51, bytes(range(256)) * 256)
+
+
+def _run_batching_leg(
+    batched: bool, scale: float
+) -> tuple[BenchRecord, dict[str, Any] | None]:
+    """``batch-{off,on}-c64``: the same pipelined callers on a
+    ThreadedTransport echo service, with or without a
+    :class:`~repro.rmi.batching.RequestBatcher` on the stub.
+
+    Latency samples are per window (first submit to gather completion);
+    throughput is logical calls over wall time.  Returns the record and,
+    when batched, the batcher's coalescing stats.
+    """
+    import threading
+
+    from repro.rmi.batching import RequestBatcher
+    from repro.rmi.future import gather
+    from repro.rmi.remote import Remote, Skeleton, Stub
+    from repro.rmi.transport import ThreadedTransport
+
+    class Echo(Remote):
+        def echo(self, op, key, blob, seq):
+            return seq
+
+    per_caller = _scaled(500, scale)
+    # Whole windows only, so every latency sample covers a full window.
+    per_caller = max(BATCH_WINDOW, per_caller - per_caller % BATCH_WINDOW)
+    transport = ThreadedTransport(workers_per_endpoint=4)
+    try:
+        ep = transport.add_endpoint("bench-batch")
+        skel = Skeleton(Echo(), transport, ep.endpoint_id)
+        batcher = (
+            RequestBatcher(
+                transport, max_batch=BATCH_MAX, inflight_limit=BATCH_INFLIGHT
+            )
+            if batched else None
+        )
+        stub = Stub(transport, skel.ref(), batcher=batcher)
+
+        def windows_of(count: int) -> list[float]:
+            clock = time.perf_counter
+            durations = []
+            for base in range(0, count, BATCH_WINDOW):
+                started = clock()
+                gather([
+                    stub.invoke_async("echo", *_BATCH_PAYLOAD, base + j)
+                    for j in range(BATCH_WINDOW)
+                ])
+                durations.append(clock() - started)
+            return durations
+
+        windows_of(BATCH_WINDOW)  # warm outside the clock
+        results: list[list[float]] = [[] for _ in range(BATCH_CALLERS)]
+        barrier = threading.Barrier(BATCH_CALLERS + 1)
+
+        def caller(i: int) -> None:
+            barrier.wait()
+            results[i] = windows_of(per_caller)
+
+        threads = [
+            threading.Thread(target=caller, args=(i,))
+            for i in range(BATCH_CALLERS)
+        ]
+        for thread in threads:
+            thread.start()
+        barrier.wait()
+        started = time.perf_counter()
+        for thread in threads:
+            thread.join()
+        wall = time.perf_counter() - started
+        record = summarize(
+            f"batch-{'on' if batched else 'off'}-c{BATCH_CALLERS}",
+            {
+                "transport": "threaded",
+                "callers": BATCH_CALLERS,
+                "window": BATCH_WINDOW,
+                "batching": batched,
+                "max_batch": BATCH_MAX if batched else 1,
+                "inflight": BATCH_INFLIGHT if batched else 0,
+            },
+            [d for durations in results for d in durations],
+            wall,
+            calls=BATCH_CALLERS * per_caller,
+        )
+        stats = None if batcher is None else {
+            "coalesce_ratio": round(batcher.stats.coalesce_ratio(), 2),
+            "batches": batcher.stats.batches,
+            "inflight_hwm": batcher.stats.inflight_hwm,
+        }
+        return record, stats
+    finally:
+        transport.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -902,7 +539,7 @@ def _run_shard_leg(
             if measured:
                 wall += clock() - started
         durations = [latency for _, latency, _ in samples]
-        record = summarize_wall(
+        record = summarize(
             name,
             {
                 "transport": "aio",
@@ -998,9 +635,7 @@ def _probe_shard_elasticity() -> dict[str, Any]:
         runtime.shutdown()
 
 
-def run_shard_suite(
-    scale: float | None = None, extra_out: dict[str, Any] | None = None
-) -> list[BenchRecord]:
+def run_shard_suite(scale: float) -> dict[str, Any]:
     """Key-affinity routing vs flat round-robin over a sharded pool.
 
     The workload is a zipf(:data:`SHARD_ZIPF_S`) key popularity over
@@ -1010,12 +645,10 @@ def run_shard_suite(
     the hot keys' cache entries stay resident on their shard's members,
     so their p99 sits at hit latency; under flat round-robin every
     member sees the whole keyspace, warm entries churn, and the hot-key
-    p99 climbs toward the miss service time.  Anchor record for
-    normalized regression checks: ``shard-flat-c256``.
+    p99 climbs toward the miss service time.  ``extra`` also carries
+    the ``shard-elasticity`` probe.
     """
-    if scale is None:
-        scale = bench_scale()
-    extra: dict[str, Any] = {} if extra_out is None else extra_out
+    extra: dict[str, Any] = {}
 
     # Warmup is *not* scaled: the contrast under test is between warm
     # steady states, so the caches must actually fill before sampling
@@ -1041,7 +674,7 @@ def run_shard_suite(
         records.append(record)
         extra[name] = leg_extra
     extra["shard-elasticity"] = _probe_shard_elasticity()
-    return records
+    return build_report("rmi_shard", records, extra)
 
 
 # ----------------------------------------------------------------------
@@ -1114,15 +747,15 @@ def _run_epoch_leg(
     epoch_reads: Callable[[], int],
     cached: bool,
     calls: int,
-) -> tuple[BenchRecord, dict[str, Any]]:
-    """Measure one epoch-learning discipline on a fresh stub."""
+) -> tuple[BenchRecord, float]:
+    """Measure one epoch-learning discipline on a fresh stub; returns
+    its record and the store epoch reads per call."""
     stub = runtime.stub("bench-epoch", epoch_caching=cached)
     stub.echo("prime")  # first call pays the (one) read-through miss
     warmup = max(1, calls // 10)
     before = epoch_reads()
     durations = time_calls(lambda: stub.echo(1), calls, warmup=warmup)
-    reads = epoch_reads() - before
-    reads_per_call = reads / (calls + warmup)
+    reads_per_call = (epoch_reads() - before) / (calls + warmup)
     record = summarize(
         name,
         {
@@ -1133,10 +766,7 @@ def _run_epoch_leg(
         },
         durations,
     )
-    return record, {
-        "epoch_reads": reads,
-        "epoch_reads_per_call": round(reads_per_call, 6),
-    }
+    return record, round(reads_per_call, 6)
 
 
 def _run_convergence_leg(
@@ -1178,7 +808,7 @@ def _run_convergence_leg(
                         durations.append(clock() - started)
                         del waiting[index]
             wall += clock() - started
-        record = summarize_wall(
+        record = summarize(
             name,
             {
                 "clients": STORE_CONVERGE_CLIENTS,
@@ -1200,9 +830,7 @@ def _run_convergence_leg(
             cache.close()
 
 
-def run_store_suite(
-    scale: float | None = None, extra_out: dict[str, Any] | None = None
-) -> list[BenchRecord]:
+def run_store_suite(scale: float) -> dict[str, Any]:
     """Coordination-read cost: watched cache vs per-call store polling.
 
     Two contrasts, both from PR 8's tentpole:
@@ -1217,12 +845,8 @@ def run_store_suite(
       zero steady-state reads — the best a poll-flavoured design does)
       vs push invalidation.  Headline: ``extra["convergence"]`` p50
       latency ratio.
-
-    Anchor record for normalized regression checks: ``epoch-poll-c1``.
     """
-    if scale is None:
-        scale = bench_scale()
-    extra: dict[str, Any] = {} if extra_out is None else extra_out
+    extra: dict[str, Any] = {}
 
     records = []
     calls = _scaled(STORE_EPOCH_CALLS, scale)
@@ -1230,14 +854,12 @@ def run_store_suite(
     try:
         steady: dict[str, Any] = {"calls_per_leg": calls}
         for name, cached in (("epoch-poll-c1", False), ("epoch-watch-c1", True)):
-            record, leg_extra = _run_epoch_leg(
+            record, reads_per_call = _run_epoch_leg(
                 name, runtime, epoch_reads, cached, calls
             )
             records.append(record)
             mode = "watch" if cached else "poll"
-            steady[f"{mode}_epoch_reads_per_call"] = leg_extra[
-                "epoch_reads_per_call"
-            ]
+            steady[f"{mode}_epoch_reads_per_call"] = reads_per_call
         extra["steady-state"] = steady
     finally:
         runtime.shutdown()
@@ -1264,7 +886,7 @@ def run_store_suite(
         poll_p50 / watch_p50 if watch_p50 > 0 else float("inf"), 2
     )
     extra["convergence"] = convergence
-    return records
+    return build_report("rmi_store", records, extra)
 
 
 # ----------------------------------------------------------------------
@@ -1300,43 +922,16 @@ def _calibrate_spin(target_s: float) -> int:
 class _CpuBurner:
     """Module-level on purpose: cpu workers rebuild it by reference."""
 
+    @cpu_bound
     def burn(self, iters: int) -> int:
         return _spin(iters)
 
+    @cpu_bound
     def echo(self, blob: bytes) -> bytes:
         return blob
 
 
-def _cpu_burner_class() -> type:
-    """Apply ``@cpu_bound`` lazily (keeps module import light)."""
-    from repro.rmi.cpu import cpu_bound
-
-    if not getattr(_CpuBurner.burn, "__ermi_cpu_bound__", False):
-        cpu_bound(_CpuBurner.burn)
-        cpu_bound(_CpuBurner.echo)
-    return _CpuBurner
-
-
-def _run_cpu_waves(
-    submit: Callable[[], Any], calls: int, concurrency: int
-) -> tuple[list[float], float]:
-    """Waves of ``concurrency`` outstanding futures; per-wave durations."""
-    clock = time.perf_counter
-    waves = max(1, calls // concurrency)
-    durations = []
-    begun = clock()
-    for _ in range(waves):
-        started = clock()
-        futures = [submit() for _ in range(concurrency)]
-        for future in futures:
-            future.result()
-        durations.append(clock() - started)
-    return durations, clock() - begun
-
-
-def run_cpu_suite(
-    scale: float | None = None, extra_out: dict[str, Any] | None = None
-) -> list[BenchRecord]:
+def run_cpu_suite(scale: float) -> dict[str, Any]:
     """Process-pool vs threaded offload, and shm vs pipe payloads.
 
     Two sweeps.  The *compute* sweep runs a calibrated pure-python busy
@@ -1352,20 +947,16 @@ def run_cpu_suite(
     ``extra`` records the visible ``cpu_count`` — the thread-vs-process
     speedups are physically bounded by it, so a 1-core box reports ~1×
     where a 4-core CI runner reports ~3-4× (the gate normalizes within
-    each family for exactly that reason, see :func:`compare_cpu_reports`).
+    each family for exactly that reason, see ``SUITES["cpu"]``).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.rmi import AsyncioTransport, Skeleton, Stub
     from repro.rmi.cpu import DEFAULT_SHM_MIN, CpuExecutor
-    from repro.rmi.future import gather
 
-    if scale is None:
-        scale = bench_scale()
-    burner_cls = _cpu_burner_class()
-    burner = burner_cls()
+    burner = _CpuBurner()
     records: list[BenchRecord] = []
-    extra: dict[str, Any] = {} if extra_out is None else extra_out
+    extra: dict[str, Any] = {}
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -1380,10 +971,13 @@ def run_cpu_suite(
 
     def leg(name: str, config: dict[str, Any], submit, calls: int) -> None:
         submit().result()  # warm: spawn pool threads / touch the pipe
-        durations, wall = _run_cpu_waves(submit, calls, CPU_CONCURRENCY)
-        record = summarize_wall(name, config, durations, wall)
-        record.calls = len(durations) * CPU_CONCURRENCY
-        record.calls_per_sec = record.calls / wall if wall > 0 else 0.0
+        durations, wall = time_waves(
+            submit, max(1, calls // CPU_CONCURRENCY), CPU_CONCURRENCY
+        )
+        record = summarize(
+            name, config, durations, wall,
+            calls=len(durations) * CPU_CONCURRENCY,
+        )
         records.append(record)
         throughput[name] = record.calls_per_sec
 
@@ -1428,20 +1022,7 @@ def run_cpu_suite(
         skeleton = Skeleton(burner, transport, endpoint.endpoint_id)
         stub = Stub(transport, skeleton.ref())
         iters = spin_per_ms * 5
-        calls = max(2 * CPU_CONCURRENCY, int(240 * scale) // 5)
-        clock = time.perf_counter
-        gather([stub.invoke_async("burn", iters)])  # warm the path
-        durations = []
-        begun = clock()
-        for _ in range(max(1, calls // CPU_CONCURRENCY)):
-            started = clock()
-            gather([
-                stub.invoke_async("burn", iters)
-                for _ in range(CPU_CONCURRENCY)
-            ])
-            durations.append(clock() - started)
-        wall = clock() - begun
-        record = summarize_wall(
+        leg(
             "cpu-aio-proc-5ms",
             {
                 "cost_ms": 5,
@@ -1450,13 +1031,9 @@ def run_cpu_suite(
                 "executor": "process",
                 "transport": "aio",
             },
-            durations,
-            wall,
+            lambda: stub.invoke_async("burn", iters),
+            max(2 * CPU_CONCURRENCY, int(240 * scale) // 5),
         )
-        record.calls = len(durations) * CPU_CONCURRENCY
-        record.calls_per_sec = record.calls / wall if wall > 0 else 0.0
-        records.append(record)
-        throughput[record.name] = record.calls_per_sec
     finally:
         transport.shutdown()
         executor.shutdown()
@@ -1502,92 +1079,7 @@ def run_cpu_suite(
         f"shm_vs_pipe_{mib}mib": ratio(f"cpu-shm-{mib}mib", f"cpu-pipe-{mib}mib")
         for mib in CPU_PAYLOAD_MIB
     }
-    return records
-
-
-# The gate families for compare_cpu_reports: thread-vs-process ratios
-# depend on the core count of the measuring machine (a 1-core box shows
-# ~1x where a 4-core runner shows ~4x), so a single-anchor normalization
-# would flag cross-family drift that is pure topology.  Within a family
-# every record scales with the same resource, so those ratios are stable
-# across machines and still catch real regressions.
-CPU_COMPARE_FAMILIES = (
-    ("thread", ("cpu-thread-",), "cpu-thread-5ms"),
-    ("process", ("cpu-proc-", "cpu-aio-proc-"), "cpu-proc-5ms"),
-    ("payload", ("cpu-pipe-", "cpu-shm-"), "cpu-pipe-1mib"),
-)
-
-# Within the process family the 1 ms leg is the one record whose cost is
-# IPC-dominated rather than compute-dominated: adding cores (or shrinking
-# the per-leg call count) moves it relative to the 5/20 ms anchors even
-# when nothing regressed.  It stays in the report and in the ``speedup``
-# extra, but is not gated.
-CPU_COMPARE_EXCLUDE = frozenset({"cpu-proc-1ms"})
-
-
-def compare_cpu_reports(
-    baseline: dict[str, Any] | list[BenchRecord],
-    current: dict[str, Any] | list[BenchRecord],
-    tolerance: float = 0.30,
-) -> CompareResult:
-    """The cpu suite's baseline gate: per-family normalized comparison.
-
-    Same contract as :func:`compare_reports` with ``normalize=True``,
-    except each record is normalized by *its family's* anchor (see
-    :data:`CPU_COMPARE_FAMILIES`) instead of one global anchor.  Records
-    only in ``current`` pass; records only in ``baseline`` are missing.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1): {tolerance}")
-    base = _record_throughputs(baseline)
-    cur = _record_throughputs(current)
-    lines = [
-        f"{'config':<20} {'baseline':>12} {'current':>12} {'delta':>8}"
-    ]
-    regressions: list[str] = []
-    missing: list[str] = []
-    matched: set[str] = set()
-    for family, prefixes, anchor in CPU_COMPARE_FAMILIES:
-        family_names = [
-            name
-            for name in base
-            if name.startswith(prefixes) and name not in CPU_COMPARE_EXCLUDE
-        ]
-        if not family_names:
-            continue
-        base_anchor = base.get(anchor, 0.0)
-        cur_anchor = cur.get(anchor, 0.0)
-        if base_anchor <= 0.0 or cur_anchor <= 0.0:
-            raise ValueError(
-                f"cannot normalize cpu family {family!r}: anchor "
-                f"{anchor!r} missing or zero"
-            )
-        for name in family_names:
-            matched.add(name)
-            base_value = base[name] / base_anchor
-            if name not in cur:
-                missing.append(name)
-                lines.append(
-                    f"{name:<20} {base_value:>12.2f} {'MISSING':>12}"
-                )
-                continue
-            cur_value = cur[name] / cur_anchor
-            delta = (
-                (cur_value - base_value) / base_value
-                if base_value > 0 else 0.0
-            )
-            verdict = ""
-            if delta < -tolerance:
-                regressions.append(name)
-                verdict = "  REGRESSION"
-            lines.append(
-                f"{name:<20} {base_value:>12.2f} {cur_value:>12.2f} "
-                f"{delta:>+7.1%}{verdict}  (x {anchor})"
-            )
-    for name in base:
-        if name not in matched:
-            lines.append(f"{name:<20} (not in a cpu gate family; skipped)")
-    return CompareResult(lines=lines, regressions=regressions, missing=missing)
+    return build_report("rmi_cpu", records, extra)
 
 
 # ----------------------------------------------------------------------
@@ -1624,21 +1116,11 @@ def build_report(
     return doc
 
 
-def write_report(
-    path: str,
-    suite: str,
-    records: list[BenchRecord],
-    extra: dict[str, Any] | None = None,
-    deterministic: bool = False,
-) -> dict[str, Any]:
-    """Write (and return) the ``BENCH_*.json`` document."""
-    doc = build_report(
-        suite, records, extra=extra, deterministic=deterministic
-    )
+def write_report(path: str, doc: dict[str, Any]) -> None:
+    """Write one ``BENCH_*.json`` document."""
     with open(path, "w") as handle:
         json.dump(doc, handle, indent=2, sort_keys=False)
         handle.write("\n")
-    return doc
 
 
 def load_report(path: str) -> dict[str, Any]:
@@ -1674,6 +1156,197 @@ def validate_report(doc: dict[str, Any]) -> list[str]:
     return problems
 
 
+def format_table(doc: dict[str, Any]) -> str:
+    """Human-readable summary of one report."""
+    lines = [
+        f"{'config':<20} {'calls':>8} {'calls/s':>12} "
+        f"{'p50 µs':>10} {'p99 µs':>10}",
+    ]
+    for record in doc["records"]:
+        lines.append(
+            f"{record['name']:<20} {record['calls']:>8} "
+            f"{record['calls_per_sec']:>12.0f} "
+            f"{record['p50_us']:>10.1f} {record['p99_us']:>10.1f}"
+        )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# suite specs and the baseline gate
+# ----------------------------------------------------------------------
+
+#: Allowed fractional drop of a gated record against its baseline.
+TOLERANCE = 0.30
+
+
+@dataclass(frozen=True)
+class SuiteSpec:
+    """One suite, declared.
+
+    ``run(scale)`` returns ``{report file name: document}`` for exactly
+    the files ``reports()`` names; ``reports()`` maps each file to the
+    record names it must carry (a callable, so the scenario suite can
+    read its names off the catalogue, which imports this module).
+    ``families`` are the gate families, each ``(record-name prefixes,
+    anchor)``: a record is compared as a multiple of its family's anchor
+    record from the same run, or raw when the anchor is ``None``.
+    Records in ``ungated`` stay in the report but are not compared.
+    ``extra`` names the ``extra`` keys every report must carry.
+    """
+
+    run: Callable[[float], dict[str, dict[str, Any]]]
+    reports: Callable[[], dict[str, tuple[str, ...]]]
+    families: tuple[tuple[tuple[str, ...], str | None], ...]
+    extra: tuple[str, ...]
+    ungated: frozenset[str] = frozenset()
+
+
+def latency_drift(
+    baseline: dict[str, Any], current: dict[str, Any], tolerance: float
+) -> list[tuple[str, str]]:
+    """``(label, line)`` for each record whose p50/p99 grew more than
+    ``tolerance``.
+
+    Raw families (the scenario suite) are gated on this beside
+    throughput: their percentiles are deterministic virtual-time figures
+    and their headline.  Downward drift (an improvement) passes.
+    """
+    cur = {r["name"]: r for r in current.get("records", [])}
+    problems = []
+    for base_record in baseline.get("records", []):
+        name = base_record["name"]
+        record = cur.get(name)
+        if record is None:
+            continue  # the throughput gate reports it as missing
+        for field in ("p50_us", "p99_us"):
+            base_value = float(base_record[field])
+            if base_value <= 0:
+                continue
+            delta = (float(record[field]) - base_value) / base_value
+            if delta > tolerance:
+                problems.append((
+                    f"{name} {field}",
+                    f"{name} {field} {base_value:.1f} -> "
+                    f"{float(record[field]):.1f} ({delta:+.1%})  REGRESSION",
+                ))
+    return problems
+
+
+def _scenario_reports() -> dict[str, tuple[str, ...]]:
+    # Imported here: repro.scenarios imports this module.
+    from repro.scenarios.bench import scenario_report_name
+    from repro.scenarios.catalog import SCENARIOS
+
+    return {
+        scenario_report_name(name): (f"scenario-{name}",)
+        for name in SCENARIOS
+    }
+
+
+def _run_scenarios(scale: float) -> dict[str, dict[str, Any]]:
+    from repro.scenarios.bench import run_scenario_suite, scenario_report_name
+
+    return {
+        scenario_report_name(name): doc
+        for name, _result, doc in run_scenario_suite(scale)
+    }
+
+
+SUITES: dict[str, SuiteSpec] = {
+    "async": SuiteSpec(
+        run=lambda scale: {"BENCH_rmi_async.json": run_async_suite(scale)},
+        reports=lambda: {
+            "BENCH_rmi_async.json": tuple(
+                f"{kind}-c{c}"
+                for kind in ("threaded", "aio")
+                for c in ASYNC_CONCURRENCY
+            ) + ("batch-off-c64", "batch-on-c64"),
+        },
+        # One family per transport: a threaded anchor would fold the
+        # aio/threaded ratio, which moves with the host, into every aio leg.
+        # aio-c64 is three ~4 ms windows, too short to read: it swings
+        # 3x between runs of identical code, so it anchors nothing and
+        # is not gated.  The batched threaded leg is read against the
+        # unbatched one: the ratio is what batching buys.
+        families=(
+            (("threaded-",), "threaded-c64"),
+            (("aio-",), "aio-c1024"),
+            (("batch-",), "batch-off-c64"),
+        ),
+        extra=("inflight-probe", "batch-on-c64")
+        + tuple(f"aio-c{c}" for c in ASYNC_CONCURRENCY),
+        ungated=frozenset({"aio-c64"}),
+    ),
+    "shard": SuiteSpec(
+        run=lambda scale: {"BENCH_rmi_shard.json": run_shard_suite(scale)},
+        reports=lambda: {
+            "BENCH_rmi_shard.json": ("shard-flat-c256", "shard-affinity-c256"),
+        },
+        families=((("shard-",), "shard-flat-c256"),),
+        extra=("shard-flat-c256", "shard-affinity-c256", "shard-elasticity"),
+    ),
+    "store": SuiteSpec(
+        run=lambda scale: {"BENCH_rmi_store.json": run_store_suite(scale)},
+        reports=lambda: {
+            "BENCH_rmi_store.json": (
+                "epoch-poll-c1", "epoch-watch-c1",
+                "churn-poll-c256", "churn-watch-c256",
+            ),
+        },
+        families=(
+            (("epoch-",), "epoch-poll-c1"),
+            (("churn-",), "churn-poll-c256"),
+        ),
+        extra=("steady-state", "convergence"),
+    ),
+    # Thread-vs-process ratios depend on the measuring machine's core
+    # count (a 1-core box shows ~1x where a 4-core runner shows ~4x), so
+    # each family is anchored on its own leg.  Within the process family
+    # the 1 ms leg is IPC-dominated: adding cores (or shrinking the
+    # per-leg call count) moves it against the 5/20 ms anchor even when
+    # nothing regressed, so it stays in the report but is not gated.
+    # cpu-aio-proc-5ms adds a loop hop to the same pool and swings ~30%
+    # against that anchor between runs of identical code: also ungated.
+    "cpu": SuiteSpec(
+        run=lambda scale: {"BENCH_rmi_cpu.json": run_cpu_suite(scale)},
+        reports=lambda: {
+            "BENCH_rmi_cpu.json": tuple(
+                f"cpu-{kind}-{cost}ms"
+                for kind in ("thread", "proc")
+                for cost in CPU_COSTS_MS
+            )
+            + ("cpu-aio-proc-5ms",)
+            + tuple(
+                f"cpu-{kind}-{mib}mib"
+                for kind in ("pipe", "shm")
+                for mib in CPU_PAYLOAD_MIB
+            ),
+        },
+        families=(
+            (("cpu-thread-",), "cpu-thread-5ms"),
+            (("cpu-proc-", "cpu-aio-proc-"), "cpu-proc-5ms"),
+            (("cpu-pipe-", "cpu-shm-"), "cpu-pipe-1mib"),
+        ),
+        extra=(
+            "cpu_count", "workers", "concurrency", "shm_min_default",
+            "speedup", "zero_copy",
+        ),
+        ungated=frozenset({"cpu-proc-1ms", "cpu-aio-proc-5ms"}),
+    ),
+    # Virtual-time metrics, identical on any machine for a seed: raw
+    # comparison, plus upward p50/p99 drift.
+    "scenario": SuiteSpec(
+        run=_run_scenarios,
+        reports=_scenario_reports,
+        families=((("scenario-",), None),),
+        extra=(
+            "seed", "scale", "mode", "users", "qos_met", "average_agility",
+            "redispatched", "herd_arrivals", "final_sizes",
+        ),
+    ),
+}
+
+
 @dataclass
 class CompareResult:
     """Outcome of one baseline comparison (``repro bench --check``)."""
@@ -1687,88 +1360,167 @@ class CompareResult:
         return not self.regressions and not self.missing
 
 
-def _record_throughputs(
-    report_or_records: dict[str, Any] | list[BenchRecord],
-) -> dict[str, float]:
-    """name → calls_per_sec, from a report document or live records."""
-    if isinstance(report_or_records, dict):
-        records = report_or_records.get("records", [])
-        return {r["name"]: float(r["calls_per_sec"]) for r in records}
-    return {r.name: r.calls_per_sec for r in report_or_records}
-
-
 def compare_reports(
-    baseline: dict[str, Any] | list[BenchRecord],
-    current: dict[str, Any] | list[BenchRecord],
-    tolerance: float = 0.30,
-    normalize: bool = False,
-    anchor: str = "marshal-pickle",
+    spec: SuiteSpec,
+    baseline: dict[str, Any],
+    current: dict[str, Any],
+    tolerance: float = TOLERANCE,
 ) -> CompareResult:
     """Flag records whose throughput dropped more than ``tolerance``.
 
-    With ``normalize`` each record is divided by its own run's
-    ``anchor`` record throughput first (``marshal-pickle`` for the
-    hot-path suite, ``batch-off-c1`` for the batching suite), so the
-    comparison is in units of "times the anchor" — absorbing absolute
-    machine-speed differences between the committed baseline and the CI
-    runner while still catching *relative* regressions.  The trade-off:
-    a slowdown that hits every record equally (including the anchor
-    itself) is invisible to the normalized check, which is why the
-    benchmark suites' own ratio assertions (e.g. zerocopy ≥ 3× pickle,
-    batched ≥ 2× unbatched) stay in place alongside it.
-
-    Records present only in ``current`` (newly added benches) pass;
-    records present only in ``baseline`` are reported as missing.
+    Each gated record is divided by its family's anchor from the same
+    report first, so the comparison is in units of "times the anchor":
+    absolute machine speed cancels, relative regressions within the
+    family still show.  A slowdown that hits a whole family equally is
+    invisible here, which is what the end-to-end workloads are for.  A
+    family without an anchor compares raw values and also gates upward
+    p50/p99 drift (:func:`latency_drift`).  Records only in ``current``
+    pass; records only in ``baseline`` are missing.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1): {tolerance}")
-    base = _record_throughputs(baseline)
-    cur = _record_throughputs(current)
-    if normalize:
-        for series in (base, cur):
-            anchor_value = series.get(anchor, 0.0)
-            if anchor_value <= 0.0:
-                raise ValueError(
-                    f"cannot normalize: {anchor!r} record missing or zero"
-                )
-            for name in series:
-                series[name] = series[name] / anchor_value
-    unit = f"x {anchor}" if normalize else "calls/s"
+    base = {
+        r["name"]: float(r["calls_per_sec"])
+        for r in baseline.get("records", [])
+    }
+    cur = {
+        r["name"]: float(r["calls_per_sec"])
+        for r in current.get("records", [])
+    }
     lines = [
         f"{'config':<20} {'baseline':>12} {'current':>12} {'delta':>8}"
     ]
     regressions: list[str] = []
     missing: list[str] = []
-    for name, base_value in base.items():
-        if name not in cur:
-            missing.append(name)
-            lines.append(f"{name:<20} {base_value:>12.2f} {'MISSING':>12}")
+    gated: set[str] = set()
+    raw = False
+    for prefixes, anchor in spec.families:
+        names = [
+            name for name in base
+            if name.startswith(prefixes) and name not in spec.ungated
+        ]
+        if not names:
             continue
-        cur_value = cur[name]
-        delta = (
-            (cur_value - base_value) / base_value if base_value > 0 else 0.0
-        )
-        verdict = ""
-        if delta < -tolerance:
-            regressions.append(name)
-            verdict = "  REGRESSION"
-        lines.append(
-            f"{name:<20} {base_value:>12.2f} {cur_value:>12.2f} "
-            f"{delta:>+7.1%}{verdict}  ({unit})"
-        )
+        if anchor is None:
+            raw = True
+            base_unit = cur_unit = 1.0
+            unit = "calls/s"
+        else:
+            base_unit = base.get(anchor, 0.0)
+            cur_unit = cur.get(anchor, 0.0)
+            if base_unit <= 0.0 or cur_unit <= 0.0:
+                raise ValueError(
+                    f"cannot normalize: anchor {anchor!r} missing or zero"
+                )
+            unit = f"x {anchor}"
+        for name in names:
+            gated.add(name)
+            base_value = base[name] / base_unit
+            if name not in cur:
+                missing.append(name)
+                lines.append(f"{name:<20} {base_value:>12.2f} {'MISSING':>12}")
+                continue
+            cur_value = cur[name] / cur_unit
+            delta = (
+                (cur_value - base_value) / base_value
+                if base_value > 0 else 0.0
+            )
+            verdict = ""
+            if delta < -tolerance:
+                regressions.append(name)
+                verdict = "  REGRESSION"
+            lines.append(
+                f"{name:<20} {base_value:>12.2f} {cur_value:>12.2f} "
+                f"{delta:>+7.1%}{verdict}  ({unit})"
+            )
+    for name in base:
+        if name not in gated:
+            lines.append(f"{name:<20} (ungated; skipped)")
+    if raw:
+        for label, line in latency_drift(baseline, current, tolerance):
+            regressions.append(label)
+            lines.append(line)
     return CompareResult(lines=lines, regressions=regressions, missing=missing)
 
 
-def format_table(records: list[BenchRecord]) -> str:
-    """Human-readable summary of one suite run."""
-    lines = [
-        f"{'config':<20} {'calls':>8} {'calls/s':>12} "
-        f"{'p50 µs':>10} {'p99 µs':>10}",
-    ]
-    for record in records:
-        lines.append(
-            f"{record.name:<20} {record.calls:>8} "
-            f"{record.calls_per_sec:>12.0f} "
-            f"{record.p50_us:>10.1f} {record.p99_us:>10.1f}"
+def spec_problems(spec: SuiteSpec, docs: dict[str, dict[str, Any]]) -> list[str]:
+    """What a suite's reports lack against its spec (empty when valid)."""
+    reports = spec.reports()
+    problems = []
+    if sorted(docs) != sorted(reports):
+        problems.append(f"reports {sorted(docs)}, want {sorted(reports)}")
+    for file, doc in docs.items():
+        problems += [f"{file}: {p}" for p in validate_report(doc)]
+        names = {r.get("name") for r in doc.get("records") or []}
+        problems += [
+            f"{file}: record {name!r} missing"
+            for name in reports.get(file, ()) if name not in names
+        ]
+        extra = doc.get("extra", {})
+        problems += [
+            f"{file}: extra[{key!r}] missing"
+            for key in spec.extra if key not in extra
+        ]
+    return problems
+
+
+def run_suite(name: str, out_dir: str = ".") -> dict[str, dict[str, Any]]:
+    """Run suite ``name`` at ``ERMI_BENCH_SCALE`` and write its reports.
+
+    Every report is validated against the suite's spec first; a missing
+    record or ``extra`` key raises :class:`ValueError` and nothing is
+    written.  Returns ``{report file name: document}``.
+    """
+    spec = SUITES[name]
+    docs = spec.run(bench_scale())
+    problems = spec_problems(spec, docs)
+    if problems:
+        raise ValueError(
+            f"{name} reports fail their spec: {'; '.join(problems)}"
         )
-    return "\n".join(lines)
+    os.makedirs(out_dir, exist_ok=True)
+    for file, doc in docs.items():
+        write_report(os.path.join(out_dir, file), doc)
+    return docs
+
+
+def load_baselines(
+    name: str, baseline_dir: str
+) -> dict[str, dict[str, Any] | None]:
+    """Suite ``name``'s baselines in ``baseline_dir`` by report file name,
+    ``None`` where the file is missing.
+
+    Load them before :func:`run_suite` writes anything: when the run's
+    output directory is ``baseline_dir``, reading afterwards would
+    compare the run with itself.
+    """
+    baselines: dict[str, dict[str, Any] | None] = {}
+    for file in SUITES[name].reports():
+        path = os.path.join(baseline_dir, file)
+        baselines[file] = load_report(path) if os.path.exists(path) else None
+    return baselines
+
+
+def check_suite(
+    name: str,
+    docs: dict[str, dict[str, Any]],
+    baselines: dict[str, dict[str, Any] | None],
+) -> tuple[list[str], list[str]]:
+    """Gate each of suite ``name``'s reports against its baseline from
+    :func:`load_baselines`.  Returns ``(failures, lines)``; a missing
+    baseline file is a failure."""
+    spec = SUITES[name]
+    failures: list[str] = []
+    lines: list[str] = []
+    for file, doc in docs.items():
+        baseline = baselines.get(file)
+        lines.append(f"--- {file} vs baseline")
+        if baseline is None:
+            lines.append(f"baseline missing: {file}")
+            failures.append(f"{file} (baseline missing)")
+            continue
+        result = compare_reports(spec, baseline, doc)
+        lines += result.lines
+        failures += result.regressions
+        failures += [f"{m} (missing)" for m in result.missing]
+    return failures, lines

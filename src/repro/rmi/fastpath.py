@@ -13,8 +13,8 @@ Two marshalling modes, selectable at runtime:
 - ``zerocopy`` (default) — provably-immutable payloads travel as
   :class:`FastPayload` wrappers holding the live object; everything else
   falls back to pickling.
-- ``pickle`` — the seed behaviour, kept as the measured baseline for
-  ``BENCH_rmi_hotpath.json``.
+- ``pickle`` — the seed behaviour: every payload is pickled.  The tests
+  use it as the reference, and ``ERMI_FASTPATH=pickle`` selects it.
 
 What counts as provably immutable: ``str``, ``int``, ``float``,
 ``bool``, ``bytes``, ``complex``, ``None``, and ``tuple``/``frozenset``

@@ -4,8 +4,9 @@ scenario, regression-gated in CI.
 Unlike the wall-clock suites, scenario reports are **deterministic**:
 every metric is virtual-time (identical on any machine for a given
 seed), so reports carry no environment stamps, replay byte-identically,
-and the regression gate compares raw values — no normalization anchor
-needed.  A drift outside tolerance means the PR changed the *modeled
+and the gate (``SUITES["scenario"]`` in
+:mod:`repro.experiments.benchreport`) compares raw values, p50/p99
+included.  A drift outside tolerance means the PR changed the *modeled
 system's* behavior at scale (tail latency, throughput, elasticity), not
 that the runner got a slower machine.
 """
@@ -16,11 +17,10 @@ import os
 from typing import Any
 
 from repro.experiments.benchreport import (
-    CompareResult,
     bench_scale,
     build_report,
-    compare_reports,
-    load_report,
+    check_suite,
+    load_baselines,
     write_report,
 )
 from repro.scenarios.catalog import SCENARIOS
@@ -54,81 +54,21 @@ def run_scenario_suite(
     for name in names or list(SCENARIOS):
         result = run_scenario(name, seed=seed, scale=scale)
         records, extra = result.bench_records()
+        doc = build_report(SUITE, records, extra=extra, deterministic=True)
         if out_dir is not None:
-            doc = write_report(
-                scenario_report_path(out_dir, name),
-                SUITE,
-                records,
-                extra=extra,
-                deterministic=True,
-            )
-        else:
-            doc = build_report(
-                SUITE, records, extra=extra, deterministic=True
-            )
+            write_report(scenario_report_path(out_dir, name), doc)
         out.append((name, result, doc))
     return out
-
-
-def _latency_drift(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    tolerance: float,
-) -> list[str]:
-    """Per-record tail-latency regressions (p50/p99 grew > tolerance).
-
-    The generic gate compares throughput only; for scenarios the
-    deterministic virtual-time percentiles are the headline metric, so
-    upward drift is gated at the same tolerance.  (Downward drift — an
-    improvement — passes; refresh the baseline to lock it in.)
-    """
-    base = {r["name"]: r for r in baseline.get("records", [])}
-    cur = {r["name"]: r for r in current.get("records", [])}
-    problems = []
-    for name, base_record in base.items():
-        record = cur.get(name)
-        if record is None:
-            continue  # compare_reports already reports it as missing
-        for field in ("p50_us", "p99_us"):
-            base_value = float(base_record[field])
-            if base_value <= 0:
-                continue
-            delta = (float(record[field]) - base_value) / base_value
-            if delta > tolerance:
-                problems.append(
-                    f"{name} {field} {base_value:.1f} -> "
-                    f"{float(record[field]):.1f} ({delta:+.1%})  REGRESSION"
-                )
-    return problems
 
 
 def check_scenario_reports(
     results: list[tuple[str, ScenarioResult, dict[str, Any]]],
     baseline_dir: str,
-    tolerance: float = 0.30,
 ) -> tuple[bool, list[str]]:
-    """Compare each scenario's run against its committed baseline.
-
-    Raw comparison on throughput plus tail-latency drift (see module
-    docstring).  A missing baseline file is a failure: every scenario
-    in the matrix must be committed.
-    """
-    ok = True
-    lines: list[str] = []
-    for name, _result, doc in results:
-        path = scenario_report_path(baseline_dir, name)
-        lines.append(f"--- scenario {name} vs {path}")
-        if not os.path.exists(path):
-            lines.append(f"baseline missing: {path}")
-            ok = False
-            continue
-        baseline = load_report(path)
-        outcome: CompareResult = compare_reports(
-            baseline, doc, tolerance=tolerance, normalize=False
-        )
-        lines.extend(outcome.lines)
-        drift = _latency_drift(baseline, doc, tolerance)
-        lines.extend(drift)
-        if not outcome.ok or drift:
-            ok = False
-    return ok, lines
+    """Gate each scenario's run against its committed baseline; a
+    missing baseline file is a failure."""
+    docs = {scenario_report_name(name): doc for name, _result, doc in results}
+    failures, lines = check_suite(
+        SUITE, docs, load_baselines(SUITE, baseline_dir)
+    )
+    return not failures, lines

@@ -122,6 +122,14 @@ class TestKnobReaders:
         monkeypatch.setenv("ERMI_STORE_LEASE_MS", "125.5")
         assert store_lease_ms_from_env() == pytest.approx(125.5)
 
+    def test_bench_scale_rejects_malformed_value(self, monkeypatch):
+        """A typo'd smoke scale must not silently run at full scale."""
+        from repro.experiments.benchreport import bench_scale
+
+        monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05x")
+        with pytest.raises(ValueError, match="ERMI_BENCH_SCALE"):
+            bench_scale()
+
     def test_store_lease_rejects_nan(self, monkeypatch):
         monkeypatch.setenv("ERMI_STORE_LEASE_MS", "nan")
         with pytest.raises(ValueError, match="ERMI_STORE_LEASE_MS"):

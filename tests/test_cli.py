@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import textwrap
 
 import pytest
@@ -167,10 +168,16 @@ class TestBenchScenarioSuite:
     ):
         monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05")
         out_dir = tmp_path / "reports"
+        # Baselines are read before the run writes, so the first run
+        # lays them down and the second checks against them.
+        assert main([
+            "bench", "--suite", "scenario", "--out-dir", str(out_dir),
+        ]) == 0
+        capsys.readouterr()
         code = main([
             "bench", "--suite", "scenario",
-            "--scenario-dir", str(out_dir),
-            "--check-scenario", str(out_dir),
+            "--out-dir", str(out_dir),
+            "--check", str(out_dir),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -188,10 +195,32 @@ class TestBenchScenarioSuite:
         empty.mkdir()
         code = main([
             "bench", "--suite", "scenario",
-            "--scenario-dir", str(out_dir),
-            "--check-scenario", str(empty),
+            "--out-dir", str(out_dir),
+            "--check", str(empty),
         ])
         assert code == 1
         captured = capsys.readouterr()
         assert "baseline missing" in captured.out
         assert "REGRESSION (scenario)" in captured.err
+
+    def test_check_reads_baselines_before_the_run_overwrites_them(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--check .`` with the default ``--out-dir .``: the gate must
+        see the baseline as it was, not the report the run just wrote."""
+        monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05")
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--suite", "scenario"]) == 0
+        path = tmp_path / "BENCH_scenario_diurnal.json"
+        doc = json.loads(path.read_text())
+        for record in doc["records"]:
+            record["calls_per_sec"] *= 2.0
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["bench", "--suite", "scenario", "--check", "."])
+        assert code == 1
+        assert "scenario-diurnal" in capsys.readouterr().err
+
+    def test_unknown_suite_is_rejected(self, capsys):
+        assert main(["bench", "--suite", "hotpath"]) == 2
+        assert "unknown suite 'hotpath'" in capsys.readouterr().err
