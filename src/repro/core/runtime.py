@@ -24,6 +24,7 @@ Construction helpers give the two operating modes:
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -137,7 +138,12 @@ class PoolRecord:
 
 
 class ElasticRuntime:
-    """Entry point: create one per deployment, then ``new_pool(...)``."""
+    """Entry point: create one per deployment, then ``new_pool(...)``.
+
+    Construction freezes every object alive at that moment out of the
+    cyclic collector's walks, and :meth:`shutdown` unfreezes the whole
+    heap (DESIGN.md, "The collector").
+    """
 
     def __init__(
         self,
@@ -242,6 +248,13 @@ class ElasticRuntime:
             self.scheduler.call_after(
                 store_monitor_interval, self._monitor_store
             )
+        # Everything alive now -- the import graph, the substrates just
+        # built -- lives as long as the runtime, and a gen-2 pass that
+        # re-walks it is a 5-10 ms pause on the call path.  Collect the
+        # garbage first (freezing it would pin it), then move the rest
+        # out of the collector's reach until shutdown() unfreezes.
+        gc.collect()
+        gc.freeze()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -796,3 +809,7 @@ class ElasticRuntime:
         stop_transport = getattr(self.transport, "shutdown", None)
         if stop_transport is not None:
             stop_transport()
+        # Hand the frozen heap back to the collector, so a runtime that
+        # is shut down and dropped is reclaimed by the next pass.  This
+        # unfreezes everything, including what the application froze.
+        gc.unfreeze()
