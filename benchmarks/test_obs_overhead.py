@@ -27,6 +27,7 @@ from repro.errors import (
     RemoteError,
 )
 from repro.experiments.benchreport import bench_scale
+from repro.faults.policy import should_discard_member
 from repro.obs import Observability
 from repro.rmi.remote import Remote, Skeleton, attempt
 from repro.rmi.transport import DirectTransport
@@ -49,36 +50,40 @@ class _UntracedStub(ElasticStub):
     baseline the disabled path is held against."""
 
     def _call(self, method: str, payload: Any):
-        state = self._retry_policy.start(
-            clock=self._clock, rng=self._rng, sleep=self._sleep
-        )
+        started = None if self._clock is None else self._clock.now()
+        state = None
         last_error: Exception | None = None
         while True:
             try:
-                targets = self._targets()
+                members, start = self._targets()
             except (ConnectError, MemberDrainedError, RemoteError) as exc:
                 last_error = exc
+                state = state or self._start_retry(started)
                 if not state.next_round():
                     break
                 continue
-            for ref in targets:
-                if not state.allow_attempt():
-                    break
-                state.note_attempt()
+            size = len(members)
+            for turn in range(size):
+                if state is not None:
+                    if not state.allow_attempt():
+                        break
+                    state.note_attempt()
+                ref = members[(start + turn) % size]
                 try:
                     return (
                         yield from attempt(
                             ref, method, payload, self._caller, ConnectError
                         )
                     )
-                except (ConnectError, MemberDrainedError) as exc:
-                    last_error = exc
-                    self._discard(ref)
-                    continue
                 except ApplicationError:
                     raise
-                except RemoteError as exc:
+                except (ConnectError, MemberDrainedError, RemoteError) as exc:
                     last_error = exc
+                    if state is None:
+                        state = self._start_retry(started)
+                        state.note_attempt()
+                    if should_discard_member(exc):
+                        self._discard(ref)
                     continue
             if not state.next_round():
                 break

@@ -36,7 +36,7 @@ from repro.errors import (
     RemoteError,
     StoreError,
 )
-from repro.faults.policy import RetryPolicy, should_discard_member
+from repro.faults.policy import RetryPolicy, RetryState, should_discard_member
 from repro.rmi.batching import RequestBatcher, batch_max_from_env
 from repro.rmi.fastpath import marshal_call
 from repro.rmi.future import RmiFuture
@@ -195,7 +195,15 @@ class ElasticStub:
             # propagate, not silently degrade to a stale cache.
             return self._epoch
 
-    def _targets(self) -> list[RemoteRef]:
+    def _targets(self) -> tuple[list[RemoteRef], int]:
+        """This call's member list and the index of its primary.
+
+        The list is a snapshot — a discard or refresh replaces
+        ``self._members``, never mutates it — so the failover order is
+        the members after the primary, wrapping round:
+        ``members[(start + k) % len(members)]``.  Nothing is copied to
+        pick a member.
+        """
         if self._epoch_source is not None:
             # Epoch path: lock-free unless the epoch moved.
             members = self._members
@@ -249,11 +257,8 @@ class ElasticStub:
         if not members:
             raise ConnectError("elastic pool has no members")
         if self._mode is BalancingMode.RANDOM and self._rng is not None:
-            start = self._rng.randrange(len(members))
-        else:
-            start = next(self._rr) % len(members)
-        # Rotation: primary target first, the rest are failover order.
-        return members[start:] + members[:start]
+            return members, self._rng.randrange(len(members))
+        return members, next(self._rr) % len(members)
 
     # -- invocation --------------------------------------------------------------
 
@@ -299,27 +304,36 @@ class ElasticStub:
         Every send — however it travels: blocking, batched, on the event
         loop — is an attempt charged to this one ``state``, so a logical
         call retries exactly per policy on every driver.
+
+        Only a failure pays for recovery: the clock is read once, here,
+        and the time budget counts from that reading, but the
+        :class:`~repro.faults.policy.RetryState` is built only when a
+        send fails (or no member can be picked).  The first send of a
+        call is always within budget, so a call whose first send
+        succeeds builds no state at all.
         """
-        state = self._retry_policy.start(
-            clock=self._clock, rng=self._rng, sleep=self._sleep
-        )
         started = None if self._clock is None else self._clock.now()
+        state: RetryState | None = None
         last_error: Exception | None = None
         while True:
             try:
-                targets = self._targets()
+                members, start = self._targets()
             except (ConnectError, MemberDrainedError, RemoteError) as exc:
                 # First contact (or re-fetch) failed: the sentinel may be
                 # mid-re-election or a message was lost.  Retrying this
                 # costs a round like any other failed pass.
                 last_error = exc
+                state = state or self._start_retry(started)
                 if not state.next_round():
                     break
                 continue
-            for ref in targets:
-                if not state.allow_attempt():
-                    break
-                state.note_attempt()
+            size = len(members)
+            for turn in range(size):
+                if state is not None:
+                    if not state.allow_attempt():
+                        break
+                    state.note_attempt()
+                ref = members[(start + turn) % size]
                 try:
                     result = yield from attempt(
                         ref, method, payload, self._caller, ConnectError
@@ -337,6 +351,11 @@ class ElasticStub:
                     # one (timeout) costs budget but stays cached —
                     # slowness is transient, death is not.
                     last_error = exc
+                    if state is None:
+                        # The call's first failure: its state starts
+                        # here, charged the send that just failed.
+                        state = self._start_retry(started)
+                        state.note_attempt()
                     if should_discard_member(exc):
                         self._discard(ref)
                     self._note_failed_attempt(method, state, exc)
@@ -364,10 +383,17 @@ class ElasticStub:
             cause=last_error,
         )
 
+    def _start_retry(self, started: float | None) -> RetryState:
+        """The retry state of a call that began at ``started``."""
+        return self._retry_policy.start(
+            clock=self._clock, rng=self._rng, sleep=self._sleep,
+            started=started,
+        )
+
     # -- observability -----------------------------------------------------
 
     def _note_failed_attempt(
-        self, method: str, state: Any, error: Exception
+        self, method: str, state: RetryState, error: Exception
     ) -> None:
         """One send failed and will (budget permitting) be retried."""
         obs = self._obs
@@ -380,20 +406,28 @@ class ElasticStub:
         )
 
     def _note_call(
-        self, method: str, state: Any, started: float | None, outcome: str
+        self,
+        method: str,
+        state: RetryState | None,
+        started: float | None,
+        outcome: str,
     ) -> None:
         """Record one *logical* invocation — including the attempts a
         masked recovery spent, which previously left no record when the
-        final attempt succeeded."""
+        final attempt succeeded.  No ``state`` means no send failed: one
+        attempt, one round."""
         obs = self._obs
         if obs is None:
             return
+        attempts, rounds = (
+            (1, 1) if state is None else (state.attempts, state.rounds)
+        )
         registry = obs.registry
         registry.counter("rmi.client.calls").inc()
-        registry.counter("rmi.client.attempts").inc(state.attempts)
-        if state.attempts > 1:
+        registry.counter("rmi.client.attempts").inc(attempts)
+        if attempts > 1:
             registry.counter("rmi.client.retried_calls").inc()
-            registry.counter("rmi.client.retries").inc(state.attempts - 1)
+            registry.counter("rmi.client.retries").inc(attempts - 1)
         if outcome == "failed":
             registry.counter("rmi.client.errors").inc()
         latency = (
@@ -402,7 +436,7 @@ class ElasticStub:
         )
         obs.tracer.emit(
             "client", "call",
-            method=method, attempts=state.attempts, rounds=state.rounds,
+            method=method, attempts=attempts, rounds=rounds,
             ok=(outcome == "ok"), outcome=outcome,
             latency=round(latency, 9), caller=self._caller,
         )

@@ -124,6 +124,7 @@ class RetryPolicy:
         clock: Clock | None = None,
         rng: random.Random | None = None,
         sleep: Callable[[float], None] | None = None,
+        started: float | None = None,
     ) -> "RetryState":
         """Begin one logical invocation under this policy.
 
@@ -131,8 +132,13 @@ class RetryPolicy:
         only); ``rng`` supplies jitter (omitted → deterministic nominal
         backoff); ``sleep`` performs the backoff delay (omitted → the
         delay is recorded but not waited, the simulation-safe default).
+        ``started`` is the clock reading the budget counts from (omitted
+        → now): a caller that builds its state only once a send has
+        failed passes the time the invocation began.
         """
-        return RetryState(self, clock=clock, rng=rng, sleep=sleep)
+        return RetryState(
+            self, clock=clock, rng=rng, sleep=sleep, started=started
+        )
 
 
 class RetryState:
@@ -144,6 +150,7 @@ class RetryState:
         clock: Clock | None = None,
         rng: random.Random | None = None,
         sleep: Callable[[float], None] | None = None,
+        started: float | None = None,
     ) -> None:
         self.policy = policy
         self.attempts = 0
@@ -152,7 +159,10 @@ class RetryState:
         self._clock = clock
         self._rng = rng
         self._sleep = sleep
-        self._started = None if clock is None else clock.now()
+        if clock is None:
+            self._started = None
+        else:
+            self._started = clock.now() if started is None else started
 
     # -- budget queries --------------------------------------------------------
 

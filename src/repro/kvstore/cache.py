@@ -31,6 +31,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.concurrency import StripedCounter
 from repro.errors import KeyNotFoundError, StoreUnavailableError
 from repro.kvstore.watch import DELETE, PUT, WatchEvent
 from repro.rmi.envcfg import env_float
@@ -98,7 +99,7 @@ class WatchCache:
         self._subs: dict[str, Any] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self.hits = 0
+        self._hits = StripedCounter()
         self.misses = 0
         self.stale_served = 0
 
@@ -107,16 +108,30 @@ class WatchCache:
     def get(self, key: str, default: Any = _MISSING) -> Any:
         """Read ``key`` through the cache.
 
-        A fresh hit costs one cache-lock acquisition and zero store
-        operations.  Raises :class:`KeyNotFoundError` for a (confirmed)
-        missing key unless ``default`` is given — same contract as
-        :meth:`HyperStore.get`.
+        A hit on a watched, non-degraded, present entry — the steady
+        state of every epoch read — takes no lock and reads no clock:
+        pushed events *replace* entries (never edit value or presence in
+        place) and ``gap``/``error`` only ever set ``degraded``, so one
+        unlocked dict read sees a whole entry, and the first read after
+        a degrading event takes the locked path below.  Any other hit
+        costs one cache-lock acquisition, a miss one store read.  Raises
+        :class:`KeyNotFoundError` for a (confirmed) missing key unless
+        ``default`` is given — same contract as :meth:`HyperStore.get`.
         """
+        entry = self._entries.get(key)
+        if (
+            entry is not None
+            and entry.watched
+            and entry.present
+            and not entry.degraded
+        ):
+            self._hits.increment()
+            return entry.value
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and self._fresh(entry, now):
-                self.hits += 1
+                self._hits.increment()
                 return self._value_of(entry, key, default)
         return self._read_through(key, default, now)
 
@@ -261,9 +276,10 @@ class WatchCache:
             sub.cancel()
 
     def stats(self) -> dict[str, int]:
+        hits = self._hits.value()
         with self._lock:
             return {
-                "hits": self.hits,
+                "hits": hits,
                 "misses": self.misses,
                 "stale_served": self.stale_served,
                 "entries": len(self._entries),
@@ -272,13 +288,14 @@ class WatchCache:
 
     def publish_gauges(self) -> None:
         """Export hit/miss/stale-serve gauges to the obs registry (called
-        at snapshot points, not per-operation, to keep the hit path at a
-        single lock acquisition)."""
+        at snapshot points, not per-operation, to keep the hit path free
+        of registry work)."""
         obs = self._obs
         if obs is None:
             return
+        hits = self._hits.value()
         with self._lock:
-            hits, misses, stale = self.hits, self.misses, self.stale_served
+            misses, stale = self.misses, self.stale_served
         total = hits + misses
         obs.gauge(f"kvstore.cache.{self._name}.hits").set(hits)
         obs.gauge(f"kvstore.cache.{self._name}.misses").set(misses)

@@ -201,6 +201,14 @@ def _declares_cpu_bound(cls: type) -> bool:
     return verdict
 
 
+# How a skeleton dispatches a method name, decided once per name
+# (Skeleton._resolve).  The last three can suspend handle_async.
+_REFUSED, _PLAIN, _COROUTINE, _BLOCKING, _CPU = range(5)
+_SUSPENDING = frozenset((_COROUTINE, _BLOCKING, _CPU))
+
+_DRAINED = Response("drained")
+
+
 class Skeleton:
     """Server-side dispatcher for one exported object."""
 
@@ -242,8 +250,8 @@ class Skeleton:
         # _pending_lock: the dispatch path pays for it only on a member
         # that is going away.
         self._drained = threading.Event()
-        # Method name -> can its coroutine dispatch suspend (may_suspend).
-        self._suspends: dict[str, bool] = {}
+        # Method name -> (target, dispatch kind), see _resolve.
+        self._methods: dict[str, tuple[Any, int]] = {}
         # Redirect table installed by the sentinel: a callable deciding,
         # per call, whether to bounce it to another member.
         self.redirect_policy: Callable[[Request], RemoteRef | None] | None = None
@@ -301,62 +309,94 @@ class Skeleton:
 
     # -- dispatch ---------------------------------------------------------------
 
+    def _resolve(self, name: str) -> tuple[Any, int]:
+        """What a call of ``name`` runs: ``(bound method, dispatch kind)``,
+        or ``(NoSuchObjectError, _REFUSED)``.
+
+        Decided from the method itself, once per name, and never by
+        running it.  Three kinds of name are refused: names outside a
+        declared elastic interface (paper section 3.1; the framework's
+        stub-bootstrap call is always invocable), private names —
+        ``__init__``, ``__setattr__``, ``_helpers``: remote callers must
+        not reach them — and names the object has no callable for.
+        Only names the object has are remembered, so callers sending
+        made-up names cannot grow the table.
+        """
+        impl = self.impl
+        method = getattr(impl, name, None)
+        declared = getattr(type(impl), "__elastic_interface__", None)
+        if (
+            declared is not None
+            and name not in declared
+            and name != "ermi_member_identities"
+        ):
+            entry: tuple[Any, int] = (
+                NoSuchObjectError(
+                    f"{name!r} is not declared in the elastic "
+                    f"interface of {type(impl).__name__}"
+                ),
+                _REFUSED,
+            )
+        elif name.startswith("_") or not callable(method):
+            entry = (
+                NoSuchObjectError(
+                    f"{type(impl).__name__} has no remote method {name!r}"
+                ),
+                _REFUSED,
+            )
+        elif self._cpu is not None and getattr(
+            method, "__ermi_cpu_bound__", False
+        ):
+            entry = (method, _CPU)
+        elif getattr(method, "__ermi_blocking__", False):
+            entry = (method, _BLOCKING)
+        elif inspect.iscoroutinefunction(method):
+            entry = (method, _COROUTINE)
+        else:
+            entry = (method, _PLAIN)
+        if method is not None:
+            self._methods[name] = entry
+        return entry
+
     def _accept(
         self, request: Request
-    ) -> tuple[Response | None, Any, tuple, dict, float]:
+    ) -> tuple[Response | None, Any, int, tuple, dict, float]:
         """Shared dispatch prologue: the drain/redirect gate, the pending
         count, method resolution and unmarshalling.
 
-        Returns ``(refusal, method, args, kwargs, started)``.  With a
-        refusal nothing is left pending; otherwise the caller owns one
-        pending slot, which :meth:`_reply` releases.
-
-        Elastic-interface enforcement (paper section 3.1): when the
-        class declares its remote surface, only those methods (plus the
-        framework's stub-bootstrap call) are invocable.  Such refusals
-        are recorded as zero-latency errored calls.
+        Returns ``(refusal, method, kind, args, kwargs, started)``.  With
+        a refusal nothing is left pending; otherwise the caller owns one
+        pending slot, which :meth:`_reply` releases.  Refused names (see
+        :meth:`_resolve`) are recorded as zero-latency errored calls.
         """
         if self.draining:
-            return Response(kind="drained"), None, (), {}, 0.0
+            return _DRAINED, None, _REFUSED, (), {}, 0.0
         if self.redirect_policy is not None:
             target = self.redirect_policy(request)
             if target is not None and target != self.ref():
-                return Response(kind="redirect", value=target), None, (), {}, 0.0
+                redirect = Response("redirect", b"", target)
+                return redirect, None, _REFUSED, (), {}, 0.0
         with self._pending_lock:
             # Checked again under the lock start_drain takes: a call
             # that passed the check above must not be counted after the
             # drain saw nothing pending and reported the member drained.
             if self.draining:
-                return Response(kind="drained"), None, (), {}, 0.0
+                return _DRAINED, None, _REFUSED, (), {}, 0.0
             self.pending += 1
         accepted = False
         try:
             started = self.clock.now()
             name = request.method
-            declared = getattr(type(self.impl), "__elastic_interface__", None)
-            if (
-                declared is not None
-                and name not in declared
-                and name != "ermi_member_identities"
-            ):
-                refused = NoSuchObjectError(
-                    f"{name!r} is not declared in the elastic "
-                    f"interface of {type(self.impl).__name__}"
-                )
-            else:
-                method = getattr(self.impl, name, None)
-                if method is not None and callable(method):
-                    args, kwargs = unmarshal_call(request.payload)
-                    accepted = True
-                    return None, method, args, kwargs, started
-                refused = NoSuchObjectError(
-                    f"{type(self.impl).__name__} has no remote method {name!r}"
-                )
+            method, kind = self._methods.get(name) or self._resolve(name)
+            if kind != _REFUSED:
+                args, kwargs = unmarshal_call(request.payload)
+                accepted = True
+                return None, method, kind, args, kwargs, started
             self.stats.record(name, 0.0, error=True)
             if self._obs is not None:
                 self._observe(name, 0.0, error=True)
-            refusal = Response(kind="error", payload=marshal_result(refused))
-            return refusal, None, (), {}, 0.0
+            refusal = Response("error", marshal_result(method))
+            return refusal, None, kind, (), {}, 0.0
         finally:
             if not accepted:
                 self._release()
@@ -378,7 +418,7 @@ class Skeleton:
             if self._obs is not None:
                 self._observe(request.method, elapsed, error=failed)
             if not failed:
-                return Response(kind="result", payload=marshal_result(result))
+                return Response("result", marshal_result(result))
             if isinstance(error, CpuWorkerLostError):
                 # Worker death is a transport-level failure, not an
                 # application error: it propagates past the error-
@@ -386,7 +426,7 @@ class Skeleton:
                 # ConnectError (one attempt charged, then retried
                 # against the respawned worker).
                 raise error
-            return Response(kind="error", payload=marshal_error(error))
+            return Response("error", marshal_error(error))
         finally:
             # _release(), inlined: this is every dispatch's way out.
             with self._pending_lock:
@@ -401,13 +441,11 @@ class Skeleton:
                 self._drained.set()
 
     def handle(self, request: Request) -> Response:
-        refusal, method, args, kwargs, started = self._accept(request)
+        refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
         try:
-            if self._cpu is not None and getattr(
-                method, "__ermi_cpu_bound__", False
-            ):
+            if kind == _CPU:
                 result = self._cpu.run_call(
                     self.impl, request.method, args, kwargs
                 )
@@ -439,13 +477,11 @@ class Skeleton:
         transport step a batch's plain entries inside the batch's own
         task (:meth:`may_suspend` is how it tells them apart).
         """
-        refusal, method, args, kwargs, started = self._accept(request)
+        refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
         try:
-            if self._cpu is not None and getattr(
-                method, "__ermi_cpu_bound__", False
-            ):
+            if kind == _CPU:
                 # Hand the call to a worker process and await its
                 # future without blocking the loop.
                 result = await asyncio.wrap_future(
@@ -453,7 +489,7 @@ class Skeleton:
                         self.impl, request.method, args, kwargs
                     )
                 )
-            elif getattr(method, "__ermi_blocking__", False):
+            elif kind == _BLOCKING:
                 loop = asyncio.get_running_loop()
                 result = await loop.run_in_executor(
                     None, lambda: method(*args, **kwargs)
@@ -461,7 +497,7 @@ class Skeleton:
             else:
                 result = method(*args, **kwargs)
                 if inspect.iscoroutine(result):
-                    if not self.may_suspend(request.method):
+                    if kind == _PLAIN:
                         # A plain method handed back a coroutine (a
                         # sync wrapper around an ``async def``): the
                         # caller may be stepping us inside a task it
@@ -482,24 +518,13 @@ class Skeleton:
         True for ``async def`` methods and for the two offloaded kinds
         (``@blocking``, and ``@cpu_bound`` when a worker pool is
         attached); False for a plain method, whose dispatch completes in
-        the coroutine's first step.  Decided from the method itself, once
-        per method name, and never by running it: user code in an
-        ``async def`` body must only ever run inside its own task.
+        the coroutine's first step, and for a refused name.  Read off
+        :meth:`_resolve`'s table, never found out by running the method:
+        user code in an ``async def`` body must only ever run inside its
+        own task.
         """
-        verdict = self._suspends.get(name)
-        if verdict is None:
-            method = getattr(self.impl, name, None)
-            verdict = bool(
-                inspect.iscoroutinefunction(method)
-                or getattr(method, "__ermi_blocking__", False)
-                or (
-                    self._cpu is not None
-                    and getattr(method, "__ermi_cpu_bound__", False)
-                )
-            )
-            if method is not None:  # unknown names are refused, not cached
-                self._suspends[name] = verdict
-        return verdict
+        entry = self._methods.get(name) or self._resolve(name)
+        return entry[1] in _SUSPENDING
 
 
 MAX_REDIRECTS = 8
@@ -528,10 +553,7 @@ def attempt(
     redirects = 0
     while True:
         response = yield ref.endpoint_id, Request(
-            object_id=ref.object_id,
-            method=method,
-            payload=payload,
-            caller=caller,
+            ref.object_id, method, payload, caller
         )
         kind = response.kind
         if kind == "result":

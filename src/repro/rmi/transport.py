@@ -52,7 +52,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Protocol
+from typing import Any, Awaitable, Callable, NamedTuple, Protocol
 
 from repro.concurrency import StripedCounter
 from repro.errors import ConnectError, RemoteError
@@ -61,12 +61,16 @@ from repro.rmi.fastpath import FastPayload
 _endpoint_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One remote method invocation on the wire.
 
     ``payload`` is the marshalled ``(args, kwargs)``: pickled bytes on
     the pass-by-value path, a :class:`FastPayload` on the zero-copy path.
+
+    An immutable value record.  Every call builds one (and every reply
+    a :class:`Response`), so both are named tuples: one builds in about
+    a third of a frozen dataclass's time.  Hot paths build them
+    positionally.
     """
 
     object_id: str
@@ -75,8 +79,7 @@ class Request:
     caller: str = "?"
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """The server's reply.
 
     ``kind``:

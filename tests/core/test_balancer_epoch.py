@@ -18,6 +18,13 @@ from repro.rmi.transport import DirectTransport
 from tests.core.conftest import EchoService, settle
 
 
+def rotation(stub):
+    """The members one call of ``stub`` would try, in order: its
+    primary, then the failover sequence."""
+    members, start = stub._targets()
+    return members[start:] + members[:start]
+
+
 class TestEpochWiring:
     """Integration: the pool bumps the epoch, the runtime wires it in."""
 
@@ -156,14 +163,14 @@ class TestEpochRefresh:
 
 class TestTargetOrdering:
     def test_targets_rotate_with_failover_order(self, rig):
-        """_targets() returns the primary first, then the remaining
-        members in rotation order — the failover sequence."""
+        """The primary comes first, then the remaining members in
+        rotation order — the failover sequence."""
         _, _, members, _, stub = rig
         stub._refresh_members(epoch=1)
-        assert stub._targets() == members
-        assert stub._targets() == members[1:] + members[:1]
-        assert stub._targets() == members[2:] + members[:2]
-        assert stub._targets() == members  # wraps around
+        assert rotation(stub) == members
+        assert rotation(stub) == members[1:] + members[:1]
+        assert rotation(stub) == members[2:] + members[:2]
+        assert rotation(stub) == members  # wraps around
 
     def test_cursor_resets_when_discarded_member_reappears(self, rig):
         """The satellite fix: a discarded ref re-appearing on refresh
@@ -171,10 +178,10 @@ class TestTargetOrdering:
         instead of skewing toward the members after the revived slot."""
         _, _, members, state, stub = rig
         stub._refresh_members(epoch=1)
-        stub._targets()  # cursor now at 1
+        rotation(stub)  # cursor now at 1
         stub._discard(members[1])
         state["epoch"] += 1  # revival: sentinel still lists members[1]
-        targets = stub._targets()
+        targets = rotation(stub)
         assert targets[0] == members[0]  # restarted, not members[1]
         assert targets == members
 
@@ -183,9 +190,9 @@ class TestTargetOrdering:
         a refresh that changes nothing keeps round-robin balanced."""
         _, _, members, state, stub = rig
         stub._refresh_members(epoch=1)
-        stub._targets()  # cursor now at 1
+        rotation(stub)  # cursor now at 1
         state["epoch"] += 1
-        targets = stub._targets()
+        targets = rotation(stub)
         assert targets[0] == members[1]
 
     def test_discarded_member_excluded_until_refresh(self, rig):
@@ -217,27 +224,27 @@ class TestNewCapacityHeadsTheRotation:
         transport, sentinel, members, state, stub = rig
         old = list(members)
         stub._refresh_members(epoch=1)
-        stub._targets()  # cursor now at 1
+        rotation(stub)  # cursor now at 1
         (new,) = _add_workers(transport, sentinel, 1)
         state["epoch"] += 1
         everyone = old + [new]
         # The call that notices the epoch move is the one that refreshes,
         # and its own primary target is the new member ...
-        assert stub._targets() == [new] + old
+        assert rotation(stub) == [new] + old
         # ... and the rotation continues from it.
-        assert stub._targets() == everyone
-        assert stub._targets() == everyone[1:] + everyone[:1]
+        assert rotation(stub) == everyone
+        assert rotation(stub) == everyone[1:] + everyone[:1]
         assert sentinel.fetches == 2
 
     def test_three_new_members_are_the_next_three_primaries(self, rig):
         transport, sentinel, members, state, stub = rig
         old = list(members)
         stub._refresh_members(epoch=1)
-        stub._targets()
-        stub._targets()  # cursor now at 2
+        rotation(stub)
+        rotation(stub)  # cursor now at 2
         added = _add_workers(transport, sentinel, 3)
         state["epoch"] += 1
-        primaries = [stub._targets()[0] for _ in range(6)]
+        primaries = [rotation(stub)[0] for _ in range(6)]
         assert primaries == added + old
 
     def test_new_member_beside_a_removed_one(self, rig):
@@ -249,22 +256,22 @@ class TestNewCapacityHeadsTheRotation:
         del sentinel.members[0]
         (new,) = _add_workers(transport, sentinel, 1)
         state["epoch"] += 1
-        assert stub._targets() == [new] + kept
+        assert rotation(stub) == [new] + kept
 
     def test_refresh_that_only_removes_keeps_the_cursor(self, rig):
         _, sentinel, members, state, stub = rig
         stub._refresh_members(epoch=1)
-        stub._targets()  # cursor now at 1
+        rotation(stub)  # cursor now at 1
         second = members[1]
         del sentinel.members[2]
         state["epoch"] += 1
-        assert stub._targets()[0] == second
+        assert rotation(stub)[0] == second
 
     def test_first_contact_starts_at_zero(self, rig):
         """Every ref is new to a stub that has held none: that is not
         arriving capacity, and the rotation starts where it always did."""
         _, _, members, _, stub = rig
-        assert stub._targets() == members
+        assert rotation(stub) == members
 
     def test_all_failed_recovery_shares_the_rule(self, rig):
         """The refresh after every cached member failed goes through the
@@ -273,14 +280,14 @@ class TestNewCapacityHeadsTheRotation:
         transport, sentinel, members, _, stub = rig
         first = members[0]
         stub._refresh_members(epoch=1)
-        stub._targets()
+        rotation(stub)
         for ref in list(members):
             stub._discard(ref)
         assert stub.members_snapshot() == []
         del sentinel.members[1:]
         (new,) = _add_workers(transport, sentinel, 1)
         stub._refresh_members()
-        assert stub._targets() == [new, first]
+        assert rotation(stub) == [new, first]
 
     def test_legacy_count_based_refresh_shares_the_rule(self, rig):
         transport, sentinel, members, _, epoch_stub = rig
@@ -288,11 +295,11 @@ class TestNewCapacityHeadsTheRotation:
         stub = ElasticStub(
             transport, epoch_stub._resolve_sentinel, refresh_every=2
         )
-        assert stub._targets()[0] == old[0]
-        assert stub._targets()[0] == old[1]
+        assert rotation(stub)[0] == old[0]
+        assert rotation(stub)[0] == old[1]
         (new,) = _add_workers(transport, sentinel, 1)
-        assert stub._targets()[0] == new  # third call: periodic refresh
-        assert stub._targets()[0] == old[0]
+        assert rotation(stub)[0] == new  # third call: periodic refresh
+        assert rotation(stub)[0] == old[0]
 
     def test_random_mode_draws_as_before(self, rig):
         """Random spreading never waits a turn — the new member is in
@@ -310,12 +317,12 @@ class TestNewCapacityHeadsTheRotation:
             epoch_source=lambda: state["epoch"],
         )
         shadow = random.Random(7)
-        assert stub._targets()[0] == old[shadow.randrange(3)]
+        assert rotation(stub)[0] == old[shadow.randrange(3)]
         (new,) = _add_workers(transport, sentinel, 1)
         state["epoch"] += 1
         everyone = old + [new]
         for _ in range(8):
-            assert stub._targets()[0] == everyone[shadow.randrange(4)]
+            assert rotation(stub)[0] == everyone[shadow.randrange(4)]
 
 
 class TestDiscardSetLifecycle:
@@ -360,8 +367,8 @@ class TestDiscardSetLifecycle:
         transport.kill(stub._resolve_sentinel().endpoint_id)
         state["epoch"] += 1
         assert stub.echo("a") == "a"  # stale path, nothing discarded
-        first = stub._targets()[0]
-        second = stub._targets()[0]
+        first = rotation(stub)[0]
+        second = rotation(stub)[0]
         assert first != second  # cursor still advancing
 
     def test_still_dead_member_is_rediscarded_after_revival(self, rig):

@@ -208,6 +208,36 @@ class TestStubBudgetSurfacing:
             stub.echo("x")
         assert "time budget exhausted" in str(err.value)
 
+    def test_budget_counts_from_call_start_not_first_failure(
+        self, dead_pool_rig
+    ):
+        """A call's retry state is built only when a send fails, but the
+        budget is the call's: a first send that fails after the whole
+        budget has passed leaves no time for a second."""
+        transport, sentinel_ref = dead_pool_rig
+        clock = FakeClock()
+        sends = []
+        original = transport.invoke
+
+        def slow_failing_invoke(endpoint_id, request):
+            if request.method == "echo":
+                sends.append(endpoint_id)
+                clock.advance(2.0)
+            return original(endpoint_id, request)
+
+        transport.invoke = slow_failing_invoke
+        stub = ElasticStub(
+            transport,
+            lambda: sentinel_ref,
+            retry_policy=RetryPolicy(max_attempts=10, max_rounds=10,
+                                     budget=1.0, jitter=0.0),
+            clock=clock,
+        )
+        with pytest.raises(ConnectError) as err:
+            stub.echo("x")
+        assert len(sends) == 1
+        assert "time budget exhausted" in str(err.value)
+
 
 class TestMaskedRetrySurfacing:
     """Satellite: a call whose *final* attempt succeeds must not make its

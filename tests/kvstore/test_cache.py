@@ -9,6 +9,9 @@ historical epoch-outage behaviour.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import KeyNotFoundError
@@ -189,6 +192,60 @@ class TestVersionOrdering:
         cache._on_event(WatchEvent("k", "gap"))
         cache.get("k")
         assert len(reads) == 1  # degraded entry re-validated
+
+
+class TestLockFreeHit:
+    """A watched, present entry is served with no lock: its hit count
+    must still be exact, and a degraded entry must never be served."""
+
+    THREADS = 8
+    GETS = 2_000
+
+    def test_hits_are_exact_under_contention(self, store):
+        cache = WatchCache(store)
+        store.put("k", 1)
+        assert cache.get("k") == 1  # the miss that installs the entry
+        wrong = []
+
+        def reader():
+            for _ in range(self.GETS):
+                value = cache.get("k")
+                if value != 1:
+                    wrong.append(value)
+
+        threads = [threading.Thread(target=reader) for _ in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert cache.stats()["hits"] == self.THREADS * self.GETS
+
+    @pytest.mark.parametrize("kind", ["gap", "error"])
+    def test_degraded_entry_is_read_through(self, store, kind):
+        from repro.kvstore.watch import WatchEvent
+
+        cache = WatchCache(store)
+        store.put("k", 1)
+        assert cache.get("k") == 1
+        # The entry goes stale unnoticed: the write's event is lost, as
+        # a dropped (gap) or failed (error) watch stream would lose it.
+        store.put("k", 2)
+        cache._entries["k"].value = 1
+        assert cache.get("k") == 1
+        cache._on_event(WatchEvent("k", kind))
+        reads = []
+        store._on_op = lambda op, key: reads.append(key) if op == "get" else None
+        assert cache.get("k") == 2
+        assert len(reads) == 1
+        assert cache.get("k") == 2
+        assert len(reads) == 1  # re-validated: watched and exact again
 
 
 class TestObservability:

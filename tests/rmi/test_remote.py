@@ -9,7 +9,9 @@ from repro.errors import (
     ApplicationError,
     ConnectError,
     MemberDrainedError,
+    NoSuchObjectError,
 )
+from repro.rmi.aio import AsyncioTransport
 from repro.rmi.fastpath import marshal_call
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import DirectTransport, Request, Response
@@ -94,6 +96,60 @@ class TestInvocation:
         _, stub = exported
         with pytest.raises(AttributeError):
             stub._secret
+
+
+@pytest.fixture(params=["direct", "asyncio"])
+def any_transport(request):
+    if request.param == "direct":
+        transport = DirectTransport()
+    else:
+        transport = AsyncioTransport()
+    yield transport
+    if request.param == "asyncio":
+        transport.shutdown()
+
+
+class TestPrivateNamesRefused:
+    """The proxies refuse ``_`` names on the client, but ``invoke_async``
+    names the method as a string: the skeleton itself must refuse them,
+    with the error an undeclared method gets."""
+
+    @staticmethod
+    def export(transport, impl):
+        endpoint = transport.add_endpoint("server")
+        skeleton = Skeleton(impl, transport, endpoint.endpoint_id)
+        return skeleton, Stub(transport, skeleton.ref())
+
+    @staticmethod
+    def refusal(stub, name, *args):
+        with pytest.raises(ApplicationError) as info:
+            stub.invoke_async(name, *args).result(timeout=5.0)
+        return info.value.cause
+
+    def test_setattr_cannot_rewrite_state(self, any_transport):
+        impl = Calculator()
+        impl.memory = 1.5
+        _, stub = self.export(any_transport, impl)
+        cause = self.refusal(stub, "__setattr__", "memory", 42)
+        assert isinstance(cause, NoSuchObjectError)
+        assert impl.memory == 1.5
+        assert stub.recall() == 1.5
+
+    def test_constructor_cannot_be_rerun(self, any_transport):
+        impl = Calculator()
+        impl.memory = 7.0
+        skeleton, stub = self.export(any_transport, impl)
+        assert isinstance(self.refusal(stub, "__init__"), NoSuchObjectError)
+        assert impl.memory == 7.0
+        assert skeleton.stats.snapshot()["__init__"].errors == 1
+
+    def test_made_up_names_are_refused_and_not_remembered(self, any_transport):
+        skeleton, stub = self.export(any_transport, Calculator())
+        assert stub.add(1, 2) == 3
+        known = dict(skeleton._methods)
+        for i in range(20):
+            assert isinstance(self.refusal(stub, f"_nope{i}"), NoSuchObjectError)
+        assert skeleton._methods == known
 
 
 class TestCallStats:
