@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.apps.common import ThroughputScaledService
 from repro.core.fields import elastic_field
+from repro.errors import CASMismatchError
 
 
 class NoNodeError(Exception):
@@ -106,7 +107,12 @@ class CoordinationService(ThroughputScaledService):
     ) -> int:
         """Create a znode; returns its czxid.  The parent must exist
         (except for children of the root).  Ephemeral nodes require a
-        live session and may not have children."""
+        live session and may not have children.
+
+        Of concurrent creates of one path exactly one succeeds: the
+        record is written create-if-absent under the key's stripe lock.
+        A create that loses that race raises :class:`NodeExistsError`
+        after drawing its zxid, so a losing create may consume a zxid."""
         _validate_path(path)
         if path == "/":
             raise NodeExistsError("/")
@@ -124,19 +130,25 @@ class CoordinationService(ThroughputScaledService):
             if session_id is None:
                 raise SessionExpiredError("ephemeral create needs a session")
             self._check_session(session_id)
+        # The early check spares a zxid in the plain duplicate case; the
+        # cas below is what decides a race.
         if store.exists(f"dcs/node{path}"):
             raise NodeExistsError(path)
         zxid = self._next_zxid()
-        store.put(
-            f"dcs/node{path}",
-            {
-                "data": data,
-                "version": 0,
-                "czxid": zxid,
-                "mzxid": zxid,
-                "ephemeral_owner": session_id if ephemeral else None,
-            },
-        )
+        try:
+            store.cas(
+                f"dcs/node{path}",
+                None,
+                {
+                    "data": data,
+                    "version": 0,
+                    "czxid": zxid,
+                    "mzxid": zxid,
+                    "ephemeral_owner": session_id if ephemeral else None,
+                },
+            )
+        except CASMismatchError:
+            raise NodeExistsError(path) from None
         store.update(
             f"dcs/children{parent}",
             lambda names: sorted(set(names or []) | {_name(path)}),
@@ -215,6 +227,9 @@ class CoordinationService(ThroughputScaledService):
         """Delete a leaf znode (conditional on ``version`` unless -1)."""
         _validate_path(path)
         store = self._store()
+        # Check-then-act, unlike create: the version and emptiness
+        # checks and the delete below are separate store ops, so a
+        # racing set_data or child create can slip between them.
         record = store.get(f"dcs/node{path}", default=None)
         if record is None:
             raise NoNodeError(path)

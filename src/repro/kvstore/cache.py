@@ -213,8 +213,10 @@ class WatchCache:
         """Atomic read-modify-write, delegated to the store (the RMW must
         see the authoritative value).  The local entry is invalidated —
         not guessed at — so the next read observes the store's ordering
-        of concurrent updates."""
-        self._ensure_watch(key)
+        of concurrent updates.  An update does not subscribe: it caches
+        nothing, so a watch on a key that is only ever updated (a
+        counter) would buy one event delivery per write and no hit.  The
+        first :meth:`get` subscribes before it reads, as for any key."""
         new = self._store.update(key, fn, default=default)
         self.invalidate(key)
         return new

@@ -38,6 +38,10 @@ _MISSING = object()
 # the namespace token so prefix scans touch only the matching buckets.
 _SEPARATORS = frozenset("$:/")
 
+# Keys whose partition the store remembers.  A store that touches more
+# distinct keys than this starts its memo over instead of growing it.
+PLACEMENT_MEMO = 1 << 14
+
 
 def key_token(key: str) -> str:
     """The key's namespace token: everything up to and *including* the
@@ -51,7 +55,7 @@ def key_token(key: str) -> str:
     return key
 
 
-@dataclass
+@dataclass(slots=True)
 class VersionedValue:
     """A stored value plus its monotonically increasing write version."""
 
@@ -137,6 +141,10 @@ class HyperStore:
             raise ValueError(f"store needs at least one node: {nodes}")
         self._ring = HashRing(vnodes=vnodes)
         self._partitions: dict[str, Partition] = {}
+        # Key -> owning partition, so an op hashes its key onto the ring
+        # once per key rather than once per op.  ``add_node`` replaces
+        # the dict (never edits it) once the ring holds the new node.
+        self._placement: dict[str, Partition] = {}
         self._membership_lock = threading.RLock()
         self._stripes = stripes_per_partition
         self._on_op = on_op
@@ -180,6 +188,9 @@ class HyperStore:
                 for key in part.tombstones
             }
             self._add_partition(node)
+            # Placements memoised against the old ring are wrong for the
+            # keys that move; start over now that the ring has the node.
+            self._placement = {}
             for key, owner in old_owner.items():
                 new_owner = self._ring.owner(key)
                 if new_owner != owner:
@@ -263,9 +274,9 @@ class HyperStore:
     def get(self, key: str, default: Any = _MISSING) -> Any:
         """Read a key; raises :class:`KeyNotFoundError` when absent
         unless ``default`` is given."""
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("get", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("get", key, part, stripe)
             entry = part.data.get(key)
             if entry is None:
                 if default is _MISSING:
@@ -275,9 +286,9 @@ class HyperStore:
 
     def get_versioned(self, key: str) -> VersionedValue:
         """Read a key together with its write version."""
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("get", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("get", key, part, stripe)
             entry = part.data.get(key)
             if entry is None:
                 raise KeyNotFoundError(key)
@@ -288,9 +299,9 @@ class HyperStore:
         reports a meaningful version: the tombstone left by its last
         delete (0 when never written).  This is what lets a cache order
         an "absent" observation against racing put/delete events."""
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("get", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("get", key, part, stripe)
             entry = part.data.get(key)
             if entry is None:
                 return (False, None, part.tombstones.get(key, 0))
@@ -298,9 +309,9 @@ class HyperStore:
 
     def put(self, key: str, value: Any) -> int:
         """Write ``value``; returns the new version."""
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("put", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("put", key, part, stripe)
             entry = part.data.get(key)
             version = self._next_version(part, key, entry)
             part.data[key] = VersionedValue(value, version)
@@ -323,9 +334,9 @@ class HyperStore:
         versions: dict[str, int] = {}
         kicks: list[WatchSubscription] = []
         for key, value in items.items():
-            part = self._owner(key)
-            with part.lock_for(key):
-                self._account("put", key, part)
+            part, stripe = self._locate(key)
+            with part._stripes[stripe]:
+                self._account("put", key, part, stripe)
                 entry = part.data.get(key)
                 version = self._next_version(part, key, entry)
                 part.data[key] = VersionedValue(value, version)
@@ -344,9 +355,9 @@ class HyperStore:
 
         A missing key matches ``expected is None`` (create-if-absent).
         """
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("cas", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("cas", key, part, stripe)
             entry = part.data.get(key)
             current = None if entry is None else entry.value
             if current != expected:
@@ -364,9 +375,9 @@ class HyperStore:
     def incr(self, key: str, delta: int = 1) -> int:
         """Atomic integer add; missing keys start at zero.  Returns the
         post-increment value."""
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("incr", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("incr", key, part, stripe)
             entry = part.data.get(key)
             current = 0 if entry is None else entry.value
             if not isinstance(current, int):
@@ -381,10 +392,10 @@ class HyperStore:
 
     def delete(self, key: str) -> bool:
         """Remove ``key``; True if it existed."""
-        part = self._owner(key)
+        part, stripe = self._locate(key)
         pending = None
-        with part.lock_for(key):
-            self._account("delete", key, part)
+        with part._stripes[stripe]:
+            self._account("delete", key, part, stripe)
             entry = part.data.pop(key, None)
             existed = entry is not None
             if existed:
@@ -398,9 +409,9 @@ class HyperStore:
         return existed
 
     def exists(self, key: str) -> bool:
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("get", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("get", key, part, stripe)
             return key in part.data
 
     def update(self, key: str, fn: Callable[[Any], Any], default: Any = None) -> Any:
@@ -409,9 +420,9 @@ class HyperStore:
         ``fn`` receives the current value (or ``default`` when absent) and
         returns the new value, which is stored and returned.
         """
-        part = self._owner(key)
-        with part.lock_for(key):
-            self._account("update", key, part)
+        part, stripe = self._locate(key)
+        with part._stripes[stripe]:
+            self._account("update", key, part, stripe)
             entry = part.data.get(key)
             current = default if entry is None else entry.value
             new = fn(current)
@@ -547,10 +558,23 @@ class HyperStore:
 
     # -- internals -------------------------------------------------------------------
 
-    def _owner(self, key: str) -> Partition:
-        part = self._partitions[self._ring.owner(key)]
-        self._check_alive(part)
-        return part
+    def _locate(self, key: str) -> tuple[Partition, int]:
+        """The live partition owning ``key`` and the key's stripe in it.
+
+        The memo is read once per lookup: a lookup that races
+        ``add_node``'s swap records its placement only in the dict the
+        swap discarded.  The alive check runs on every op.
+        """
+        placement = self._placement
+        part = placement.get(key)
+        if part is None:
+            part = self._partitions[self._ring.owner(key)]
+            if len(placement) >= PLACEMENT_MEMO:
+                placement.clear()
+            placement[key] = part
+        if not part.alive:
+            raise StoreUnavailableError(f"store node {part.node} is down")
+        return part, hash(key) & part._mask
 
     def _partition_by_name(self, node: str) -> Partition:
         if node not in self._partitions:
@@ -588,10 +612,10 @@ class HyperStore:
         if pending:
             self._hub.kick(pending)
 
-    def _account(self, op: str, key: str, part: Partition) -> None:
+    def _account(self, op: str, key: str, part: Partition, stripe: int) -> None:
         # Called with the key's stripe lock held: the stripe's cell has a
         # single writer at a time, so the bare increment is safe.
-        part._op_counts[part.stripe_of(key)] += 1
+        part._op_counts[stripe] += 1
         if self._track_hot:
             with self._hot_lock:
                 self._key_hits[key] = self._key_hits.get(key, 0) + 1

@@ -77,6 +77,7 @@ class WatchSubscription:
         "_depth",
         "_queue",
         "_lock",
+        "_delivering",
         "_draining",
         "_gap",
         "cancelled",
@@ -100,6 +101,8 @@ class WatchSubscription:
         self._depth = watch_queue_from_env() if depth is None else depth
         self._queue: deque[WatchEvent] = deque()
         self._lock = threading.Lock()
+        # Held around each callback, so cancel() can wait one out.
+        self._delivering = threading.RLock()
         self._draining = False
         self._gap = False
         self.cancelled = False
@@ -148,21 +151,31 @@ class WatchSubscription:
                     self._queue.clear()
                     self._draining = False
                     return
-            try:
-                self.callback(event)
-            except Exception:
-                # A subscriber bug must never break the writer that
-                # happens to be draining on its behalf.
-                self.callback_errors += 1
-            else:
-                self.delivered += 1
-                self._hub._count_delivered()
+            with self._delivering:
+                # Re-checked here: a cancel() that ran since the pop
+                # has returned, and its caller expects no more events.
+                if self.cancelled:
+                    return
+                try:
+                    self.callback(event)
+                except Exception:
+                    # A subscriber bug must never break the writer that
+                    # happens to be draining on its behalf.
+                    self.callback_errors += 1
+                else:
+                    self.delivered += 1
+                    self._hub._count_delivered()
 
     def cancel(self) -> None:
+        """Unregister.  Once this returns the callback is not running on
+        another thread and never runs again, so do not cancel while
+        holding a lock the callback takes."""
         self._hub._remove(self)
         with self._lock:
             self.cancelled = True
             self._queue.clear()
+        with self._delivering:
+            pass  # wait out a callback in flight on another thread
 
 
 class WatchHub:
@@ -173,13 +186,22 @@ class WatchHub:
     mutation.  ``enqueue`` runs under the mutating key's stripe lock and
     only appends to per-subscription queues; ``kick`` runs after the lock
     is released and performs the actual callback delivery.
+
+    Routing takes no lock.  Each key's subscriptions, and the prefix
+    subscriptions, are immutable tuples: registration and removal build
+    a new tuple under the hub lock and publish it with one atomic store
+    (a dict item or an attribute), so a writer reads a whole tuple
+    whenever it looks.  Subscribe-before-read survives: a read-through
+    publishes its subscription and only then takes the key's stripe
+    lock to read, so a writer that looked before the publication holds
+    that lock and commits first, and every later writer sees it.
     """
 
     def __init__(self, depth: int | None = None) -> None:
         self._depth = depth
         self._lock = threading.Lock()
-        self._exact: dict[str, list[WatchSubscription]] = {}
-        self._prefix: list[WatchSubscription] = []
+        self._exact: dict[str, tuple[WatchSubscription, ...]] = {}
+        self._prefix: tuple[WatchSubscription, ...] = ()
         self._obs: Any = None
         self.active = False
 
@@ -190,7 +212,7 @@ class WatchHub:
     ) -> WatchSubscription:
         sub = WatchSubscription(self, callback, key=key, depth=self._depth)
         with self._lock:
-            self._exact.setdefault(key, []).append(sub)
+            self._exact[key] = self._exact.get(key, ()) + (sub,)
             self.active = True
         return sub
 
@@ -199,26 +221,20 @@ class WatchHub:
     ) -> WatchSubscription:
         sub = WatchSubscription(self, callback, prefix=prefix, depth=self._depth)
         with self._lock:
-            self._prefix.append(sub)
+            self._prefix += (sub,)
             self.active = True
         return sub
 
     def _remove(self, sub: WatchSubscription) -> None:
         with self._lock:
             if sub.key is not None:
-                subs = self._exact.get(sub.key)
-                if subs is not None:
-                    try:
-                        subs.remove(sub)
-                    except ValueError:
-                        pass
-                    if not subs:
-                        del self._exact[sub.key]
+                rest = tuple(s for s in self._exact.get(sub.key, ()) if s is not sub)
+                if rest:
+                    self._exact[sub.key] = rest
+                else:
+                    self._exact.pop(sub.key, None)
             else:
-                try:
-                    self._prefix.remove(sub)
-                except ValueError:
-                    pass
+                self._prefix = tuple(s for s in self._prefix if s is not sub)
             self.active = bool(self._exact or self._prefix)
 
     def subscription_count(self) -> int:
@@ -227,13 +243,18 @@ class WatchHub:
 
     # -- event flow ---------------------------------------------------------
 
-    def subscriptions_for(self, key: str) -> list[WatchSubscription]:
-        with self._lock:
-            subs = list(self._exact.get(key, ()))
-            for sub in self._prefix:
-                if key.startswith(sub.prefix):  # type: ignore[arg-type]
-                    subs.append(sub)
-            return subs
+    def subscriptions_for(self, key: str) -> tuple[WatchSubscription, ...]:
+        """The subscriptions ``key`` routes to.  Lock-free; allocates
+        nothing unless a prefix subscription matches."""
+        subs = self._exact.get(key, ())
+        prefixed = self._prefix
+        if prefixed:
+            matched = tuple(
+                s for s in prefixed if key.startswith(s.prefix)  # type: ignore[arg-type]
+            )
+            if matched:
+                subs += matched
+        return subs
 
     def enqueue(
         self, key: str, kind: str, value: Any, version: int

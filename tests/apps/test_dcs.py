@@ -1,6 +1,8 @@
 """Tests for the DCS coordination service: namespace, total order,
 sessions/ephemerals, and watches."""
 
+import threading
+
 import pytest
 
 from repro.apps.dcs.service import (
@@ -11,7 +13,9 @@ from repro.apps.dcs.service import (
     NotEmptyError,
     SessionExpiredError,
 )
+from repro.core.runtime import ElasticRuntime
 from repro.errors import ApplicationError
+from tests.rmi.test_transport import _wait_for
 
 
 @pytest.fixture
@@ -279,3 +283,53 @@ class TestDcsScaling:
         dcs.set_data("/a", 1)
         dcs.delete("/a")
         assert runtime.store.get("CoordinationService$updates_total") == 3
+
+
+class TestConcurrentCreate:
+    """ZooKeeper's contract: of two creates of one path, exactly one
+    succeeds, even when both pass the existence check before either
+    writes."""
+
+    def test_exactly_one_of_two_racing_creates_succeeds(self):
+        runtime = ElasticRuntime.local(nodes=4)
+        try:
+            pool = runtime.new_pool(CoordinationService, name="dcs")
+            assert _wait_for(lambda: pool.size() == 2)
+            store = runtime.store
+            real_exists = store.exists
+            barrier = threading.Barrier(2, timeout=10.0)
+
+            def exists(key):
+                found = real_exists(key)
+                if key == "dcs/node/x":
+                    barrier.wait()  # both have checked, neither has written
+                return found
+
+            store.exists = exists
+            outcomes = []
+
+            def create(tag):
+                stub = runtime.stub("dcs", caller=f"client-{tag}")
+                try:
+                    outcomes.append((tag, stub.create("/x", tag)))
+                except ApplicationError as exc:
+                    outcomes.append((tag, exc.cause))
+
+            threads = [
+                threading.Thread(target=create, args=(tag,)) for tag in ("a", "b")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            won = [(tag, zxid) for tag, zxid in outcomes if isinstance(zxid, int)]
+            lost = [err for _, err in outcomes if not isinstance(err, int)]
+            assert len(won) == 1
+            assert len(lost) == 1 and isinstance(lost[0], NodeExistsError)
+            winner, czxid = won[0]
+            record = store.get("dcs/node/x")
+            assert record["data"] == winner and record["czxid"] == czxid
+            assert store.get("dcs/children/") == ["x"]
+        finally:
+            runtime.shutdown()

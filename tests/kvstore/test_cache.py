@@ -82,6 +82,18 @@ class TestWatchMode:
         assert cache.get("n") == 15
         assert store.get("n") == 15
 
+    def test_update_does_not_subscribe(self, store):
+        cache = WatchCache(store)
+        watched = cache.stats()["watched_keys"]
+        subscriptions = store.watch_stats()["subscriptions"]
+        assert cache.update("ctr", lambda v: v + 1, default=0) == 1
+        assert cache.stats()["watched_keys"] == watched
+        assert store.watch_stats()["subscriptions"] == subscriptions
+        assert cache.get("ctr") == 1  # the first read subscribes...
+        assert store.watch_stats()["subscriptions"] == subscriptions + 1
+        store.put("ctr", 7)  # ...so another writer's put reaches it
+        assert cache.get("ctr") == 7
+
     def test_absent_key_confirmed_and_cached(self, store):
         cache = WatchCache(store)
         assert cache.get("ghost", default=None) is None

@@ -10,12 +10,14 @@ the store freely.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.errors import StoreUnavailableError
-from repro.kvstore import HyperStore
+from repro.kvstore import HyperStore, WatchCache
 from repro.kvstore.watch import AsyncWatchQueue, WatchEvent, WatchHub
 
 
@@ -136,6 +138,86 @@ class TestConcurrentOrdering:
         assert versions == sorted(versions)
         assert versions == list(range(1, len(versions) + 1))
         assert versions[-1] == 800
+
+
+class TestLockFreeRouting:
+    """Writers route events without the hub lock.  A read-through must
+    still subscribe before it reads, and a cancelled subscription must
+    hear nothing once ``cancel()`` has returned."""
+
+    WRITERS = 4
+    INCRS = 50
+    ROUNDS = 20
+
+    def _hammer(self, store, key, during):
+        """Run the writers while ``during()`` loops on this thread, with
+        a 1 µs switch interval; return once every writer has stopped."""
+        go = threading.Event()
+
+        def writer():
+            go.wait()
+            for _ in range(self.INCRS):
+                store.incr(key)
+
+        threads = [threading.Thread(target=writer) for _ in range(self.WRITERS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            go.set()
+            during(lambda: any(thread.is_alive() for thread in threads))
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_read_through_never_misses_a_racing_write(self, store):
+        """A missed event shows only if no later write repairs it, so
+        the writers run in short bursts, and the caches whose first read
+        raced the end of a burst are checked once it is over."""
+        cache = WatchCache(store)
+        for _ in range(self.ROUNDS):
+            fresh = []
+
+            def reader(running):
+                while running():
+                    cache.invalidate("ctr")
+                    cache.get("ctr", default=0)
+                    if len(fresh) == 8:
+                        fresh.pop(0).close()
+                    fresh.append(WatchCache(store))
+                    fresh[-1].get("ctr", default=0)
+
+            self._hammer(store, "ctr", reader)
+            final = store.get("ctr")
+            assert cache.get("ctr") == final
+            assert [c.get("ctr") for c in fresh] == [final] * len(fresh)
+            for late in fresh:
+                late.close()
+        assert store.get("ctr") == self.ROUNDS * self.WRITERS * self.INCRS
+
+    def test_no_event_after_cancel_returns(self, store):
+        heard = []
+
+        def slow(event):
+            time.sleep(0.0002)  # keep a callback in flight across cancel()
+            heard.append(event.version)
+
+        sub = store.watch("ctr", slow)
+        at_cancel = []
+
+        def canceller(running):
+            while running() and len(heard) < 20:
+                time.sleep(0.0001)
+            sub.cancel()
+            at_cancel.append(len(heard))
+
+        self._hammer(store, "ctr", canceller)
+        assert at_cancel and heard
+        assert len(heard) == at_cancel[0]
+        assert store.watch_stats()["subscriptions"] == 0
 
 
 class TestOverflow:
