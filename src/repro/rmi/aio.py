@@ -10,17 +10,23 @@ coroutines, and an in-flight call costs at most one ``asyncio.Task``
 of thousands of concurrent calls.
 
 What a task is paid for
-    One per unbatched call; one per *batch*, plus one per entry of it
-    that can suspend.  An entry whose method cannot — a plain method:
+    Only suspension.  A method that cannot suspend — a plain method:
     not ``async def``, not ``@blocking``, not ``@cpu_bound``; the
     skeleton says which, from the method, via ``Endpoint.export`` — is
-    stepped to its reply inside the batch's own task, still through the
-    exported ``handle_async`` and in a context copy of its own.  Whether
-    a method suspends is never found out by running it: user code in an
-    ``async def`` body must see its *own* task (``asyncio.timeout()``,
-    ``current_task()``), so such entries keep theirs and still overlap.
-    The price is a longer single loop turn for a batch of plain
-    handlers; ``rmi.aio.loop_lag_ms`` shows it.
+    stepped to its reply where it was sent, still through the exported
+    ``handle_async`` and in a context copy of its own: an unbatched
+    call of one, and every such entry of a batch, run inside the sweep
+    or loop callback that sent the message, with no task, no timer and
+    no extra loop turn.  An unbatched call that may suspend costs one
+    task; a batch costs one per entry that may, plus one for the batch
+    once it waits on them.  Whether a method suspends is never found
+    out by running it: user code in an ``async def`` body must see its
+    *own* task (``asyncio.timeout()``, ``current_task()``), so it keeps
+    one and such entries still overlap.  A message is also sent through
+    a task when a fault hook is installed, when the in-flight window is
+    full, and when it is sent from inside a task.  The price is a
+    longer single loop turn for a wave of plain handlers;
+    ``rmi.aio.loop_lag_ms`` shows it.
 
 Loop ownership
     The process owns exactly one transport event loop, created lazily on
@@ -42,7 +48,8 @@ Bridging
     (the stub's loop-native path and the batcher's sweeps use them).
     From another thread they hop to the loop (``call_soon_threadsafe``);
     called on the loop thread — the batcher's sweeps are — they start
-    the dispatch at once, and
+    the dispatch at once (a message that cannot suspend has completed
+    when they return), and
     ``schedule()`` there is a plain ``call_soon``: no write to the
     loop's self-pipe for a hop to the thread one is already on.
     ``invoke()``/``invoke_batch()`` bridge synchronously for
@@ -64,7 +71,7 @@ import asyncio
 import threading
 import types
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextvars import copy_context
+from contextvars import Context, copy_context
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
@@ -188,9 +195,11 @@ def loop_runtime() -> _LoopRuntime:
 class AsyncioTransport(_TransportBase):
     """Live transport: every endpoint dispatches on one shared loop.
 
-    ``timeout`` bounds each dispatch (None disables the deadline —
-    deterministic tests use that to keep dispatch coroutines
-    suspension-free).  ``inflight_limit`` is the dispatch window.
+    ``timeout`` bounds each dispatch that suspends; one that runs to
+    its reply where it was sent has no timer to arm (None disables the
+    deadline — deterministic tests use that to keep dispatch coroutines
+    on the task path suspension-free).  ``inflight_limit`` is the
+    dispatch window.
     """
 
     concurrent = True
@@ -305,8 +314,10 @@ class AsyncioTransport(_TransportBase):
 
         Thread-safe and non-blocking: the caller never parks, which is
         what lets one thread keep thousands of calls in flight.  Called
-        on the loop thread (the batcher's sweeps are) the dispatch task
-        is created at once instead of hopping to the loop it is on.
+        on the loop thread (the batcher's sweeps are) the dispatch starts
+        at once instead of hopping to the loop it is on: a call that
+        cannot suspend has run, ``on_done`` included, by the time this
+        returns (see :meth:`_start`); any other has its task.
         """
         self._runtime.run(self._start, endpoint_id, request, on_done)
 
@@ -323,12 +334,102 @@ class AsyncioTransport(_TransportBase):
         message: Request | BatchRequest,
         on_done: DoneCallback,
     ) -> None:  # loop thread
+        """Send one wire message: eagerly when nothing in it can suspend
+        before its reply, in a task of its own otherwise.
+
+        Eager needs no fault hook (hooks are consulted on the offload
+        executor), room in the window, no current task (user code must
+        never run inside a task that is not its own) and a message that
+        cannot suspend: a batch, whose suspending entries get tasks of
+        their own, or a call whose skeleton says its method cannot
+        (``Endpoint.may_suspend``; a raw exported callable makes no
+        such promise).  A message that fails to resolve is answered
+        here, whatever path it would have taken.
+        """
+        try:
+            ep, handler = self._resolve_message(endpoint_id, message)
+        except ConnectError as exc:
+            self._complete(on_done, None, exc)
+            return
+        if (
+            self._fault_hook is None
+            and not self._sema.locked()
+            and asyncio.current_task(self._runtime.loop) is None
+            and (
+                handler is None
+                or not ep.may_suspend.get(message.object_id, _suspends)(
+                    message.method
+                )
+            )
+        ):
+            context = copy_context()
+            context.run(self._eager, ep, handler, message, on_done, context)
+        else:
+            self._spawn(self._run(
+                self._invoke_async(endpoint_id, ep, handler, message), on_done
+            ))
+
+    def _eager(
+        self,
+        ep: Endpoint,
+        handler: Any,
+        message: Request | BatchRequest,
+        on_done: DoneCallback,
+        context: Context,
+    ) -> None:  # loop thread, run in ``context``
+        """Step one message to its reply inside the caller's callback.
+
+        It holds a slot of the window and counts as in flight while it
+        runs, as a task would.  Should it suspend after all — a batch
+        whose entries were given tasks, a plain method that handed back
+        an awaitable — the rest of it becomes the message's one task,
+        in the same context and under the deadline its dispatch started
+        here.
+        """
+        size = 1 if handler is not None else len(message.entries)
+        _step(self._sema.acquire)  # free: _start saw room in the window
+        self._note_inflight(+size)
+        self._messages.increment()
+        if self._tracer is not None:
+            self._trace_message(ep, message)
+        started = self._runtime.loop.time()
+        try:
+            if handler is None:
+                reply = _step(self._dispatch, ep, None, message)
+            else:
+                reply = _step(handler, message)
+        except BaseException as exc:  # noqa: BLE001 - relayed to completer
+            reply, error = None, exc
+        else:
+            if type(reply) is types.CoroutineType:  # _step's rest of it
+                self._spawn(
+                    self._run(
+                        self._resume(reply, message, size, started), on_done
+                    ),
+                    context,
+                )
+                return
+            error = None
+        self._sema.release()
+        self._note_inflight(-size)
+        self._complete(on_done, reply, error)
+
+    async def _resume(
+        self, rest: Any, message: Request | BatchRequest, size: int,
+        started: float,
+    ) -> Any:
+        """The task of an eagerly stepped message that suspended."""
+        try:
+            return await self._timed(rest, message, started)
+        finally:
+            self._sema.release()
+            self._note_inflight(-size)
+
+    def _spawn(self, coro: Any, context: Context | None = None) -> None:
         # Tasks need a strong reference until done; _reap also surfaces
         # completion-callback bugs via the loop's exception handler
         # instead of a silent "exception never retrieved".
-        task = self._runtime.loop.create_task(
-            self._run(endpoint_id, message, on_done)
-        )
+        task = self._runtime.loop.create_task(coro, context=context)
         self._tasks.add(task)
         task.add_done_callback(self._reap)
 
@@ -338,19 +439,27 @@ class AsyncioTransport(_TransportBase):
             return
         exc = task.exception()
         if exc is not None:
-            self._runtime.loop.call_exception_handler(
-                {"message": "ermi aio completion callback failed",
-                 "exception": exc}
-            )
+            self._report(exc)
 
-    async def _run(
-        self,
-        endpoint_id: str,
-        message: Request | BatchRequest,
-        on_done: DoneCallback,
+    def _complete(
+        self, on_done: DoneCallback, reply: Any, error: BaseException | None
     ) -> None:
+        """Run a completion outside any task: a callback that raises is
+        reported as :meth:`_reap` reports one that raised in a task."""
         try:
-            reply = await self._invoke_async(endpoint_id, message)
+            on_done(reply, error)
+        except Exception as exc:  # noqa: BLE001 - a completer's bug
+            self._report(exc)
+
+    def _report(self, exc: BaseException) -> None:
+        self._runtime.loop.call_exception_handler(
+            {"message": "ermi aio completion callback failed",
+             "exception": exc}
+        )
+
+    async def _run(self, work: Any, on_done: DoneCallback) -> None:
+        try:
+            reply = await work
         except asyncio.CancelledError:
             on_done(None, ConnectError("asyncio transport shut down"))
         except BaseException as exc:  # noqa: BLE001 - relayed to completer
@@ -359,6 +468,17 @@ class AsyncioTransport(_TransportBase):
             on_done(reply, None)
 
     # -- dispatch coroutines ------------------------------------------------
+
+    def _resolve_message(
+        self, endpoint_id: str, message: Request | BatchRequest
+    ) -> tuple[Endpoint, Any]:
+        """The endpoint and, for a call, its handler (None for a batch,
+        whose entries resolve one by one at dispatch)."""
+        if self._closed:
+            raise ConnectError("asyncio transport shut down")
+        if type(message) is BatchRequest:
+            return self._resolve_endpoint(endpoint_id), None
+        return self._resolve_aio(endpoint_id, message)
 
     def _resolve_aio(
         self, endpoint_id: str, request: Request
@@ -376,20 +496,17 @@ class AsyncioTransport(_TransportBase):
         return ep, handler
 
     async def _invoke_async(
-        self, endpoint_id: str, message: Request | BatchRequest
+        self,
+        endpoint_id: str,
+        ep: Endpoint,
+        handler: Any,
+        message: Request | BatchRequest,
     ) -> Any:
-        """Deliver one wire message, a call or a batch: one slot of the
-        dispatch window, one fault-hook consultation, one message
-        counted and one trace event, however many calls it carries."""
-        if self._closed:
-            raise ConnectError("asyncio transport shut down")
-        if type(message) is BatchRequest:
-            ep, handler = self._resolve_endpoint(endpoint_id), None
-            size = len(message.entries)
-            what = f"batch of {size} invocations"
-        else:
-            ep, handler = self._resolve_aio(endpoint_id, message)
-            size, what = 1, f"invocation of {message.method!r}"
+        """Deliver one resolved wire message, a call or a batch: one
+        slot of the dispatch window, one fault-hook consultation, one
+        message counted and one trace event, however many calls it
+        carries."""
+        size = 1 if handler is not None else len(message.entries)
         async with self._sema:
             self._note_inflight(+size)
             try:
@@ -405,18 +522,28 @@ class AsyncioTransport(_TransportBase):
                 if self._tracer is not None:
                     self._trace_message(ep, message)
                 return await self._timed(
-                    self._dispatch(ep, handler, message), what
+                    self._dispatch(ep, handler, message), message,
+                    self._runtime.loop.time(),
                 )
             finally:
                 self._note_inflight(-size)
 
-    async def _timed(self, coro: Any, what: str) -> Any:
+    async def _timed(
+        self, coro: Any, message: Request | BatchRequest, started: float
+    ) -> Any:
+        """Await ``coro`` under the deadline of a dispatch ``started``
+        then (loop time)."""
         if self._timeout is None:
             return await coro
         try:
-            async with asyncio.timeout(self._timeout):
+            async with asyncio.timeout_at(started + self._timeout):
                 return await coro
         except TimeoutError as exc:
+            what = (
+                f"batch of {len(message.entries)} invocations"
+                if type(message) is BatchRequest
+                else f"invocation of {message.method!r}"
+            )
             raise RemoteError(
                 f"{what} timed out after {self._timeout}s"
             ) from exc
@@ -428,9 +555,9 @@ class AsyncioTransport(_TransportBase):
         the loop, its replies reassembled in entry order.
 
         An entry whose method cannot suspend (its skeleton says so, see
-        ``Endpoint.may_suspend``) is stepped to its reply right here, in
-        the batch's own task: the batch, not the entry, pays for a task.
-        Every other entry — ``async def``, offloaded, or a handler
+        ``Endpoint.may_suspend``) is stepped to its reply right here,
+        wherever the batch is being stepped: no entry of that kind pays
+        for a task.  Every other entry — ``async def``, offloaded, or a handler
         exported with no such promise — gets a task of its own, started
         once the inline entries are done, so those still overlap.  Each
         entry runs in its own copy of the context, as its task would
@@ -534,25 +661,35 @@ class AsyncioTransport(_TransportBase):
         if self._lag_task is not None:
             self._lag_task.cancel()
             self._lag_task = None
+        # One turn later: by then every task made so far (a sweep that
+        # raced shutdown may just have made one) has taken its first
+        # step, so its _run turns the cancellation into a ConnectError.
+        loop = self._runtime.loop
         for task in list(self._tasks):
-            task.cancel()
+            loop.call_soon(task.cancel)
 
 
-def _step(handler: Any, request: Request) -> Any:
+def _step(dispatch: Any, *args: Any) -> Any:
     """Run a dispatch coroutine that should not suspend to its reply.
 
-    Called in the entry's own context.  Should the coroutine suspend
-    after all (``Skeleton.handle_async`` does when a plain method hands
-    back an awaitable, which it has then already put in a task of its
-    own), the rest of it is returned as a coroutine for the caller to
-    give a task, in this same context.
+    Called in the context the dispatch is to run in.  Should the
+    coroutine suspend after all (``Skeleton.handle_async`` does when a
+    plain method hands back an awaitable, which it has then already put
+    in a task of its own; a batch does once it has given its suspending
+    entries theirs), the rest of it is returned as a coroutine for the
+    caller to give a task, in this same context.
     """
-    coro = handler(request)
+    coro = dispatch(*args)
     try:
         yielded = coro.send(None)
     except StopIteration as done:
         return done.value
     return _finish(coro, yielded)
+
+
+def _suspends(method: str) -> bool:
+    """The predicate of a handler exported without one: it may."""
+    return True
 
 
 async def _finish(coro: Any, yielded: Any) -> Any:

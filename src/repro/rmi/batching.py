@@ -19,8 +19,11 @@ transport decides is read once, at construction:
 - **How a batch flies, and who sweeps.**  On an asynchronous transport
   (:class:`~repro.rmi.aio.AsyncioTransport`) a batch flies through the
   callback API (``submit`` / ``submit_batch``) and the send returns at
-  once; sweeps run on the event loop, and a completion that finds
-  entries the window held back sweeps again there.  A queue that fills
+  once: with the batch completed, when nothing in it can suspend (the
+  transport runs it inside the sweep), or with its task started.
+  Sweeps run on the event loop, and a later completion that finds
+  entries the window held back sweeps again there; one inside the
+  sweep that flew its batch leaves them to that sweep.  A queue that fills
   schedules one deduped sweep of itself; a *waiter* schedules one sweep
   of every queue that went non-empty since the last one
   (:meth:`RequestBatcher._kick_ready`).  Entries settle on the loop; a
@@ -130,11 +133,14 @@ class _EndpointQueue:
 
     ``wait_hook`` is what a waiter on any of this queue's futures runs
     to get its entry moving; it is built once, with the queue.
+    ``sweeping`` is loop-thread state: a sweep of this queue is on the
+    loop's stack, so a batch completing inside its own flight leaves
+    what is pending to that sweep.
     """
 
     __slots__ = (
         "endpoint_id", "wait_hook", "lock", "pending",
-        "flying", "scheduled", "ready",
+        "flying", "scheduled", "ready", "sweeping",
     )
 
     def __init__(self, endpoint_id: str) -> None:
@@ -145,6 +151,7 @@ class _EndpointQueue:
         self.flying = 0
         self.scheduled = False
         self.ready = False
+        self.sweeping = False
 
     def idle(self) -> bool:
         """Nothing queued, nothing on the wire, no sweep on its way."""
@@ -325,24 +332,31 @@ class RequestBatcher:
         """Fly batches off ``q`` until it is empty or the window is full
         (``forced``: until it is empty).
 
-        On the loop every flight returns at once, so one sweep fills the
-        window and each completion sweeps again.  Elsewhere each flight
+        On the loop a flight returns once its batch has either completed
+        (the transport stepped it to its reply) or been given a task;
+        the sweep goes on either way, and a completion that finds
+        entries held back by the window sweeps again unless this sweep
+        is still under way.  Elsewhere each flight
         has completed when it returns, so the sweeping thread serves
         batch after batch — its own entry usually in the first — and
         leaves only when the queue is empty or the window is held by
         other threads, each of which sweeps again after its own flight:
         a pending entry always has a sweep coming.
         """
-        while True:
-            with q.lock:
-                q.scheduled = False  # whichever sweep this is, it serves a kick
-                if not q.pending or (q.flying >= self._window and not forced):
-                    return
-                batch = q.pending[: self._max_batch]
-                del q.pending[: len(batch)]
-                q.flying += 1
-                inflight = q.flying
-            self._fly(q, batch, inflight)
+        q.sweeping = self._on_loop  # only ever read on the loop
+        try:
+            while True:
+                with q.lock:
+                    q.scheduled = False  # whichever sweep this is, it serves a kick
+                    if not q.pending or (q.flying >= self._window and not forced):
+                        return
+                    batch = q.pending[: self._max_batch]
+                    del q.pending[: len(batch)]
+                    q.flying += 1
+                    inflight = q.flying
+                self._fly(q, batch, inflight)
+        finally:
+            q.sweeping = False
 
     def _fly(self, q: _EndpointQueue, batch: list[_Entry], inflight: int) -> None:
         """Put one batch on the wire; :meth:`_done` completes it."""
@@ -377,15 +391,17 @@ class RequestBatcher:
     ) -> None:
         """One batch completed: free its slot, settle every entry and —
         on the loop, where no sweeping thread is waiting to go on —
-        sweep again if the window held entries back.  Completers must
-        not block on the loop; stubs offload anything that re-dispatches
-        synchronously."""
+        sweep again if the window held entries back.  Not from inside
+        the sweep that flew the batch: its loop takes what is pending,
+        where a sweep from here would nest one sweep per batch of
+        backlog.  Completers must not block on the loop; stubs offload
+        anything that re-dispatches synchronously."""
         with q.lock:
             q.flying -= 1
             # Decided before settling: entries a settled caller queues
             # next belong to its next wave and to the sweep its wait
             # schedules, not to a partial batch flown from here.
-            held_back = self._on_loop and bool(q.pending)
+            held_back = self._on_loop and bool(q.pending) and not q.sweeping
         self._settle(q.endpoint_id, batch, reply, error)
         if held_back:
             self._sweep(q)

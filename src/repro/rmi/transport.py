@@ -147,8 +147,9 @@ class Endpoint:
     asyncio transport reads it; sync transports use ``handlers`` alone.
     ``may_suspend`` holds, per object exported with one, the predicate
     that says whether a *method name* can suspend its coroutine dispatch
-    (``async def``, offloaded): the asyncio transport runs the entries of
-    a batch that cannot inside the batch's own task.
+    (``async def``, offloaded): the asyncio transport runs a call, or a
+    batch's entry, that cannot where the message was sent, without a
+    task of its own.
     """
 
     name: str

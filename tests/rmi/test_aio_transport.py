@@ -4,11 +4,13 @@ Covers the dispatch surface (sync, coroutine, and ``@blocking``
 handlers), the failure modes (dead endpoints, missing objects,
 deadline, fault hooks), the loop-safety contract (wait guards on loop
 threads), the in-flight window, batcher coalescing on the loop drain
-discipline, and the end-to-end runtime integration
+discipline, eager dispatch of messages that cannot suspend, and the
+end-to-end runtime integration
 (``ElasticRuntime.local(transport="asyncio")``).
 """
 
 import asyncio
+import concurrent.futures
 import contextvars
 import os
 import threading
@@ -497,29 +499,53 @@ class TestBatchDispatch:
         replies = transport.invoke_batch(endpoint.endpoint_id, batch).entries
         assert [r.payload for r in replies] == [b"async", b"sync"]
 
-    def test_an_all_plain_batch_costs_one_task(self, transport):
+    def test_an_all_plain_batch_costs_no_task(self, transport):
         endpoint, skeleton = exported(transport, Mixed())
         batch = BatchRequest(entries=tuple(
             request_for(skeleton, "double", i) for i in range(16)
         ))
         transport.invoke_batch(endpoint.endpoint_id, batch)  # warm
-        loop = loop_runtime().loop
-        created = []
-
-        def counting(loop, coro, **kwargs):
-            task = asyncio.Task(coro, loop=loop, **kwargs)
-            created.append(task)
-            return task
-
-        loop.set_task_factory(counting)
-        try:
+        with counting_tasks() as created:
             replies = transport.invoke_batch(endpoint.endpoint_id, batch)
-        finally:
-            loop.set_task_factory(None)
         assert [outcome(r) for r in replies.entries] == [
             ("result", 2 * i) for i in range(16)
         ]
-        assert len(created) == 1  # one per entry, plus one, before
+        assert created == []  # one per entry, plus one, two changes ago
+
+    def test_a_batch_that_suspends_costs_one_task_more(self, transport):
+        """Stepped eagerly, a batch whose entries suspend still costs
+        what it did: one task per such entry, plus one for the batch."""
+        endpoint, skeleton = exported(transport, Mixed())
+        batch = BatchRequest(entries=(
+            request_for(skeleton, "double", 1),
+            request_for(skeleton, "adouble", 2),
+            request_for(skeleton, "double", 3),
+            request_for(skeleton, "adouble", 4),
+        ))
+        with counting_tasks() as created:
+            replies = transport.invoke_batch(endpoint.endpoint_id, batch)
+        assert [outcome(r) for r in replies.entries] == [
+            ("result", 2), ("result", 4), ("result", 6), ("result", 8),
+        ]
+        assert len(created) == 3
+
+
+class counting_tasks:
+    """Collects every task the shared loop creates while entered."""
+
+    def __enter__(self):
+        self.loop, self.created = loop_runtime().loop, []
+
+        def counting(loop, coro, **kwargs):
+            task = asyncio.Task(coro, loop=loop, **kwargs)
+            self.created.append(task)
+            return task
+
+        self.loop.set_task_factory(counting)
+        return self.created
+
+    def __exit__(self, *exc_info):
+        self.loop.set_task_factory(None)
 
 
 class TestBatchFailsAsAWhole:
@@ -595,9 +621,10 @@ class TestWaveOnLoop:
         assert len(wakeups) == 1  # four kicks and four re-posts, before
 
     def test_submit_on_the_loop_thread_starts_at_once(self, transport):
-        """``submit`` from the loop thread creates the dispatch task
-        there and then; ``schedule`` still runs its callback on a later
-        turn, but without writing to the self-pipe."""
+        """``submit`` of a plain call from the loop thread runs it to its
+        completion before returning: no task, no self-pipe write.
+        ``schedule`` still runs its callback on a later turn, but
+        without writing to the self-pipe."""
         endpoint, skeleton = exported(transport, Mixed())
         loop = loop_runtime().loop
         order, finished = [], threading.Event()
@@ -606,19 +633,197 @@ class TestWaveOnLoop:
             plain = loop.call_soon_threadsafe
             loop.call_soon_threadsafe = lambda *a, **k: order.append("pipe")
             try:
-                before = len(transport._tasks)
-                transport.submit(
-                    endpoint.endpoint_id, request_for(skeleton, "double", 2),
-                    lambda response, error: (order.append("done"), finished.set()),
-                )
-                order.append(len(transport._tasks) - before)
-                transport.schedule(lambda: order.append("scheduled"))
-                order.append("returned")
+                with counting_tasks() as created:
+                    transport.submit(
+                        endpoint.endpoint_id, request_for(skeleton, "double", 2),
+                        lambda response, error: order.append(outcome(response)),
+                    )
+                    order.append(len(created))
+                    transport.schedule(
+                        lambda: (order.append("scheduled"), finished.set())
+                    )
+                    order.append("returned")
             finally:
                 loop.call_soon_threadsafe = plain
 
         transport.schedule(on_loop)
         assert finished.wait(timeout=5.0)
-        assert _wait_for(lambda: "scheduled" in order)
-        assert order[:2] == [1, "returned"]
-        assert "pipe" not in order
+        assert order == [("result", 4), 0, "returned", "scheduled"]
+
+
+# ----------------------------------------------------------------------
+# eager dispatch: a message that cannot suspend runs where it was sent
+# ----------------------------------------------------------------------
+
+
+def on_the_loop(fn):
+    """Run ``fn()`` in one loop callback and return what it returned."""
+    done: concurrent.futures.Future = concurrent.futures.Future()
+
+    def run():
+        try:
+            done.set_result(fn())
+        except BaseException as exc:  # noqa: BLE001 - relayed to the test
+            done.set_exception(exc)
+
+    loop_runtime().call_soon(run)
+    return done.result(timeout=5.0)
+
+
+class TestEagerDispatch:
+    def test_a_deep_backlog_on_the_loop_settles(self, transport):
+        """20,000 calls queued in one loop callback at two per batch: the
+        sweep serves every batch from its own loop.  A completion inside
+        that sweep that swept again would nest one sweep per batch,
+        until a RecursionError left the rest unresolved."""
+        _, skeleton = exported(transport, Mixed())
+        batcher = RequestBatcher(transport, max_batch=2)
+        stub = Stub(transport, skeleton.ref(), batcher=batcher)
+        loop = loop_runtime().loop
+        reported = []
+        previous = loop.get_exception_handler()
+        loop.set_exception_handler(lambda loop, context: reported.append(context))
+        try:
+            futures = on_the_loop(
+                lambda: [stub.invoke_async("double", i) for i in range(20_000)]
+            )
+            assert gather(futures, timeout=30.0) == [
+                2 * i for i in range(20_000)
+            ]
+        finally:
+            loop.set_exception_handler(previous)
+        assert reported == []
+        assert batcher.stats.batches == 10_000
+
+    def test_unbatched_async_def_calls_keep_their_own_task(self, transport):
+        _, skeleton = exported(transport, Mixed())
+        stub = Stub(transport, skeleton.ref())
+        with pytest.raises(ApplicationError) as raised:
+            stub.impatient()
+        assert isinstance(raised.value.cause, TimeoutError)
+        first, second = stub.whoami(), stub.whoami()
+        assert id(None) not in (first, second)
+
+    def test_unbatched_blocking_call_keeps_its_deadline(self):
+        transport = AsyncioTransport(timeout=0.05)
+        try:
+            _, skeleton = exported(transport, Mixed())
+            stub = Stub(transport, skeleton.ref())
+            with pytest.raises(RemoteError, match="timed out"):
+                stub.nap(0.3)
+        finally:
+            transport.shutdown()
+
+    def test_unbatched_plain_calls_do_not_share_a_context(self, transport):
+        """Two calls sent from one loop callback each run in a context of
+        their own, as their tasks would have given them."""
+        endpoint, skeleton = exported(transport, Mixed())
+        replies = []
+
+        def send_two():
+            for value in (1, 2):
+                transport.submit(
+                    endpoint.endpoint_id, request_for(skeleton, "mark", value),
+                    lambda response, error: replies.append(outcome(response)),
+                )
+            return _SEEN.get()
+
+        assert on_the_loop(send_two) is None
+        assert replies == [("result", None), ("result", None)]
+
+    def test_an_eager_call_that_suspends_keeps_its_context(self, transport):
+        """A handler promised not to suspend that does anyway finishes
+        in one task, in the very context its first step ran in: a
+        ContextVar token set before the await resets after it."""
+        endpoint = transport.add_endpoint("promised")
+
+        async def traced(request):
+            token = _SEEN.set("traced")
+            try:
+                await asyncio.sleep(0)
+                return Response(kind="result", payload=b"ok")
+            finally:
+                _SEEN.reset(token)
+
+        endpoint.export("o", lambda request: None, traced, lambda method: False)
+        with counting_tasks() as created:
+            reply = transport.invoke(endpoint.endpoint_id, Request("o", "m", b""))
+        assert reply.payload == b"ok"
+        assert len(created) == 1
+
+    def test_a_call_sent_inside_a_task_gets_a_task(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        replies = []
+
+        async def send():
+            transport.submit(
+                endpoint.endpoint_id, request_for(skeleton, "double", 3),
+                lambda response, error: replies.append(outcome(response)),
+            )
+
+        with counting_tasks() as created:
+            on_the_loop(lambda: loop_runtime().loop.create_task(send()))
+            assert _wait_for(lambda: replies == [("result", 6)])
+        assert len(created) == 2  # the sender's, and the call's
+
+    def test_shutdown_inside_an_eager_batch_still_completes_it(self):
+        """A batch stepped eagerly whose plain entry shuts the transport
+        down, and which then waits on a task of its own: the task it
+        hands the rest to is cancelled only after its first step, so
+        the batch still completes, with the shutdown's ConnectError."""
+        transport = AsyncioTransport()
+
+        class Closer(Mixed):
+            def close(self):
+                transport.shutdown()
+
+        try:
+            endpoint, skeleton = exported(transport, Closer())
+            outcome_of, finished = [], threading.Event()
+
+            def on_done(reply, error):
+                outcome_of.append(error)
+                finished.set()
+
+            transport.submit_batch(
+                endpoint.endpoint_id,
+                BatchRequest(entries=(
+                    request_for(skeleton, "close"),
+                    request_for(skeleton, "park"),
+                )),
+                on_done,
+            )
+            assert finished.wait(timeout=5.0)
+            assert isinstance(outcome_of[0], ConnectError)
+            assert _wait_for(lambda: skeleton.pending == 0)
+            assert _wait_for(lambda: not transport._tasks)
+        finally:
+            transport.shutdown()
+
+    @pytest.mark.parametrize("method", ["double", "adouble"])
+    def test_a_completion_callback_that_raises_is_reported(
+        self, transport, method
+    ):
+        """Eager (``double``) or in a task (``adouble``), a completion
+        that raises reaches the loop's exception handler, and the next
+        call is still served."""
+        endpoint, skeleton = exported(transport, Mixed())
+        loop = loop_runtime().loop
+        reported = []
+        previous = loop.get_exception_handler()
+        loop.set_exception_handler(lambda loop, context: reported.append(context))
+
+        def explode(response, error):
+            raise ValueError("completer bug")
+
+        try:
+            transport.submit(
+                endpoint.endpoint_id, request_for(skeleton, method, 1), explode
+            )
+            assert _wait_for(lambda: reported)
+        finally:
+            loop.set_exception_handler(previous)
+        [context] = reported
+        assert context["message"] == "ermi aio completion callback failed"
+        assert str(context["exception"]) == "completer bug"
+        assert Stub(transport, skeleton.ref()).double(4) == 8
