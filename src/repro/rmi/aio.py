@@ -10,38 +10,49 @@ coroutines, and an in-flight call costs at most one ``asyncio.Task``
 of thousands of concurrent calls.
 
 What a task is paid for
-    Only suspension.  A method that cannot suspend — a plain method:
-    not ``async def``, not ``@blocking``, not ``@cpu_bound``; the
-    skeleton says which, from the method, via ``Endpoint.export`` — is
-    stepped to its reply where it was sent, still through the exported
-    ``handle_async`` and in a context copy of its own: an unbatched
-    call of one, and every such entry of a batch, run inside the sweep
-    or loop callback that sent the message, with no task, no timer and
-    no extra loop turn.  An unbatched call that may suspend costs one
-    task; a batch costs one per entry that may, plus one for the batch
-    once it waits on them.  Whether a method suspends is never found
-    out by running it: user code in an ``async def`` body must see its
-    *own* task (``asyncio.timeout()``, ``current_task()``), so it keeps
-    one and such entries still overlap.  A message is also sent through
-    a task when a fault hook is installed, when the in-flight window is
-    full, and when it is sent from inside a task.  The price is a
-    longer single loop turn for a wave of plain handlers;
-    ``rmi.aio.loop_lag_ms`` shows it.
+    Only suspension on the loop.  A method that cannot suspend — a
+    plain method: not ``async def``, not ``@blocking``, not
+    ``@cpu_bound``; the skeleton says which, from the method, via
+    ``Endpoint.export`` — is stepped to its reply where it was sent,
+    still through the exported ``handle_async`` and in a context copy
+    of its own: an unbatched call of one, and every such entry of a
+    batch, run inside the sweep or loop callback that sent the message,
+    with no task, no timer and no extra loop turn.  A ``@blocking``
+    method costs no task either: the call, or the batch entry, is one
+    job on the offload executor and one hand-off back to the loop (see
+    Dispatch rules); an unbatched one has one loop timer for its
+    deadline.  An unbatched ``async def`` or ``@cpu_bound`` call costs
+    one task; a batch costs one per such entry, plus one for the batch
+    once it waits on them or on its offloaded entries.  Whether a
+    method suspends is never found out by running it: user code in an
+    ``async def`` body must see its *own* task (``asyncio.timeout()``,
+    ``current_task()``), so it keeps one and such entries still
+    overlap.  A message is also sent through a task when a fault hook
+    is installed or the in-flight window is full, and a plain one when
+    it is sent from inside a task.  The price is a longer single loop
+    turn for a wave of plain handlers; ``rmi.aio.loop_lag_ms`` shows it.
 
 Loop ownership
     The process owns exactly one transport event loop, created lazily on
     a daemon thread (mirroring :func:`repro.rmi.future.async_executor`)
     and shared by every :class:`AsyncioTransport` instance.  Transport
-    ``shutdown()`` cancels that transport's outstanding dispatches but
-    leaves the loop running — it is process infrastructure, like the
+    ``shutdown()`` cancels that transport's outstanding dispatches (an
+    offloaded call is completed with the cancelled task's
+    ``ConnectError``, and its late reply dropped) but leaves the loop
+    running — it is process infrastructure, like the
     async-invoker pool.
 
 Dispatch rules
     Each endpoint's skeleton dispatches *on the loop* via its
     ``handle_async`` coroutine: coroutine remote methods are awaited in
-    place, plain methods run inline (they must be CPU-light), and
-    methods marked with the :func:`blocking` decorator are offloaded to
-    a small default executor so they never stall the loop.
+    place and plain methods run inline (they must be CPU-light).
+    Methods marked with the :func:`blocking` decorator never touch the
+    loop: the transport runs the skeleton's synchronous ``handle`` —
+    accept, method, reply, exactly what a ``ThreadedTransport`` worker
+    runs — on the small offload executor, and the worker hands the
+    ``Response`` back with one ``call_soon_threadsafe``.  So drain,
+    redirect and the skeleton's statistics clock see such a call when a
+    worker picks it up, not when it was queued.
 
 Bridging
     ``submit()``/``submit_batch()`` are the native, callback-based API
@@ -104,7 +115,7 @@ def aio_inflight_from_env() -> int:
 def blocking_workers_from_env() -> int:
     """Offload-pool size from ``ERMI_BLOCKING_WORKERS`` (default 8).
 
-    Sizes the shared default executor that ``@blocking`` handlers run
+    Sizes the shared offload executor that ``@blocking`` calls run
     on.  Read once, when the process-wide loop runtime is created —
     raising here (malformed value) is deliberate and names the variable.
     """
@@ -114,10 +125,11 @@ def blocking_workers_from_env() -> int:
 def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Mark a remote method as genuinely blocking (file/socket/sleep).
 
-    The asyncio skeleton dispatch offloads marked methods to the loop's
-    small default executor instead of running them inline — the *only*
-    sanctioned way to block inside a loop-dispatched handler.  Sync
-    transports ignore the marker (their dispatch threads may block).
+    The asyncio transport runs a call of a marked method on its small
+    offload executor (the skeleton's synchronous ``handle``) instead of
+    on the loop — the *only* sanctioned way to block in a handler on
+    that transport.  Sync transports ignore the marker (their dispatch
+    threads may block).
     """
     fn.__ermi_blocking__ = True
     return fn
@@ -137,8 +149,8 @@ class _LoopRuntime:
             max_workers=offload_workers,
             thread_name_prefix="ermi-aio-offload",
         )
-        # Blocking-marked handlers and fault hooks run on the *default*
-        # executor, so skeletons stay transport-agnostic
+        # ``@blocking`` calls are jobs submitted here; fault hooks run
+        # here too, as the loop's *default* executor
         # (``run_in_executor(None, ...)``).
         self.loop.set_default_executor(self.offload)
         self.thread = threading.Thread(
@@ -195,11 +207,11 @@ def loop_runtime() -> _LoopRuntime:
 class AsyncioTransport(_TransportBase):
     """Live transport: every endpoint dispatches on one shared loop.
 
-    ``timeout`` bounds each dispatch that suspends; one that runs to
-    its reply where it was sent has no timer to arm (None disables the
-    deadline — deterministic tests use that to keep dispatch coroutines
-    on the task path suspension-free).  ``inflight_limit`` is the
-    dispatch window.
+    ``timeout`` bounds each dispatch that suspends or is offloaded; one
+    that runs to its reply where it was sent has no timer to arm (None
+    disables the deadline — deterministic tests use that to keep
+    dispatch coroutines on the task path suspension-free).
+    ``inflight_limit`` is the dispatch window.
     """
 
     concurrent = True
@@ -224,6 +236,7 @@ class AsyncioTransport(_TransportBase):
         self._inflight = 0
         self._inflight_hwm = 0
         self._tasks: set[asyncio.Task] = set()
+        self._offloaded: set[_Offloaded] = set()
         self._lag_task: asyncio.Task | None = None
         self._closed = False
 
@@ -335,39 +348,41 @@ class AsyncioTransport(_TransportBase):
         on_done: DoneCallback,
     ) -> None:  # loop thread
         """Send one wire message: eagerly when nothing in it can suspend
-        before its reply, in a task of its own otherwise.
+        before its reply, as one offload job when it is a ``@blocking``
+        call, in a task of its own otherwise.
 
-        Eager needs no fault hook (hooks are consulted on the offload
-        executor), room in the window, no current task (user code must
-        never run inside a task that is not its own) and a message that
-        cannot suspend: a batch, whose suspending entries get tasks of
-        their own, or a call whose skeleton says its method cannot
-        (``Endpoint.may_suspend``; a raw exported callable makes no
-        such promise).  A message that fails to resolve is answered
-        here, whatever path it would have taken.
+        Both task-free paths need no fault hook (hooks are consulted on
+        the offload executor) and room in the window.  Eager also needs
+        no current task (user code must never run inside a task that is
+        not its own) and a message that cannot suspend: a batch, whose
+        suspending entries get tasks of their own, or a call whose
+        skeleton says its method cannot (``Endpoint.may_suspend``; a
+        raw exported callable makes no such promise).  The offload path
+        needs a call whose skeleton says its method blocks a thread
+        (``Endpoint.offloads``).  A message that fails to resolve is
+        answered here, whatever path it would have taken.
         """
         try:
             ep, handler = self._resolve_message(endpoint_id, message)
         except ConnectError as exc:
             self._complete(on_done, None, exc)
             return
-        if (
-            self._fault_hook is None
-            and not self._sema.locked()
-            and asyncio.current_task(self._runtime.loop) is None
-            and (
-                handler is None
-                or not ep.may_suspend.get(message.object_id, _suspends)(
-                    message.method
-                )
-            )
-        ):
-            context = copy_context()
-            context.run(self._eager, ep, handler, message, on_done, context)
-        else:
-            self._spawn(self._run(
-                self._invoke_async(endpoint_id, ep, handler, message), on_done
-            ))
+        if self._fault_hook is None and not self._sema.locked():
+            if handler is None or not ep.may_suspend.get(
+                message.object_id, _suspends
+            )(message.method):
+                if asyncio.current_task(self._runtime.loop) is None:
+                    context = copy_context()
+                    context.run(
+                        self._eager, ep, handler, message, on_done, context
+                    )
+                    return
+            elif _offloads(ep, message):
+                self._offload_call(ep, message, on_done)
+                return
+        self._spawn(self._run(
+            self._invoke_async(endpoint_id, ep, handler, message), on_done
+        ))
 
     def _eager(
         self,
@@ -424,6 +439,42 @@ class AsyncioTransport(_TransportBase):
         finally:
             self._sema.release()
             self._note_inflight(-size)
+
+    def _offload_call(
+        self, ep: Endpoint, request: Request, on_done: DoneCallback
+    ) -> None:  # loop thread
+        """Send an unbatched ``@blocking`` call with no task: one job on
+        the offload executor, one hand-off back (see :class:`_Offloaded`).
+
+        It pays what :meth:`_eager` pays — a slot of the window, the
+        in-flight count, one message counted and one trace event — plus
+        one loop timer for its deadline, counted from here.
+        """
+        _step(self._sema.acquire)  # free: _start saw room in the window
+        self._note_inflight(+1)
+        self._messages.increment()
+        if self._tracer is not None:
+            self._trace_message(ep, request)
+        call = _Offloaded(self, request, on_done)
+        self._offloaded.add(call)
+        loop = self._runtime.loop
+        if self._timeout is not None:
+            call.timer = loop.call_at(loop.time() + self._timeout, call.expire)
+        try:
+            call.job = self._runtime.offload.submit(
+                call.run, loop, _sync_handler(ep, request)
+            )
+        except RuntimeError as exc:  # the executor stopped: interpreter exit
+            call.settle(None, exc)
+
+    def _offloaded_reply(self, ep: Endpoint, request: Request) -> Any:
+        """The reply of ``request`` run on the offload executor, as a
+        loop future: what a batch entry, or a call on the task path,
+        awaits.  Cancelling it cancels a job that has not started."""
+        return asyncio.wrap_future(
+            self._runtime.offload.submit(_sync_handler(ep, request), request),
+            loop=self._runtime.loop,
+        )
 
     def _spawn(self, coro: Any, context: Context | None = None) -> None:
         # Tasks need a strong reference until done; _reap also surfaces
@@ -539,14 +590,15 @@ class AsyncioTransport(_TransportBase):
             async with asyncio.timeout_at(started + self._timeout):
                 return await coro
         except TimeoutError as exc:
-            what = (
-                f"batch of {len(message.entries)} invocations"
-                if type(message) is BatchRequest
-                else f"invocation of {message.method!r}"
-            )
-            raise RemoteError(
-                f"{what} timed out after {self._timeout}s"
-            ) from exc
+            raise self._timeout_error(message) from exc
+
+    def _timeout_error(self, message: Request | BatchRequest) -> RemoteError:
+        what = (
+            f"batch of {len(message.entries)} invocations"
+            if type(message) is BatchRequest
+            else f"invocation of {message.method!r}"
+        )
+        return RemoteError(f"{what} timed out after {self._timeout}s")
 
     async def _dispatch(
         self, ep: Endpoint, handler: Any, message: Request | BatchRequest
@@ -557,18 +609,25 @@ class AsyncioTransport(_TransportBase):
         An entry whose method cannot suspend (its skeleton says so, see
         ``Endpoint.may_suspend``) is stepped to its reply right here,
         wherever the batch is being stepped: no entry of that kind pays
-        for a task.  Every other entry — ``async def``, offloaded, or a handler
-        exported with no such promise — gets a task of its own, started
-        once the inline entries are done, so those still overlap.  Each
-        entry runs in its own copy of the context, as its task would
-        have given it.
+        for a task.  A ``@blocking`` entry (``Endpoint.offloads``) is
+        one offload job whose reply completes a loop future, and every
+        other entry — ``async def``, ``@cpu_bound``, or a handler
+        exported with no such promise — gets a task of its own; both
+        start once the inline entries are done, so they still overlap.
+        Each inline entry runs in its own copy of the context, as its
+        task would have given it.  A call with a handler takes the same
+        offload path when it blocks a thread (the task path of a
+        ``@blocking`` call: a fault hook, a full window).
         """
         if handler is not None:
+            if _offloads(ep, message):
+                return await self._offloaded_reply(ep, message)
             reply = handler(message)
             return (await reply) if asyncio.iscoroutine(reply) else reply
         entries = message.entries
         responses: list[Any] = [None] * len(entries)
         tasked: list[tuple[int, Any, Any]] = []  # (index, coroutine, context)
+        offloaded: list[tuple[int, Request]] = []
         ahandlers, predicates = ep.ahandlers, ep.may_suspend
         try:
             for index, request in enumerate(entries):
@@ -587,7 +646,10 @@ class AsyncioTransport(_TransportBase):
                 else:
                     may_suspend = predicates.get(object_id)
                     if may_suspend is None or may_suspend(request.method):
-                        tasked.append((index, handler(request), None))
+                        if _offloads(ep, request):
+                            offloaded.append((index, request))
+                        else:
+                            tasked.append((index, handler(request), None))
                         continue
                     inline = (_step, handler, request)
                 context = copy_context()
@@ -602,13 +664,17 @@ class AsyncioTransport(_TransportBase):
             for _, coro, _ in tasked:
                 coro.close()
             raise
-        if tasked:
+        if tasked or offloaded:
             create_task = self._runtime.loop.create_task
             replies = await asyncio.gather(
+                *(self._offloaded_reply(ep, request)
+                  for _, request in offloaded),
                 *(create_task(coro, context=context)
-                  for _, coro, context in tasked)
+                  for _, coro, context in tasked),
             )
-            for (index, _, _), reply in zip(tasked, replies):
+            indices = [index for index, _ in offloaded]
+            indices.extend(index for index, _, _ in tasked)
+            for index, reply in zip(indices, replies):
                 responses[index] = reply
         return BatchResponse(entries=tuple(responses))
 
@@ -648,6 +714,9 @@ class AsyncioTransport(_TransportBase):
     def shutdown(self) -> None:
         """Cancel this transport's outstanding dispatches.
 
+        Tasks are cancelled; an unbatched ``@blocking`` call still on the
+        offload executor completes with the same ``ConnectError`` a
+        cancelled task gives, and its reply is dropped when it comes.
         The shared loop and offload executor keep running — they are
         process infrastructure, reused by the next transport.  The cpu
         pool, by contrast, is transport-owned: its worker processes stop
@@ -667,6 +736,76 @@ class AsyncioTransport(_TransportBase):
         loop = self._runtime.loop
         for task in list(self._tasks):
             loop.call_soon(task.cancel)
+        for call in list(self._offloaded):
+            call.abandon(ConnectError("asyncio transport shut down"))
+
+
+class _Offloaded:
+    """An unbatched ``@blocking`` call on the offload executor.
+
+    Whichever comes first settles it — the job's reply, its deadline
+    timer, or ``shutdown()`` — and whatever comes later is dropped: the
+    window slot is released and ``on_done`` runs exactly once.  The
+    deadline and shutdown also cancel the job, so a call still queued
+    behind the executor's workers never runs.
+    """
+
+    __slots__ = ("transport", "request", "on_done", "timer", "job")
+
+    def __init__(
+        self, transport: AsyncioTransport, request: Request,
+        on_done: DoneCallback,
+    ) -> None:
+        self.transport = transport
+        self.request = request
+        self.on_done: DoneCallback | None = on_done
+        self.timer: asyncio.TimerHandle | None = None
+        self.job: Future | None = None
+
+    def run(self, loop: asyncio.AbstractEventLoop, handle: Any) -> None:
+        """The job, on an offload worker: dispatch, hand the reply back."""
+        try:
+            reply, error = handle(self.request), None
+        except BaseException as exc:  # noqa: BLE001 - relayed to the loop
+            reply, error = None, exc
+        loop.call_soon_threadsafe(self.settle, reply, error)
+
+    def settle(self, reply: Any, error: BaseException | None) -> None:
+        on_done = self.on_done
+        if on_done is None:
+            return  # settled already: a late reply, or a late deadline
+        self.on_done = None
+        if self.timer is not None:
+            self.timer.cancel()
+        transport = self.transport
+        transport._offloaded.discard(self)
+        transport._sema.release()
+        transport._note_inflight(-1)
+        transport._complete(on_done, reply, error)
+
+    def abandon(self, error: BaseException) -> None:
+        if self.job is not None:
+            self.job.cancel()  # a no-op once a worker has it
+        self.settle(None, error)
+
+    def expire(self) -> None:
+        self.abandon(self.transport._timeout_error(self.request))
+
+
+def _sync_handler(ep: Endpoint, request: Request) -> Any:
+    """The handler an offload job runs: ``Skeleton.handle``."""
+    return ep.handlers.get(request.object_id, _unexported)
+
+
+def _offloads(ep: Endpoint, request: Request) -> bool:
+    """Does the skeleton say ``request``'s method blocks a thread?"""
+    predicate = ep.offloads.get(request.object_id)
+    return predicate is not None and predicate(request.method)
+
+
+def _unexported(request: Request) -> Response:
+    """The sync handler of an object unexported since it resolved."""
+    raise ConnectError(f"no object {request.object_id!r} exported")
 
 
 def _step(dispatch: Any, *args: Any) -> Any:

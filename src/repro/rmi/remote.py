@@ -202,7 +202,9 @@ def _declares_cpu_bound(cls: type) -> bool:
 
 
 # How a skeleton dispatches a method name, decided once per name
-# (Skeleton._resolve).  The last three can suspend handle_async.
+# (Skeleton._resolve).  The last three never reply where the asyncio
+# transport sent them: two suspend handle_async, _BLOCKING runs on the
+# transport's offload executor instead.
 _REFUSED, _PLAIN, _COROUTINE, _BLOCKING, _CPU = range(5)
 _SUSPENDING = frozenset((_COROUTINE, _BLOCKING, _CPU))
 
@@ -256,7 +258,8 @@ class Skeleton:
         # per call, whether to bounce it to another member.
         self.redirect_policy: Callable[[Request], RemoteRef | None] | None = None
         transport.endpoint(endpoint_id).export(
-            self.object_id, self.handle, self.handle_async, self.may_suspend
+            self.object_id, self.handle, self.handle_async, self.may_suspend,
+            self.offloads,
         )
 
     def ref(self) -> RemoteRef:
@@ -441,6 +444,15 @@ class Skeleton:
                 self._drained.set()
 
     def handle(self, request: Request) -> Response:
+        """Synchronous dispatch: accept, method, reply, on this thread.
+
+        What a :class:`~repro.rmi.transport.ThreadedTransport` worker
+        runs, and what the asyncio transport runs on its offload
+        executor for a ``@blocking`` method (:meth:`offloads`): the
+        drain and redirect gate, the pending count and the statistics
+        clock all start when a thread picks the call up, not when it
+        was queued.
+        """
         refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
@@ -467,15 +479,16 @@ class Skeleton:
     async def handle_async(self, request: Request) -> Response:
         """Loop-native dispatch (the asyncio transport's path).
 
-        :meth:`handle` with a different three-way call: ``@cpu_bound``
-        methods are awaited on a worker process, methods marked with
-        :func:`repro.rmi.aio.blocking` are offloaded to the loop's
-        default executor, and coroutine methods are awaited in place.
-        Plain unmarked methods run inline on the loop and must be
+        :meth:`handle` with a different call: ``@cpu_bound`` methods are
+        awaited on a worker process and coroutine methods are awaited in
+        place.  Plain unmarked methods run inline on the loop and must be
         CPU-light (the offload rules DESIGN.md documents): for them this
         coroutine finishes in its first step, which is what lets the
-        transport step a batch's plain entries inside the batch's own
-        task (:meth:`may_suspend` is how it tells them apart).
+        transport step them where the message was sent
+        (:meth:`may_suspend` is how it tells them apart).  Methods
+        marked with :func:`repro.rmi.aio.blocking` never come here: the
+        transport runs :meth:`handle` for them on its offload executor
+        (:meth:`offloads`), so this coroutine has no executor branch.
         """
         refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
@@ -488,11 +501,6 @@ class Skeleton:
                     self._cpu.submit_call(
                         self.impl, request.method, args, kwargs
                     )
-                )
-            elif kind == _BLOCKING:
-                loop = asyncio.get_running_loop()
-                result = await loop.run_in_executor(
-                    None, lambda: method(*args, **kwargs)
                 )
             else:
                 result = method(*args, **kwargs)
@@ -513,18 +521,26 @@ class Skeleton:
         return self._reply(request, started, result, None)
 
     def may_suspend(self, name: str) -> bool:
-        """Can dispatching method ``name`` suspend :meth:`handle_async`?
+        """Can a call of ``name`` fail to reply in :meth:`handle_async`'s
+        first step?
 
         True for ``async def`` methods and for the two offloaded kinds
-        (``@blocking``, and ``@cpu_bound`` when a worker pool is
-        attached); False for a plain method, whose dispatch completes in
-        the coroutine's first step, and for a refused name.  Read off
-        :meth:`_resolve`'s table, never found out by running the method:
-        user code in an ``async def`` body must only ever run inside its
-        own task.
+        (``@blocking``, see :meth:`offloads`, and ``@cpu_bound`` when a
+        worker pool is attached); False for a plain method, whose
+        dispatch completes in the coroutine's first step, and for a
+        refused name.  Read off :meth:`_resolve`'s table, never found
+        out by running the method: user code in an ``async def`` body
+        must only ever run inside its own task.
         """
         entry = self._methods.get(name) or self._resolve(name)
         return entry[1] in _SUSPENDING
+
+    def offloads(self, name: str) -> bool:
+        """Does method ``name`` block a thread (``@blocking``)?  The
+        asyncio transport then runs :meth:`handle` on its offload
+        executor.  Read off the same table as :meth:`may_suspend`."""
+        entry = self._methods.get(name) or self._resolve(name)
+        return entry[1] == _BLOCKING
 
 
 MAX_REDIRECTS = 8

@@ -149,7 +149,10 @@ class Endpoint:
     that says whether a *method name* can suspend its coroutine dispatch
     (``async def``, offloaded): the asyncio transport runs a call, or a
     batch's entry, that cannot where the message was sent, without a
-    task of its own.
+    task of its own.  ``offloads`` holds, per object exported with one,
+    the predicate that says whether a method name blocks a thread
+    (``@blocking``): the asyncio transport runs such a call through the
+    *sync* handler on its offload executor, without a task.
     """
 
     name: str
@@ -159,6 +162,7 @@ class Endpoint:
     handlers: dict[str, RequestHandler] = field(default_factory=dict)
     ahandlers: dict[str, AsyncRequestHandler] = field(default_factory=dict)
     may_suspend: dict[str, Callable[[str], bool]] = field(default_factory=dict)
+    offloads: dict[str, Callable[[str], bool]] = field(default_factory=dict)
     alive: bool = True
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
@@ -170,6 +174,7 @@ class Endpoint:
         handler: RequestHandler,
         async_handler: AsyncRequestHandler | None = None,
         may_suspend: Callable[[str], bool] | None = None,
+        offloads: Callable[[str], bool] | None = None,
     ) -> None:
         with self.lock:
             if object_id in self.handlers:
@@ -185,6 +190,10 @@ class Endpoint:
                     predicates = dict(self.may_suspend)
                     predicates[object_id] = may_suspend
                     self.may_suspend = predicates
+                if offloads is not None:
+                    predicates = dict(self.offloads)
+                    predicates[object_id] = offloads
+                    self.offloads = predicates
 
     def unexport(self, object_id: str) -> None:
         with self.lock:
@@ -199,6 +208,10 @@ class Endpoint:
                 predicates = dict(self.may_suspend)
                 predicates.pop(object_id, None)
                 self.may_suspend = predicates
+            if object_id in self.offloads:
+                predicates = dict(self.offloads)
+                predicates.pop(object_id, None)
+                self.offloads = predicates
 
 
 class Transport(Protocol):

@@ -827,3 +827,263 @@ class TestEagerDispatch:
         assert context["message"] == "ermi aio completion callback failed"
         assert str(context["exception"]) == "completer bug"
         assert Stub(transport, skeleton.ref()).double(4) == 8
+
+
+# ----------------------------------------------------------------------
+# offloaded dispatch: a @blocking call is one job on the offload executor
+# ----------------------------------------------------------------------
+
+
+class Gated(Remote):
+    """A member whose ``@blocking`` ``hold`` keeps an offload worker until
+    its gate opens; ``whoami`` is a plain call."""
+
+    def __init__(self, name="gated"):
+        self.name = name
+        self.gate = threading.Event()
+        self.held = []
+
+    def whoami(self):
+        return self.name
+
+    @blocking
+    def hold(self):
+        self.held.append(threading.current_thread().name)
+        self.gate.wait(timeout=10.0)
+        return self.name
+
+
+class offload_replies:
+    """Collects the callbacks offload workers post to the shared loop
+    while entered: one per reply handed back."""
+
+    def __enter__(self):
+        self.loop, self.posted = loop_runtime().loop, []
+        plain = self.loop.call_soon_threadsafe
+
+        def counting(callback, *args, **kwargs):
+            if threading.current_thread().name.startswith("ermi-aio-offload"):
+                self.posted.append(callback)
+            return plain(callback, *args, **kwargs)
+
+        self.loop.call_soon_threadsafe = counting
+        return self.posted
+
+    def __exit__(self, *exc_info):
+        del self.loop.call_soon_threadsafe
+
+
+def window_is_empty(transport):
+    """No call in flight, every slot of the window free, nothing left
+    to settle."""
+    return (
+        transport.inflight == 0
+        and transport._sema._value == transport.inflight_limit
+        and not transport._offloaded
+    )
+
+
+class TestOffloadedDispatch:
+    def test_an_unbatched_blocking_call_costs_no_task(self, transport):
+        impl = Service()
+        _, skeleton = exported(transport, impl)
+        stub = Stub(transport, skeleton.ref())
+        assert stub.nap(0) == "rested"  # warm
+        with counting_tasks() as created:
+            assert stub.nap(0) == "rested"
+        assert created == []  # one, before
+        assert all(
+            name.startswith("ermi-aio-offload")
+            for name in impl.offload_threads
+        )
+        assert window_is_empty(transport)
+
+    def test_blocking_entries_of_a_batch_cost_no_task_of_their_own(
+        self, transport
+    ):
+        endpoint, skeleton = exported(transport, Mixed())
+        batch = BatchRequest(entries=(
+            request_for(skeleton, "double", 1),
+            request_for(skeleton, "nap", 0),
+            request_for(skeleton, "double", 3),
+            request_for(skeleton, "nap", 0),
+        ))
+        with counting_tasks() as created:
+            replies = transport.invoke_batch(endpoint.endpoint_id, batch)
+        assert [outcome(r) for r in replies.entries] == [
+            ("result", 2), ("result", "rested"),
+            ("result", 6), ("result", "rested"),
+        ]
+        assert len(created) == 1  # the batch's continuation; three, before
+        assert skeleton.pending == 0
+
+    def test_a_blocking_call_past_its_deadline_completes_once(self):
+        transport = AsyncioTransport(timeout=0.05)
+        impl = Gated()
+        try:
+            endpoint, skeleton = exported(transport, impl)
+            outcomes = []
+            with offload_replies() as posted:
+                transport.submit(
+                    endpoint.endpoint_id, request_for(skeleton, "hold"),
+                    lambda reply, error: outcomes.append((reply, error)),
+                )
+                assert _wait_for(lambda: outcomes)
+                [(reply, error)] = outcomes
+                assert reply is None and isinstance(error, RemoteError)
+                assert str(error) == "invocation of 'hold' timed out after 0.05s"
+                assert _wait_for(lambda: window_is_empty(transport))
+                impl.gate.set()
+                assert _wait_for(lambda: posted)
+                on_the_loop(lambda: None)  # the late reply has run
+            assert len(outcomes) == 1  # and was dropped
+            assert window_is_empty(transport)
+            assert skeleton.pending == 0
+        finally:
+            impl.gate.set()
+            transport.shutdown()
+
+    def test_a_call_that_expires_while_queued_never_runs(self):
+        transport = AsyncioTransport(timeout=0.05)
+        busy, late = Gated("busy"), Gated("late")
+        try:
+            endpoint, busy_skeleton = exported(transport, busy)
+            late_skeleton = Skeleton(late, transport, endpoint.endpoint_id)
+            workers = loop_runtime().offload._max_workers
+            outcomes = []
+
+            def on_done(reply, error):
+                outcomes.append(error)
+
+            for _ in range(workers):
+                transport.submit(
+                    endpoint.endpoint_id, request_for(busy_skeleton, "hold"),
+                    on_done,
+                )
+            assert _wait_for(lambda: len(busy.held) == workers)
+            transport.submit(
+                endpoint.endpoint_id, request_for(late_skeleton, "hold"),
+                on_done,
+            )
+            assert _wait_for(lambda: len(outcomes) == workers + 1)
+            assert all("timed out" in str(error) for error in outcomes)
+            busy.gate.set()
+            # The executor is FIFO: past this job, the late one is dequeued.
+            loop_runtime().offload.submit(lambda: None).result(timeout=5.0)
+            assert not _wait_for(lambda: late.held, timeout=0.2)
+            assert late_skeleton.stats.snapshot() == {}
+            assert window_is_empty(transport)
+        finally:
+            busy.gate.set()
+            late.gate.set()
+            transport.shutdown()
+
+    def test_shutdown_completes_a_running_blocking_call(self):
+        transport = AsyncioTransport()
+        impl = Gated()
+        try:
+            endpoint, skeleton = exported(transport, impl)
+            outcomes = []
+            with offload_replies() as posted:
+                transport.submit(
+                    endpoint.endpoint_id, request_for(skeleton, "hold"),
+                    lambda reply, error: outcomes.append((reply, error)),
+                )
+                assert _wait_for(lambda: impl.held)
+                transport.shutdown()
+                assert _wait_for(lambda: outcomes)
+                [(reply, error)] = outcomes
+                assert reply is None and isinstance(error, ConnectError)
+                assert "shut down" in str(error)
+                impl.gate.set()
+                assert _wait_for(lambda: posted)
+                on_the_loop(lambda: None)
+            assert len(outcomes) == 1
+            assert window_is_empty(transport)
+        finally:
+            impl.gate.set()
+            transport.shutdown()
+
+    def test_a_fault_hook_is_still_consulted_once_per_message(self, transport):
+        endpoint, skeleton = exported(transport, Mixed())
+        seen = []
+
+        def hook(endpoint_id, message):
+            seen.append((message.method, threading.current_thread().name))
+
+        transport.install_fault_hook(hook)
+        stub = Stub(transport, skeleton.ref())
+        assert stub.nap(0) == "rested"
+        batch = BatchRequest(entries=(
+            request_for(skeleton, "nap", 0),
+            request_for(skeleton, "double", 2),
+            request_for(skeleton, "nap", 0),
+        ))
+        replies = transport.invoke_batch(endpoint.endpoint_id, batch)
+        assert [outcome(r) for r in replies.entries] == [
+            ("result", "rested"), ("result", 4), ("result", "rested"),
+        ]
+        assert [method for method, _ in seen] == ["nap", "ermi.batch[3]"]
+        assert all(name.startswith("ermi-aio-offload") for _, name in seen)
+
+
+class TestDrainWhileQueued:
+    def test_a_call_queued_behind_a_full_pool_is_drained_and_retried(
+        self, transport
+    ):
+        """Accept runs when an offload worker picks the call up: a call
+        still queued when its member starts draining is answered
+        ``drained``, charged that attempt, and served by another
+        member; the drain does not wait for it."""
+        from repro.core.balancer import ElasticStub
+        from repro.obs import Observability
+
+        from tests.faults.test_cpu_crash import _FixedSentinel
+
+        members = [
+            Skeleton(
+                Gated(f"member-{i}"), transport,
+                transport.add_endpoint(f"member-{i}").endpoint_id,
+            )
+            for i in range(3)
+        ]
+        victim = members[1]
+        sentinel = Skeleton(
+            _FixedSentinel([m.ref() for m in members]), transport,
+            transport.add_endpoint("sentinel").endpoint_id,
+        ).ref()
+        obs = Observability()
+        stub = ElasticStub(transport, lambda: sentinel, obs=obs)
+        # Priming takes rotation slot 0: the next call's first target is
+        # the victim.
+        assert stub.invoke_async("whoami").result(timeout=5.0) == "member-0"
+        counters = [
+            obs.registry.counter(f"rmi.client.{name}")
+            for name in ("calls", "attempts", "retries")
+        ]
+        base = [counter.value for counter in counters]
+        try:
+            workers = loop_runtime().offload._max_workers
+            parked = []
+            for _ in range(workers):
+                transport.submit(
+                    victim.endpoint_id, request_for(victim, "hold"),
+                    lambda reply, error: parked.append(outcome(reply)),
+                )
+            assert _wait_for(lambda: len(victim.impl.held) == workers)
+            queued = stub.invoke_async("hold")
+            assert _wait_for(lambda: transport.inflight == workers + 1)
+            victim.start_drain()
+            assert victim.pending == workers  # the queued call is not in it
+            victim.impl.gate.set()
+            assert victim.wait_drained(timeout=5.0)
+            assert _wait_for(lambda: len(parked) == workers)
+            assert parked == [("result", "member-1")] * workers
+            assert not queued.done()  # parked at its next member
+        finally:
+            for member in members:
+                member.impl.gate.set()
+        assert queued.result(timeout=5.0) in ("member-0", "member-2")
+        assert len(victim.impl.held) == workers  # it never ran the call
+        charged = [c.value - b for c, b in zip(counters, base)]
+        assert charged == [1, 2, 1]
