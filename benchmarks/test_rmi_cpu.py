@@ -160,7 +160,7 @@ class _PreCpuSkeleton(Skeleton):
     against."""
 
     def handle(self, request) -> Response:
-        refusal, method, args, kwargs, started = self._accept(request)
+        refusal, method, _kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
         try:

@@ -117,8 +117,10 @@ class ElasticStub:
         # Request batching: an explicit batcher wins; otherwise one is
         # built when ERMI_BATCH_MAX enables coalescing.  Disabled (the
         # default) keeps the invoke path at a single is-None branch.
-        if batcher is None and batch_max_from_env() > 1:
-            batcher = RequestBatcher(transport, caller=caller, obs=obs)
+        if batcher is None and (max_batch := batch_max_from_env()) > 1:
+            batcher = RequestBatcher(
+                transport, max_batch=max_batch, caller=caller, obs=obs
+            )
         self._batcher = (
             batcher if batcher is not None and batcher.enabled else None
         )

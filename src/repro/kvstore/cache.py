@@ -9,7 +9,7 @@ maps, elastic fields) used to be a store round-trip per call.  The
   in version order, so a hit is exact — zero store reads steady-state.
 - **Lease mode** (foreign runtime that only sees the store, or a watch
   stream degraded by a node failure/queue overflow): entries stay fresh
-  for ``ERMI_STORE_LEASE_MS`` and are re-read after, bounding staleness
+  for ``lease_ms`` (``DEFAULT_LEASE_MS``) and are re-read after, bounding staleness
   by the lease instead of paying a read per call.
 
 Correctness against racing writers rests on two rules.  The watch is
@@ -34,16 +34,10 @@ from typing import Any, Callable
 from repro.concurrency import StripedCounter
 from repro.errors import KeyNotFoundError, StoreUnavailableError
 from repro.kvstore.watch import DELETE, PUT, WatchEvent
-from repro.rmi.envcfg import env_float
 
 _MISSING = object()
 
 DEFAULT_LEASE_MS = 50.0
-
-
-def store_lease_ms_from_env() -> float:
-    """Foreign-runtime lease TTL in milliseconds (``ERMI_STORE_LEASE_MS``)."""
-    return env_float("ERMI_STORE_LEASE_MS", DEFAULT_LEASE_MS, minimum=0.0)
 
 
 class _Entry:
@@ -81,15 +75,16 @@ class WatchCache:
         self,
         store: Any,
         *,
-        lease_ms: float | None = None,
+        lease_ms: float = DEFAULT_LEASE_MS,
         clock: Callable[[], float] | None = None,
         watch: bool = True,
         obs: Any = None,
         name: str = "store",
     ) -> None:
+        if not lease_ms >= 0:
+            raise ValueError(f"lease_ms must be >= 0, got {lease_ms!r}")
         self._store = store
-        lease = store_lease_ms_from_env() if lease_ms is None else lease_ms
-        self._lease_s = lease / 1000.0
+        self._lease_s = lease_ms / 1000.0
         self._clock = clock if clock is not None else time.monotonic
         self._watching = watch and hasattr(store, "watch")
         # Accept a MetricsRegistry or an Observability wrapping one.

@@ -10,7 +10,7 @@ subscriber callback can never deadlock against — or stall — the store.
 
 Delivery uses a combiner: whichever writer thread flips a subscription's
 queue from idle to non-empty becomes responsible for draining it, and
-concurrent writers just append.  Queues are bounded (``ERMI_WATCH_QUEUE``);
+concurrent writers just append.  Queues are bounded (``WatchHub(depth=)``);
 on overflow the oldest event is dropped and a ``gap`` event is delivered
 in its place so caches know to re-read instead of trusting a hole in the
 version stream.  ``fail_node``/``recover_node`` fan out ``error`` events
@@ -25,8 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.rmi.envcfg import env_int
-
 DEFAULT_WATCH_QUEUE = 1024
 
 #: Event kinds, in the order a subscriber should be prepared to see them.
@@ -34,11 +32,6 @@ PUT = "put"
 DELETE = "delete"
 ERROR = "error"
 GAP = "gap"
-
-
-def watch_queue_from_env() -> int:
-    """Per-subscription event queue depth (``ERMI_WATCH_QUEUE``)."""
-    return env_int("ERMI_WATCH_QUEUE", DEFAULT_WATCH_QUEUE)
 
 
 @dataclass(frozen=True)
@@ -92,13 +85,13 @@ class WatchSubscription:
         callback: Callable[[WatchEvent], None],
         key: str | None = None,
         prefix: str | None = None,
-        depth: int | None = None,
+        depth: int = DEFAULT_WATCH_QUEUE,
     ) -> None:
         self._hub = hub
         self.callback = callback
         self.key = key
         self.prefix = prefix
-        self._depth = watch_queue_from_env() if depth is None else depth
+        self._depth = depth
         self._queue: deque[WatchEvent] = deque()
         self._lock = threading.Lock()
         # Held around each callback, so cancel() can wait one out.
@@ -197,7 +190,9 @@ class WatchHub:
     that lock and commits first, and every later writer sees it.
     """
 
-    def __init__(self, depth: int | None = None) -> None:
+    def __init__(self, depth: int = DEFAULT_WATCH_QUEUE) -> None:
+        if depth < 1:
+            raise ValueError(f"watch queue depth must be >= 1, got {depth!r}")
         self._depth = depth
         self._lock = threading.Lock()
         self._exact: dict[str, tuple[WatchSubscription, ...]] = {}

@@ -177,7 +177,7 @@ def run_traced_scenario(
     stub = runtime.stub(POOL_NAME, caller="obs-client")
     # A second, batched client: its pings coalesce through an explicit
     # RequestBatcher (env-independent, so traces don't vary with
-    # ERMI_BATCH_* settings) wired to the same Observability — every
+    # ERMI_BATCH_MAX) wired to the same Observability — every
     # flushed wire message emits a ``batch`` event the summary folds
     # into its "batching" section.
     batch_stub = runtime.stub(

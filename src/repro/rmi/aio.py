@@ -68,7 +68,7 @@ Bridging
     thread raises immediately instead of deadlocking, and
     :meth:`wait_guard` gives futures the same protection.
 
-The in-flight window (``ERMI_AIO_INFLIGHT``, generous by default) is an
+The in-flight window (``inflight_limit``, generous by default) is an
 ``asyncio.Semaphore`` bounding concurrent dispatches — backpressure
 against unbounded task pileup, not a throttle.  With an
 :class:`~repro.obs.Observability` attached the transport exports an
@@ -86,7 +86,6 @@ from contextvars import Context, copy_context
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
-from repro.rmi.envcfg import env_int
 from repro.rmi.transport import (
     BatchRequest,
     BatchResponse,
@@ -103,23 +102,10 @@ from repro.rmi.transport import (
 DoneCallback = Callable[[Any, "BaseException | None"], None]
 
 DEFAULT_INFLIGHT_WINDOW = 16_384
-DEFAULT_OFFLOAD_WORKERS = 8
+# The shared ``@blocking`` offload pool: a fixed size, not a knob (the
+# e2e ``overload_surge`` workload's capacity is sized on it).
+OFFLOAD_WORKERS = 8
 LAG_SAMPLE_INTERVAL_S = 0.05
-
-
-def aio_inflight_from_env() -> int:
-    """Dispatch-window size from ``ERMI_AIO_INFLIGHT`` (default 16384)."""
-    return env_int("ERMI_AIO_INFLIGHT", DEFAULT_INFLIGHT_WINDOW)
-
-
-def blocking_workers_from_env() -> int:
-    """Offload-pool size from ``ERMI_BLOCKING_WORKERS`` (default 8).
-
-    Sizes the shared offload executor that ``@blocking`` calls run
-    on.  Read once, when the process-wide loop runtime is created —
-    raising here (malformed value) is deliberate and names the variable.
-    """
-    return env_int("ERMI_BLOCKING_WORKERS", DEFAULT_OFFLOAD_WORKERS)
 
 
 def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -143,10 +129,10 @@ def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
 class _LoopRuntime:
     """The shared event loop, its thread, and the offload executor."""
 
-    def __init__(self, offload_workers: int) -> None:
+    def __init__(self) -> None:
         self.loop = asyncio.new_event_loop()
         self.offload = ThreadPoolExecutor(
-            max_workers=offload_workers,
+            max_workers=OFFLOAD_WORKERS,
             thread_name_prefix="ermi-aio-offload",
         )
         # ``@blocking`` calls are jobs submitted here; fault hooks run
@@ -195,7 +181,7 @@ def loop_runtime() -> _LoopRuntime:
     if _runtime is None:
         with _runtime_lock:
             if _runtime is None:
-                _runtime = _LoopRuntime(blocking_workers_from_env())
+                _runtime = _LoopRuntime()
     return _runtime
 
 
@@ -222,15 +208,12 @@ class AsyncioTransport(_TransportBase):
     def __init__(
         self,
         timeout: float | None = 30.0,
-        inflight_limit: int | None = None,
+        inflight_limit: int = DEFAULT_INFLIGHT_WINDOW,
     ) -> None:
         super().__init__()
         self._timeout = timeout
         self._runtime = loop_runtime()
-        self.inflight_limit = (
-            aio_inflight_from_env() if inflight_limit is None
-            else max(1, inflight_limit)
-        )
+        self.inflight_limit = max(1, inflight_limit)
         self._sema = asyncio.Semaphore(self.inflight_limit)
         # Loop-thread-only state (no lock needed): admitted dispatches.
         self._inflight = 0

@@ -62,12 +62,14 @@ here to the :class:`ConnectError` the unbatched path would have raised.
 Entry payloads — pickled bytes or zero-copy ``FastPayload`` — ride the
 batch exactly as marshalled; the batcher never touches them.
 
-Configuration (read once, at stub construction):
+Configuration (constructor arguments):
 
-- ``ERMI_BATCH_MAX`` — max entries per batch; ``1`` (default) disables
+- ``max_batch`` — max entries per batch; ``1`` (default) disables
   batching entirely (stubs skip the batcher, zero new branches hot).
-- ``ERMI_BATCH_INFLIGHT`` — in-flight batch window per endpoint
-  (default 2: one on the wire, one forming).
+  An :class:`~repro.core.balancer.ElasticStub` built without a batcher
+  reads ``ERMI_BATCH_MAX`` once and builds one when it is above 1.
+- ``inflight_limit`` — in-flight batch window per endpoint
+  (``DEFAULT_INFLIGHT``, 2: one on the wire, one forming).
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ _Entry = tuple[Request, RmiFuture, "Completer | None"]
 
 def batch_max_from_env() -> int:
     return env_int("ERMI_BATCH_MAX", 1)
-
-
-def batch_inflight_from_env() -> int:
-    return env_int("ERMI_BATCH_INFLIGHT", DEFAULT_INFLIGHT)
 
 
 @dataclass
@@ -164,9 +162,9 @@ class RequestBatcher:
     def __init__(
         self,
         transport: Transport,
-        max_batch: int | None = None,
+        max_batch: int = 1,
         linger: float = 0.0,
-        inflight_limit: int | None = None,
+        inflight_limit: int = DEFAULT_INFLIGHT,
         caller: str = "client",
         obs: Any = None,
     ) -> None:
@@ -176,11 +174,8 @@ class RequestBatcher:
                 "a partial batch back; pass linger=0 or leave it out"
             )
         self._transport = transport
-        self._max_batch = batch_max_from_env() if max_batch is None else max_batch
-        inflight_limit = (
-            batch_inflight_from_env() if inflight_limit is None
-            else max(1, inflight_limit)
-        )
+        self._max_batch = max_batch
+        inflight_limit = max(1, inflight_limit)
         self._caller = caller
         self._obs = obs
         # Completions on the event loop: batches fly through the callback

@@ -10,7 +10,7 @@ property for the in-process reproduction.
 
 Mark a method with :func:`cpu_bound` and the owning skeleton dispatches
 it onto a :class:`CpuExecutor` — a small pool of worker *processes*
-(``ERMI_CPU_WORKERS``, default ``cpu_count() - 1``) owned by the
+(``workers``, default ``cpu_count() - 1``) owned by the
 transport.  Three design points matter:
 
 - **zero-copy payloads** — arguments and results are pickled with
@@ -18,7 +18,7 @@ transport.  Three design points matter:
   and large ``bytes``/``bytearray`` payloads cross the process boundary
   through one :class:`multiprocessing.shared_memory.SharedMemory`
   segment per message instead of being copied through a pipe.  Payloads
-  below ``ERMI_CPU_SHM_MIN`` (default 256 KiB) ride the pipe inline,
+  below ``shm_min`` (``DEFAULT_SHM_MIN``, 256 KiB) ride the pipe inline,
   where a segment's setup cost would dominate.
 - **per-call crash containment** — a worker dying mid-call fails *that
   call* with :class:`~repro.errors.CpuWorkerLostError` (a
@@ -59,7 +59,6 @@ from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.errors import CpuWorkerLostError, MarshalError, RemoteError
-from repro.rmi.envcfg import env_bytes, env_int
 from repro.rmi.fastpath import dumps_oob, loads_oob
 
 DEFAULT_SHM_MIN = 256 * 1024
@@ -79,29 +78,6 @@ def cpu_bound(fn: Callable) -> Callable:
     """
     fn.__ermi_cpu_bound__ = True
     return fn
-
-
-def cpu_workers_from_env() -> int:
-    """``ERMI_CPU_WORKERS``, default ``cpu_count() - 1`` (min 1).
-
-    One core is left for the dispatching parent so marshalling and the
-    event loop are not starved by the workers.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cores = os.cpu_count() or 2
-    return env_int("ERMI_CPU_WORKERS", max(1, cores - 1))
-
-
-def cpu_shm_min_from_env() -> int:
-    """``ERMI_CPU_SHM_MIN``, default 256 KiB (0 = always shared memory).
-
-    The crossover below which payload buffers ride the pipe inline
-    instead of a shared-memory segment.  Accepts ``k``/``m``/``g``
-    suffixes (``ERMI_CPU_SHM_MIN=64k``).
-    """
-    return env_bytes("ERMI_CPU_SHM_MIN", DEFAULT_SHM_MIN, minimum=0)
 
 
 # ----------------------------------------------------------------------
@@ -374,18 +350,24 @@ class CpuExecutor:
     def __init__(
         self,
         workers: int | None = None,
-        shm_min: int | None = None,
+        shm_min: int = DEFAULT_SHM_MIN,
         obs: Any = None,
         mp_context: Any = None,
     ) -> None:
         import multiprocessing
 
-        self.workers = workers if workers is not None else cpu_workers_from_env()
+        if workers is None:
+            # cpu_count() - 1: one core is left for the dispatching parent
+            # so marshalling and the event loop are not starved.
+            try:
+                cores = len(os.sched_getaffinity(0))
+            except AttributeError:  # non-Linux
+                cores = os.cpu_count() or 2
+            workers = max(1, cores - 1)
+        self.workers = workers
         if self.workers < 1:
             raise ValueError("CpuExecutor needs at least one worker")
-        self.shm_min = (
-            shm_min if shm_min is not None else cpu_shm_min_from_env()
-        )
+        self.shm_min = shm_min
         if mp_context is None:
             # spawn, not fork: executors are created lazily from transports
             # that already run dispatch/offload/event-loop threads, and a

@@ -8,13 +8,10 @@ itself preserves pass-by-value semantics exactly while skipping four
 pickle operations per call (marshal/unmarshal of the arguments, then of
 the result).
 
-Two marshalling modes, selectable at runtime:
-
-- ``zerocopy`` (default) — provably-immutable payloads travel as
-  :class:`FastPayload` wrappers holding the live object; everything else
-  falls back to pickling.
-- ``pickle`` — the seed behaviour: every payload is pickled.  The tests
-  use it as the reference, and ``ERMI_FASTPATH=pickle`` selects it.
+Provably-immutable payloads always travel as :class:`FastPayload`
+wrappers holding the live object; everything else is pickled by
+:mod:`repro.rmi.marshal`, which the tests keep as the pass-by-value
+reference.
 
 What counts as provably immutable: ``str``, ``int``, ``float``,
 ``bool``, ``bytes``, ``complex``, ``None``, and ``tuple``/``frozenset``
@@ -30,7 +27,6 @@ exceptions (mutable) always take the pickled path.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.rmi.marshal import marshal_value, unmarshal_value
@@ -39,11 +35,6 @@ _SCALAR_TYPES = frozenset(
     {str, int, float, bool, bytes, complex, type(None)}
 )
 _registered_immutable: set[type] = set()
-
-MODES = ("zerocopy", "pickle")
-_mode = os.environ.get("ERMI_FASTPATH", "zerocopy")
-if _mode not in MODES:  # unknown value: fail safe to the seed behaviour
-    _mode = "pickle"
 
 
 def register_immutable(cls: type) -> type:
@@ -55,20 +46,6 @@ def register_immutable(cls: type) -> type:
     """
     _registered_immutable.add(cls)
     return cls
-
-
-def set_mode(mode: str) -> str:
-    """Switch marshalling mode; returns the previous mode."""
-    global _mode
-    if mode not in MODES:
-        raise ValueError(f"unknown fastpath mode: {mode!r} (use {MODES})")
-    previous = _mode
-    _mode = mode
-    return previous
-
-
-def mode() -> str:
-    return _mode
 
 
 def is_immutable(value: Any) -> bool:
@@ -159,7 +136,7 @@ def _call_is_fast(args: tuple, kwargs: dict) -> bool:
 
 def marshal_call(args: tuple, kwargs: dict) -> Any:
     """Marshal an invocation's ``(args, kwargs)`` for the wire."""
-    if _mode == "zerocopy" and _call_is_fast(args, kwargs):
+    if _call_is_fast(args, kwargs):
         return FastPayload((args, kwargs))
     return marshal_value((args, kwargs))
 
@@ -176,7 +153,7 @@ def unmarshal_call(payload: Any) -> tuple[tuple, dict]:
 
 def marshal_result(value: Any) -> Any:
     """Marshal a return value (or exception) for the reply."""
-    if _mode == "zerocopy" and is_immutable(value):
+    if is_immutable(value):
         return FastPayload(value)
     return marshal_value(value)
 

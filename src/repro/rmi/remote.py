@@ -293,16 +293,13 @@ class Skeleton:
     def _observe(self, method: str, latency: float, error: bool) -> None:
         """Record one completed dispatch into the observability layer.
 
-        Only reached when an Observability is attached: the event carries
-        the active fastpath mode (so a trace shows *how* payloads moved)
-        and the latency lands in the per-method server histogram.
+        Only reached when an Observability is attached: the latency
+        lands in the per-method server histogram.
         """
-        from repro.rmi.fastpath import mode
-
         self._obs.tracer.emit(
             "skeleton", "invoke",
             object=self.object_id, method=method,
-            latency=round(latency, 9), error=error, mode=mode(),
+            latency=round(latency, 9), error=error,
         )
         self._obs.registry.histogram(
             f"rmi.server.latency.{self.object_id}.{method}"

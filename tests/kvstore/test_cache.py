@@ -2,7 +2,7 @@
 
 Watch mode (store in-process) must be exact — pushed events keep entries
 current so hits never go stale; lease mode (foreign runtime) bounds
-staleness by ``ERMI_STORE_LEASE_MS``.  Both serve the last-known value
+staleness by ``lease_ms``.  Both serve the last-known value
 when the owning store node is down (stale-serve), matching the stub's
 historical epoch-outage behaviour.
 """
@@ -132,16 +132,16 @@ class TestLeaseMode:
         clock.t = 2.0
         assert cache.get("k", default="gone") == "gone"
 
-    def test_env_knob_sets_default_lease(self, store, monkeypatch):
-        monkeypatch.setenv("ERMI_STORE_LEASE_MS", "250")
-        clock = FakeClock()
-        cache = WatchCache(store, watch=False, clock=clock)
+    @pytest.mark.parametrize("lease_ms", [-1.0, float("nan")])
+    def test_negative_or_nan_lease_rejected(self, store, lease_ms):
+        with pytest.raises(ValueError, match="lease_ms"):
+            WatchCache(store, lease_ms=lease_ms)
+
+    def test_zero_lease_rereads_every_time(self, store):
+        cache = WatchCache(store, lease_ms=0.0, watch=False, clock=FakeClock())
         store.put("k", 1)
         assert cache.get("k") == 1
         store.put("k", 2)
-        clock.t = 0.2
-        assert cache.get("k") == 1  # still leased at 200ms
-        clock.t = 0.3
         assert cache.get("k") == 2
 
 

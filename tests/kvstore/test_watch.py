@@ -241,6 +241,13 @@ class TestOverflow:
         assert [e.version for e in received[1:]] == [7, 8, 9, 10]
         assert sub.dropped == 6
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        # A zero-depth queue pops from an empty deque on its first
+        # event, failing the writer; refuse it at construction instead.
+        with pytest.raises(ValueError, match="depth"):
+            WatchHub(depth=depth)
+
 
 class TestFailureEvents:
     def test_fail_node_fires_error_to_affected_key_watch(self, store):

@@ -22,7 +22,6 @@ from repro.errors import ApplicationError, ConnectError, RemoteError
 from repro.rmi.aio import (
     DEFAULT_INFLIGHT_WINDOW,
     AsyncioTransport,
-    aio_inflight_from_env,
     blocking,
     loop_runtime,
 )
@@ -72,15 +71,8 @@ def transport():
 
 
 class TestEnvConfig:
-    def test_default_window(self, monkeypatch):
-        monkeypatch.delenv("ERMI_AIO_INFLIGHT", raising=False)
-        assert aio_inflight_from_env() == DEFAULT_INFLIGHT_WINDOW
-
-    def test_env_override_and_floor(self, monkeypatch):
-        monkeypatch.setenv("ERMI_AIO_INFLIGHT", "128")
-        assert aio_inflight_from_env() == 128
-        monkeypatch.setenv("ERMI_AIO_INFLIGHT", "0")
-        assert aio_inflight_from_env() == 1
+    def test_default_window(self, transport):
+        assert transport.inflight_limit == DEFAULT_INFLIGHT_WINDOW
 
     def test_blocking_marker(self):
         assert getattr(Service.nap, "__ermi_blocking__", False)
@@ -230,6 +222,13 @@ class TestLoopSafety:
 
 
 class TestInflightWindow:
+    def test_window_floor_is_one(self):
+        transport = AsyncioTransport(inflight_limit=0)
+        try:
+            assert transport.inflight_limit == 1
+        finally:
+            transport.shutdown()
+
     def test_window_bounds_concurrent_dispatches(self):
         transport = AsyncioTransport(timeout=None, inflight_limit=4)
         try:

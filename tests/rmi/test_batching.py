@@ -18,7 +18,6 @@ from repro.rmi.aio import AsyncioTransport
 from repro.rmi.batching import (
     BatcherStats,
     RequestBatcher,
-    batch_inflight_from_env,
     batch_max_from_env,
 )
 from repro.rmi.fastpath import is_zero_copy, marshal_call
@@ -58,15 +57,8 @@ def make_stub(transport, skeleton, **batcher_kwargs):
 class TestEnvConfig:
     def test_defaults_disable_batching(self, monkeypatch):
         monkeypatch.delenv("ERMI_BATCH_MAX", raising=False)
-        monkeypatch.delenv("ERMI_BATCH_INFLIGHT", raising=False)
         assert batch_max_from_env() == 1
-        assert batch_inflight_from_env() == 2
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("ERMI_BATCH_MAX", "32")
-        monkeypatch.setenv("ERMI_BATCH_INFLIGHT", "4")
-        assert batch_max_from_env() == 32
-        assert batch_inflight_from_env() == 4
+        assert not RequestBatcher(DirectTransport()).enabled
 
     def test_disabled_batcher_is_inert(self):
         transport = DirectTransport()

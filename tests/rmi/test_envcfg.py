@@ -1,30 +1,44 @@
-"""Validated ``ERMI_*`` environment parsing (satellite bugfix).
+"""The environment surface: validated ``ERMI_*`` parsing, and no more.
 
-A malformed tuning knob must fail at construction with a ValueError
-naming the variable — not as an anonymous ``invalid literal`` surfacing
-from deep inside a stub constructor, and never silently mid-call.
+A malformed environment value must fail at construction with a
+ValueError naming the variable — not as an anonymous ``invalid literal``
+surfacing from deep inside a stub constructor, and never silently
+mid-call.  Tuning knobs are constructor arguments only: the environment
+holds the two deployment selectors (``ERMI_TRANSPORT``,
+``ERMI_BATCH_MAX``) and the benchmark scale, and variables that once
+tuned the runtime are ignored.
 """
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.kvstore.cache import store_lease_ms_from_env
-from repro.kvstore.watch import watch_queue_from_env
-from repro.rmi.aio import aio_inflight_from_env, blocking_workers_from_env
-from repro.rmi.batching import batch_inflight_from_env, batch_max_from_env
-from repro.rmi.cpu import cpu_shm_min_from_env, cpu_workers_from_env
-from repro.rmi.envcfg import env_bytes, env_float, env_int
+import repro
+from repro.rmi.batching import batch_max_from_env
+from repro.rmi.envcfg import env_float, env_int
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+# Variables that tuned the runtime before its knobs became constructor
+# arguments only.
+RETIRED = (
+    "ERMI_BATCH_INFLIGHT",
+    "ERMI_AIO_INFLIGHT",
+    "ERMI_BLOCKING_WORKERS",
+    "ERMI_CPU_WORKERS",
+    "ERMI_CPU_SHM_MIN",
+    "ERMI_STORE_LEASE_MS",
+    "ERMI_WATCH_QUEUE",
+)
 
 KNOBS = [
     ("ERMI_BATCH_MAX", batch_max_from_env),
-    ("ERMI_BATCH_INFLIGHT", batch_inflight_from_env),
-    ("ERMI_AIO_INFLIGHT", aio_inflight_from_env),
-    ("ERMI_STORE_LEASE_MS", store_lease_ms_from_env),
-    ("ERMI_WATCH_QUEUE", watch_queue_from_env),
-    ("ERMI_CPU_WORKERS", cpu_workers_from_env),
-    ("ERMI_CPU_SHM_MIN", cpu_shm_min_from_env),
-    ("ERMI_BLOCKING_WORKERS", blocking_workers_from_env),
 ]
 
 
@@ -66,39 +80,6 @@ class TestEnvHelpers:
         with pytest.raises(ValueError, match="ERMI_TEST_KNOB"):
             env_float("ERMI_TEST_KNOB", 0.0)
 
-    def test_bytes_plain_integer(self, monkeypatch):
-        monkeypatch.setenv("ERMI_TEST_KNOB", "262144")
-        assert env_bytes("ERMI_TEST_KNOB", 0) == 262144
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("256k", 256 * 1024),
-            ("256kb", 256 * 1024),
-            ("256kib", 256 * 1024),
-            ("1m", 1024**2),
-            ("1MiB", 1024**2),
-            ("2g", 2 * 1024**3),
-            (" 4 mib ", 4 * 1024**2),
-        ],
-    )
-    def test_bytes_suffixes_mean_powers_of_1024(
-        self, monkeypatch, raw, expected
-    ):
-        monkeypatch.setenv("ERMI_TEST_KNOB", raw)
-        assert env_bytes("ERMI_TEST_KNOB", 0) == expected
-
-    def test_bytes_default_and_minimum(self, monkeypatch):
-        monkeypatch.delenv("ERMI_TEST_KNOB", raising=False)
-        assert env_bytes("ERMI_TEST_KNOB", 99) == 99
-        monkeypatch.setenv("ERMI_TEST_KNOB", "-1")
-        assert env_bytes("ERMI_TEST_KNOB", 0, minimum=0) == 0
-
-    def test_bytes_malformed_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("ERMI_TEST_KNOB", "fast")
-        with pytest.raises(ValueError, match="ERMI_TEST_KNOB"):
-            env_bytes("ERMI_TEST_KNOB", 0)
-
 
 class TestKnobReaders:
     @pytest.mark.parametrize("name,reader", KNOBS)
@@ -118,10 +99,6 @@ class TestKnobReaders:
         monkeypatch.setenv("ERMI_BATCH_MAX", "64")
         assert batch_max_from_env() == 64
 
-    def test_store_lease_parses_ms(self, monkeypatch):
-        monkeypatch.setenv("ERMI_STORE_LEASE_MS", "125.5")
-        assert store_lease_ms_from_env() == pytest.approx(125.5)
-
     def test_bench_scale_rejects_malformed_value(self, monkeypatch):
         """A typo'd smoke scale must not silently run at full scale."""
         from repro.experiments.benchreport import bench_scale
@@ -129,53 +106,6 @@ class TestKnobReaders:
         monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05x")
         with pytest.raises(ValueError, match="ERMI_BENCH_SCALE"):
             bench_scale()
-
-    def test_store_lease_rejects_nan(self, monkeypatch):
-        monkeypatch.setenv("ERMI_STORE_LEASE_MS", "nan")
-        with pytest.raises(ValueError, match="ERMI_STORE_LEASE_MS"):
-            store_lease_ms_from_env()
-
-    def test_watch_queue_parses_and_clamps(self, monkeypatch):
-        monkeypatch.setenv("ERMI_WATCH_QUEUE", "16")
-        assert watch_queue_from_env() == 16
-        # A zero-depth queue could never deliver anything: clamp to 1.
-        monkeypatch.setenv("ERMI_WATCH_QUEUE", "0")
-        assert watch_queue_from_env() == 1
-
-    def test_malformed_watch_queue_fails_at_subscription(self, monkeypatch):
-        """Same contract as the stub knobs: a typo'd queue depth fails
-        when the first watch is registered, naming the variable."""
-        from repro.kvstore import HyperStore
-
-        monkeypatch.setenv("ERMI_WATCH_QUEUE", "4k")
-        store = HyperStore()
-        with pytest.raises(ValueError, match="ERMI_WATCH_QUEUE"):
-            store.watch("k", lambda event: None)
-
-    def test_cpu_workers_parses(self, monkeypatch):
-        monkeypatch.setenv("ERMI_CPU_WORKERS", "3")
-        assert cpu_workers_from_env() == 3
-
-    def test_cpu_shm_min_accepts_suffixes(self, monkeypatch):
-        monkeypatch.setenv("ERMI_CPU_SHM_MIN", "256k")
-        assert cpu_shm_min_from_env() == 256 * 1024
-        # 0 disables the shm path entirely (everything goes inline).
-        monkeypatch.setenv("ERMI_CPU_SHM_MIN", "0")
-        assert cpu_shm_min_from_env() == 0
-
-    def test_blocking_workers_sizes_the_offload_pool(self, monkeypatch):
-        from repro.rmi.aio import _LoopRuntime
-
-        monkeypatch.setenv("ERMI_BLOCKING_WORKERS", "2")
-        assert blocking_workers_from_env() == 2
-        runtime = _LoopRuntime(blocking_workers_from_env())
-        try:
-            assert runtime.offload._max_workers == 2
-        finally:
-            runtime.loop.call_soon_threadsafe(runtime.loop.stop)
-            runtime.thread.join(timeout=5)
-            runtime.offload.shutdown(wait=False)
-            runtime.loop.close()
 
     def test_malformed_knob_fails_at_stub_construction(self, monkeypatch):
         """The contract the fix exists for: a stub built under a typo'd
@@ -186,3 +116,69 @@ class TestKnobReaders:
         monkeypatch.setenv("ERMI_BATCH_MAX", "64k")
         with pytest.raises(ValueError, match="ERMI_BATCH_MAX"):
             ElasticStub(DirectTransport(), lambda: None)
+
+
+class TestRetiredKnobsInert:
+    @pytest.fixture(autouse=True)
+    def garbage_environment(self, monkeypatch):
+        for name in RETIRED:
+            monkeypatch.setenv(name, "not-a-number")
+        monkeypatch.setenv("ERMI_FASTPATH", "pickle")
+
+    def test_aio_window_keeps_its_default(self):
+        from repro.rmi.aio import DEFAULT_INFLIGHT_WINDOW, AsyncioTransport
+
+        transport = AsyncioTransport()
+        try:
+            assert transport.inflight_limit == DEFAULT_INFLIGHT_WINDOW
+        finally:
+            transport.shutdown()
+
+    def test_fresh_store_watch_delivers(self):
+        from repro.kvstore import HyperStore
+
+        store = HyperStore()
+        events = []
+        store.watch("k", events.append)
+        store.put("k", 1)
+        assert [(e.kind, e.value) for e in events] == [("put", 1)]
+
+    def test_cache_leases_for_fifty_ms(self):
+        from repro.kvstore import HyperStore, WatchCache
+
+        now = [0.0]
+        store = HyperStore()
+        cache = WatchCache(store, watch=False, clock=lambda: now[0])
+        store.put("k", 1)
+        assert cache.get("k") == 1
+        store.put("k", 2)
+        now[0] = 0.049
+        assert cache.get("k") == 1  # still leased
+        now[0] = 0.051
+        assert cache.get("k") == 2
+
+    def test_marshal_call_stays_zero_copy_in_a_fresh_process(self):
+        """The marshal path is fixed at import: a fresh interpreter
+        under ``ERMI_FASTPATH=pickle`` still shares immutable calls."""
+        code = (
+            "from repro.rmi.fastpath import FastPayload, marshal_call\n"
+            "print(type(marshal_call(('x',), {})).__name__)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "FastPayload"
+
+
+def test_source_reads_only_the_known_variables():
+    """A new ``ERMI_*`` environment variable must be a deliberate edit
+    of this set, not a knob that slips in beside a constructor argument."""
+    found = set()
+    for path in SRC.joinpath("repro").rglob("*.py"):
+        found.update(re.findall(r"ERMI_[A-Z_]+", path.read_text()))
+    assert found == {"ERMI_TRANSPORT", "ERMI_BATCH_MAX", "ERMI_BENCH_SCALE"}

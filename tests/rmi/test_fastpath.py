@@ -1,5 +1,5 @@
-"""Fast-path marshalling: the immutability analyzer, the zero-copy and
-pickle modes, and the invariant that RMI call semantics are unchanged.
+"""Fast-path marshalling: the immutability analyzer, the zero-copy
+path, and the invariant that RMI call semantics are unchanged.
 
 The contract under test (DESIGN.md "fast-path invocation layer"):
 
@@ -8,7 +8,8 @@ The contract under test (DESIGN.md "fast-path invocation layer"):
 - anything mutable still takes the pickled pass-by-value path — the
   callee always sees a deep copy;
 - a RemoteRef passes by reference, as remote objects do in Java RMI;
-- MarshalError/UnmarshalError behaviour is identical in every mode.
+- MarshalError/UnmarshalError behaviour is that of the pickled path,
+  whose reference is :func:`repro.rmi.marshal.roundtrip`.
 """
 
 from __future__ import annotations
@@ -17,26 +18,18 @@ import pytest
 
 from repro.errors import ApplicationError, MarshalError, UnmarshalError
 from repro.rmi.fastpath import (
-    MODES,
     FastPayload,
     is_immutable,
     marshal_call,
     marshal_result,
     register_immutable,
-    set_mode,
     unmarshal_call,
     unmarshal_result,
 )
 from repro.rmi import fastpath
+from repro.rmi.marshal import roundtrip
 from repro.rmi.remote import Remote, RemoteRef, Skeleton, Stub
 from repro.rmi.transport import DirectTransport
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    previous = fastpath.mode()
-    yield
-    set_mode(previous)
 
 
 class TestImmutabilityAnalyzer:
@@ -104,23 +97,8 @@ class TestImmutabilityAnalyzer:
             fastpath._registered_immutable.discard(Frozen)
 
 
-class TestModes:
-    def test_set_mode_returns_previous(self):
-        previous = fastpath.mode()
-        assert set_mode("pickle") == previous
-        assert fastpath.mode() == "pickle"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_mode("turbo")
-
-    def test_all_modes_listed(self):
-        assert set(MODES) == {"zerocopy", "pickle"}
-
-
 class TestZeroCopyMarshalling:
     def test_immutable_call_passes_by_reference(self):
-        set_mode("zerocopy")
         args = ("get", b"\x00" * 128, 7)
         payload = marshal_call(args, {})
         assert isinstance(payload, FastPayload)
@@ -129,7 +107,6 @@ class TestZeroCopyMarshalling:
         assert out_kwargs == {}
 
     def test_kwargs_dict_is_fresh_per_delivery(self):
-        set_mode("zerocopy")
         payload = marshal_call(("x",), {"flag": True})
         _, first = unmarshal_call(payload)
         _, second = unmarshal_call(payload)
@@ -137,7 +114,6 @@ class TestZeroCopyMarshalling:
         assert first is not second  # one callee's **kwargs never aliases another's
 
     def test_mutable_args_still_deep_copied(self):
-        set_mode("zerocopy")
         args = (["mutable"],)
         payload = marshal_call(args, {})
         assert isinstance(payload, bytes)
@@ -146,27 +122,24 @@ class TestZeroCopyMarshalling:
         assert out_args[0] is not args[0]
 
     def test_immutable_result_passes_by_reference(self):
-        set_mode("zerocopy")
         blob = b"\x01" * 256
         reply = marshal_result(blob)
         assert isinstance(reply, FastPayload)
         assert unmarshal_result(reply) is blob
 
     def test_mutable_result_still_copied(self):
-        set_mode("zerocopy")
         value = {"k": [1]}
         reply = marshal_result(value)
         assert isinstance(reply, bytes)
         out = unmarshal_result(reply)
         assert out == value and out is not value
 
-    def test_pickle_mode_never_shares(self):
-        set_mode("pickle")
+    def test_reference_copies_what_fast_path_shares(self):
         blob = b"\x02" * 256
-        payload = marshal_call((blob,), {})
-        assert isinstance(payload, bytes)
-        (out,), _ = unmarshal_call(payload)
-        assert out == blob and out is not blob
+        (shared,), _ = unmarshal_call(marshal_call((blob,), {}))
+        copied = roundtrip(blob)
+        assert shared is blob
+        assert copied == shared and copied is not blob
 
 
 class Holder(Remote):
@@ -198,11 +171,9 @@ def wired():
 
 
 class TestEndToEndSemantics:
-    """The full Stub -> transport -> Skeleton path in every mode."""
+    """The full Stub -> transport -> Skeleton path."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_mutable_argument_mutation_never_leaks_back(self, wired, mode):
-        set_mode(mode)
+    def test_mutable_argument_mutation_never_leaks_back(self, wired):
         impl, stub = wired
         items = ["client"]
         assert stub.mutate(items) == 2
@@ -210,53 +181,43 @@ class TestEndToEndSemantics:
         assert impl.received == ["client", "server-side"]
 
     def test_immutable_argument_shared_in_zerocopy(self, wired):
-        set_mode("zerocopy")
         impl, stub = wired
         blob = b"\x07" * 512
         assert stub.take(blob) is blob
         assert impl.received is blob
 
-    def test_immutable_argument_copied_in_pickle_mode(self, wired):
-        set_mode("pickle")
+    def test_immutable_argument_matches_marshal_reference(self, wired):
         impl, stub = wired
         blob = b"\x07" * 512
-        result = stub.take(blob)
-        assert result == blob and result is not blob
-        assert impl.received is not blob
+        reference = roundtrip(blob)
+        assert reference is not blob
+        assert stub.take(blob) == reference
+        assert impl.received == reference
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_remote_ref_passes_by_reference(self, wired, mode):
-        set_mode(mode)
+    def test_remote_ref_passes_by_reference(self, wired):
         impl, stub = wired
         ref = RemoteRef("ep-far", "obj-far", uid=9)
         assert stub.take(ref) == ref
         assert impl.received == ref  # the receiver can build a stub from it
 
     def test_remote_ref_identity_preserved_in_zerocopy(self, wired):
-        set_mode("zerocopy")
         impl, stub = wired
         ref = RemoteRef("ep-far", "obj-far", uid=9)
         stub.take(ref)
         assert impl.received is ref
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_marshal_error_unchanged(self, wired, mode):
-        set_mode(mode)
+    def test_marshal_error_unchanged(self, wired):
         _, stub = wired
         with pytest.raises(MarshalError):
             stub.take(lambda: None)  # unpicklable, and not immutable
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_unmarshal_error_unchanged(self, mode):
-        set_mode(mode)
+    def test_unmarshal_error_unchanged(self):
         with pytest.raises(UnmarshalError):
             unmarshal_call(b"definitely not a pickle")
         with pytest.raises(UnmarshalError):
             unmarshal_result(b"definitely not a pickle")
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_application_exceptions_still_propagate(self, wired, mode):
-        set_mode(mode)
+    def test_application_exceptions_still_propagate(self, wired):
         _, stub = wired
         with pytest.raises(ApplicationError) as info:
             stub.boom()
