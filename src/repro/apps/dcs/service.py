@@ -229,7 +229,9 @@ class CoordinationService(ThroughputScaledService):
         store = self._store()
         # Check-then-act, unlike create: the version and emptiness
         # checks and the delete below are separate store ops, so a
-        # racing set_data or child create can slip between them.
+        # racing set_data or child create can slip between them.  A
+        # racing delete cannot win twice: the store delete's result
+        # decides, and the loser raises before it draws a zxid.
         record = store.get(f"dcs/node{path}", default=None)
         if record is None:
             raise NoNodeError(path)
@@ -239,8 +241,9 @@ class CoordinationService(ThroughputScaledService):
             )
         if store.get(f"dcs/children{path}", default=[]):
             raise NotEmptyError(path)
+        if not store.delete(f"dcs/node{path}"):
+            raise NoNodeError(path)
         zxid = self._next_zxid()
-        store.delete(f"dcs/node{path}")
         store.delete(f"dcs/children{path}")
         parent = _parent(path)
         store.update(

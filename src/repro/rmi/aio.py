@@ -1,79 +1,60 @@
 """Asyncio-native transport: one event loop drives every endpoint.
 
 :class:`ThreadedTransport` charges one blocked OS thread per in-flight
-call (an async-invoker worker parked on ``future.result()`` plus a
-dispatch-pool worker running the handler), so its concurrency ceiling is
-thread count — a few hundred calls at best.  :class:`AsyncioTransport`
-removes that ceiling: sends are loop callbacks, dispatches are
-coroutines, and an in-flight call costs at most one ``asyncio.Task``
-(~KBs, no stack, no scheduler pressure), so one process sustains tens
+call, so its concurrency ceiling is thread count — a few hundred calls
+at best.  :class:`AsyncioTransport` removes that ceiling: sends are loop
+callbacks, dispatches are coroutines, and an in-flight call costs at
+most one ``asyncio.Task`` (~KBs, no stack), so one process sustains tens
 of thousands of concurrent calls.
 
 What a task is paid for
     Only suspension on the loop.  A method that cannot suspend — a
     plain method: not ``async def``, not ``@blocking``, not
-    ``@cpu_bound``; the skeleton says which, from the method, via
-    ``Endpoint.export`` — is stepped to its reply where it was sent,
-    still through the exported ``handle_async`` and in a context copy
-    of its own: an unbatched call of one, and every such entry of a
-    batch, run inside the sweep or loop callback that sent the message,
-    with no task, no timer and no extra loop turn.  A ``@blocking``
-    method costs no task either: the call, or the batch entry, is one
-    job on the offload executor and one hand-off back to the loop (see
-    Dispatch rules); an unbatched one has one loop timer for its
-    deadline.  An unbatched ``async def`` or ``@cpu_bound`` call costs
-    one task; a batch costs one per such entry, plus one for the batch
-    once it waits on them or on its offloaded entries.  Whether a
-    method suspends is never found out by running it: user code in an
-    ``async def`` body must see its *own* task (``asyncio.timeout()``,
-    ``current_task()``), so it keeps one and such entries still
-    overlap.  A message is also sent through a task when a fault hook
-    is installed or the in-flight window is full, and a plain one when
-    it is sent from inside a task.  The price is a longer single loop
-    turn for a wave of plain handlers; ``rmi.aio.loop_lag_ms`` shows it.
-
-Loop ownership
-    The process owns exactly one transport event loop, created lazily on
-    a daemon thread (mirroring :func:`repro.rmi.future.async_executor`)
-    and shared by every :class:`AsyncioTransport` instance.  Transport
-    ``shutdown()`` cancels that transport's outstanding dispatches (an
-    offloaded call is completed with the cancelled task's
-    ``ConnectError``, and its late reply dropped) but leaves the loop
-    running — it is process infrastructure, like the
-    async-invoker pool.
+    ``@cpu_bound``; the skeleton says which, via ``Endpoint.export`` —
+    is stepped to its reply where it was sent, still through the
+    exported ``handle_async`` and in a context copy of its own: an
+    unbatched call of one, and every such entry of a batch, run inside
+    the sweep or loop callback that sent the message, with no task, no
+    timer and no extra loop turn.  A ``@blocking`` call or batch entry
+    costs no task either: it is one job on its member's pool.  An
+    unbatched ``async def`` or ``@cpu_bound`` call costs one task; a
+    batch costs one per such entry, plus one for the batch once it waits
+    on them or on its ``@blocking`` entries.  Whether a method suspends
+    is never found out by running it: user code in an ``async def`` body
+    must see its *own* task.  A message also goes through a task when a
+    fault hook is installed or the in-flight window is full, and a plain
+    one when it is sent from inside a task.  ``rmi.aio.loop_lag_ms``
+    shows the longer loop turns a wave of plain handlers costs.
 
 Dispatch rules
-    Each endpoint's skeleton dispatches *on the loop* via its
-    ``handle_async`` coroutine: coroutine remote methods are awaited in
-    place and plain methods run inline (they must be CPU-light).
-    Methods marked with the :func:`blocking` decorator never touch the
-    loop: the transport runs the skeleton's synchronous ``handle`` —
-    accept, method, reply, exactly what a ``ThreadedTransport`` worker
-    runs — on the small offload executor, and the worker hands the
-    ``Response`` back with one ``call_soon_threadsafe``.  So drain,
-    redirect and the skeleton's statistics clock see such a call when a
-    worker picks it up, not when it was queued.
+    Skeletons dispatch *on the loop* via ``handle_async``: coroutine
+    methods are awaited in place and plain methods run inline (they must
+    be CPU-light).  Methods marked with :func:`blocking` never touch the
+    loop: the skeleton's synchronous ``handle`` — what a
+    ``ThreadedTransport`` worker runs — runs on the member's own pool
+    (``Endpoint.pool``, 4 workers, made on its first ``@blocking`` call
+    and closed with it), so a member brings its own capacity, and drain,
+    redirect and the statistics clock see the call when a worker picks
+    it up.  An unbatched one submitted off the loop goes onto the pool
+    from the submitting thread and is completed by the worker: no loop
+    callback runs for it (:class:`_Call`).
 
 Bridging
-    ``submit()``/``submit_batch()`` are the native, callback-based API
-    (the stub's loop-native path and the batcher's sweeps use them).
-    From another thread they hop to the loop (``call_soon_threadsafe``);
-    called on the loop thread — the batcher's sweeps are — they start
-    the dispatch at once (a message that cannot suspend has completed
-    when they return), and
-    ``schedule()`` there is a plain ``call_soon``: no write to the
-    loop's self-pipe for a hop to the thread one is already on.
-    ``invoke()``/``invoke_batch()`` bridge synchronously for
-    Transport-protocol compatibility; calling them *from* the loop
-    thread raises immediately instead of deadlocking, and
-    :meth:`wait_guard` gives futures the same protection.
+    ``submit()``/``submit_batch()`` are the native, callback-based API.
+    From another thread they hop to the loop, but for that unbatched
+    ``@blocking`` call; on the loop thread — the batcher's sweeps — they
+    start the dispatch at once.  ``invoke()``/``invoke_batch()`` bridge
+    synchronously; called *from* the loop thread they raise instead of
+    deadlocking, and :meth:`wait_guard` protects futures the same way.
 
-The in-flight window (``inflight_limit``, generous by default) is an
-``asyncio.Semaphore`` bounding concurrent dispatches — backpressure
-against unbounded task pileup, not a throttle.  With an
-:class:`~repro.obs.Observability` attached the transport exports an
-in-flight gauge (plus high-water mark) and an event-loop lag histogram
-sampled by a periodic loop task.
+The process owns one transport event loop, made lazily on a daemon
+thread and shared by every :class:`AsyncioTransport`; ``shutdown()``
+cancels one transport's dispatches and closes its members' pools but
+leaves the loop running.  The in-flight window (``inflight_limit``)
+bounds concurrent wire messages — backpressure, not a throttle: any
+thread takes and gives its slots, and a message that finds it full
+waits on the loop.  With an :class:`~repro.obs.Observability` attached
+the transport exports in-flight gauges and a loop-lag histogram.
 """
 
 from __future__ import annotations
@@ -81,7 +62,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import types
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future
 from contextvars import Context, copy_context
 from typing import Any, Callable
 
@@ -96,49 +78,34 @@ from repro.rmi.transport import (
     batch_envelope,
 )
 
-# Callback invoked on the loop when one submitted call (or batch)
-# completes: exactly one of (result, error) is non-None.  It must not
-# block — anything that would park the loop thread belongs on a pool.
+# Callback invoked when one submitted call (or batch) completes: exactly
+# one of (result, error) is non-None.  It runs on the loop whenever
+# ``submit`` was called there (the batcher's sweeps), and must then not
+# block.  Only an unbatched ``@blocking`` call submitted from another
+# thread completes off the loop: on its member's worker, as a rule.
 DoneCallback = Callable[[Any, "BaseException | None"], None]
 
 DEFAULT_INFLIGHT_WINDOW = 16_384
-# The shared ``@blocking`` offload pool: a fixed size, not a knob (the
-# e2e ``overload_surge`` workload's capacity is sized on it).
-OFFLOAD_WORKERS = 8
 LAG_SAMPLE_INTERVAL_S = 0.05
 
 
 def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Mark a remote method as genuinely blocking (file/socket/sleep).
 
-    The asyncio transport runs a call of a marked method on its small
-    offload executor (the skeleton's synchronous ``handle``) instead of
-    on the loop — the *only* sanctioned way to block in a handler on
-    that transport.  Sync transports ignore the marker (their dispatch
-    threads may block).
+    The asyncio transport runs a call of a marked method (the
+    skeleton's synchronous ``handle``) on its member's own pool of 4
+    workers instead of on the loop — the *only* sanctioned way to block
+    in a handler there.  Sync transports ignore the marker.
     """
     fn.__ermi_blocking__ = True
     return fn
 
 
-# ----------------------------------------------------------------------
-# the process-wide loop runtime
-# ----------------------------------------------------------------------
-
-
 class _LoopRuntime:
-    """The shared event loop, its thread, and the offload executor."""
+    """The shared event loop and its thread."""
 
     def __init__(self) -> None:
         self.loop = asyncio.new_event_loop()
-        self.offload = ThreadPoolExecutor(
-            max_workers=OFFLOAD_WORKERS,
-            thread_name_prefix="ermi-aio-offload",
-        )
-        # ``@blocking`` calls are jobs submitted here; fault hooks run
-        # here too, as the loop's *default* executor
-        # (``run_in_executor(None, ...)``).
-        self.loop.set_default_executor(self.offload)
         self.thread = threading.Thread(
             target=self._run, name="ermi-aio-loop", daemon=True
         )
@@ -153,18 +120,15 @@ class _LoopRuntime:
         return threading.get_ident() == self._ident
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` on the loop; safe from any thread.
-
-        From the loop thread itself this is a plain ``call_soon`` — still
-        a later turn of the loop, but no write to its self-pipe."""
+        """Schedule ``fn(*args)`` on the loop; safe from any thread (from
+        the loop thread, a plain ``call_soon``: no self-pipe write)."""
         if self.is_loop_thread():
             self.loop.call_soon(fn, *args)
         else:
             self.loop.call_soon_threadsafe(fn, *args)
 
     def run(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` on the loop thread: right now when called
-        there, else as :meth:`call_soon` would."""
+        """Run ``fn(*args)`` on the loop thread: at once when on it."""
         if self.is_loop_thread():
             fn(*args)
         else:
@@ -185,17 +149,12 @@ def loop_runtime() -> _LoopRuntime:
     return _runtime
 
 
-# ----------------------------------------------------------------------
-# the transport
-# ----------------------------------------------------------------------
-
-
 class AsyncioTransport(_TransportBase):
     """Live transport: every endpoint dispatches on one shared loop.
 
-    ``timeout`` bounds each dispatch that suspends or is offloaded; one
-    that runs to its reply where it was sent has no timer to arm (None
-    disables the deadline — deterministic tests use that to keep
+    ``timeout`` bounds each dispatch that suspends or runs on a pool;
+    one that runs to its reply where it was sent has no timer to arm
+    (None disables the deadline — deterministic tests use that to keep
     dispatch coroutines on the task path suspension-free).
     ``inflight_limit`` is the dispatch window.
     """
@@ -206,22 +165,28 @@ class AsyncioTransport(_TransportBase):
     asynchronous = True
 
     def __init__(
-        self,
-        timeout: float | None = 30.0,
+        self, timeout: float | None = 30.0,
         inflight_limit: int = DEFAULT_INFLIGHT_WINDOW,
     ) -> None:
         super().__init__()
         self._timeout = timeout
         self._runtime = loop_runtime()
         self.inflight_limit = max(1, inflight_limit)
-        self._sema = asyncio.Semaphore(self.inflight_limit)
-        # Loop-thread-only state (no lock needed): admitted dispatches.
+        # The window, under _lock from any thread: free slots (one per
+        # wire message), calls in flight and their high-water mark.
+        # Messages that found no slot wait on the loop, oldest first.
+        self._lock = threading.Lock()
+        self._free = self.inflight_limit
         self._inflight = 0
         self._inflight_hwm = 0
+        self._waiters: deque[asyncio.Future] = deque()
+        # Unsettled hand-offs (see _Call) in submission order, which is
+        # deadline order: one timer, armed on the loop for the oldest.
+        self._calls: dict[_Call, bool] = {}
+        self._timer: asyncio.TimerHandle | None = None
+        # Loop-thread-only state (no lock needed).
         self._tasks: set[asyncio.Task] = set()
-        self._offloaded: set[_Offloaded] = set()
         self._lag_task: asyncio.Task | None = None
-        self._closed = False
 
     # -- capability surface -------------------------------------------------
 
@@ -236,10 +201,8 @@ class AsyncioTransport(_TransportBase):
         return self._inflight_hwm
 
     def schedule(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` on the event loop; safe from any thread.
-
-        The batcher schedules its sweeps here.
-        """
+        """Run ``fn`` on the event loop, from any thread (the batcher's
+        sweeps)."""
         self._runtime.call_soon(fn)
 
     def wait_guard(self) -> None:
@@ -271,12 +234,9 @@ class AsyncioTransport(_TransportBase):
         )
 
     async def _sample_loop_lag(self) -> None:
-        """Periodic loop-lag probe: how late a timer actually fires.
-
-        The overshoot of a plain ``sleep`` is scheduling latency — the
-        time runnable callbacks waited behind whatever held the loop.
-        Only runs while an Observability is attached.
-        """
+        """Periodic loop-lag probe, while an Observability is attached:
+        the overshoot of a plain ``sleep`` is the time runnable callbacks
+        waited behind whatever held the loop."""
         loop = asyncio.get_running_loop()
         while self._obs is not None and not self._closed:
             before = loop.time()
@@ -289,104 +249,158 @@ class AsyncioTransport(_TransportBase):
                 break
             obs.registry.histogram("rmi.aio.loop_lag_ms").observe(lag_ms)
 
-    def _note_inflight(self, delta: int) -> None:  # loop thread
-        self._inflight += delta
-        if self._inflight > self._inflight_hwm:
-            self._inflight_hwm = self._inflight
-        obs = self._obs
-        if obs is not None:
-            registry = obs.registry
-            registry.gauge("rmi.aio.inflight").set(float(self._inflight))
-            registry.gauge("rmi.aio.inflight_hwm").set(
-                float(self._inflight_hwm)
-            )
+    def _export_inflight(self) -> None:
+        registry = self._obs.registry
+        registry.gauge("rmi.aio.inflight").set(float(self._inflight))
+        registry.gauge("rmi.aio.inflight_hwm").set(float(self._inflight_hwm))
+
+    # -- the window ---------------------------------------------------------
+
+    def _take(self, size: int, waiter: asyncio.Future | None = None) -> bool:
+        """Take a slot for a message of ``size`` calls (any thread).
+
+        False when none is free, or when messages wait for one and this
+        is not one of them; a ``waiter`` (a loop future) then joins them.
+        """
+        with self._lock:
+            if self._free <= 0 or (self._waiters and waiter is None):
+                if waiter is not None:
+                    self._waiters.append(waiter)
+                return False
+            self._free -= 1
+            self._inflight += size
+            if self._inflight > self._inflight_hwm:
+                self._inflight_hwm = self._inflight
+            if self._obs is not None:
+                self._export_inflight()
+        return True
+
+    def _give(self, size: int) -> None:
+        """Give back a message's slot (any thread); wake a waiter."""
+        with self._lock:
+            self._free += 1
+            self._inflight -= size
+            wake = bool(self._waiters)
+            if self._obs is not None:
+                self._export_inflight()
+        if wake:
+            self._runtime.run(self._wake)
+
+    def _wake(self) -> None:  # loop thread
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():  # one cancelled while it waited is passed
+                waiter.set_result(None)
+                return
+
+    async def _enter(self, size: int) -> None:
+        """Take a slot, waiting while the window is full (in a task)."""
+        while not self._take(size):
+            waiter = self._runtime.loop.create_future()
+            if self._take(size, waiter):
+                return
+            try:
+                await waiter
+            except asyncio.CancelledError:
+                if not waiter.cancelled():
+                    self._wake()  # woken, then cancelled: pass it on
+                raise
 
     # -- native (loop-callback) API -----------------------------------------
 
     def submit(
         self, endpoint_id: str, request: Request, on_done: DoneCallback
     ) -> None:
-        """Start one call; ``on_done(response, error)`` runs on the loop.
+        """Start one call; ``on_done(response, error)`` runs on the loop
+        whenever this is called on the loop thread.
 
-        Thread-safe and non-blocking: the caller never parks, which is
-        what lets one thread keep thousands of calls in flight.  Called
-        on the loop thread (the batcher's sweeps are) the dispatch starts
-        at once instead of hopping to the loop it is on: a call that
-        cannot suspend has run, ``on_done`` included, by the time this
-        returns (see :meth:`_start`); any other has its task.
+        Thread-safe and non-blocking: the caller never parks.  On the
+        loop thread (the batcher's sweeps) the dispatch starts at once: a
+        call that cannot suspend has run, ``on_done`` included, by the
+        time this returns (see :meth:`_start`).  From another thread, an
+        unbatched ``@blocking`` call with no fault hook and room in the
+        window goes straight onto its member's pool and completes on
+        whichever thread settles it first — the member's worker, as a
+        rule (see :class:`_Call`); any other call hops to the loop.
         """
-        self._runtime.run(self._start, endpoint_id, request, on_done)
+        runtime = self._runtime
+        if runtime.is_loop_thread():
+            self._start(endpoint_id, request, on_done)
+            return
+        ep = self._endpoints.get(endpoint_id)
+        if (
+            ep is not None and ep.alive and not self._closed
+            and self._fault_hook is None and _offloads(ep, request)
+            and self._take(1)
+        ):
+            self._hand_off(ep, request, on_done, None)
+        else:
+            runtime.loop.call_soon_threadsafe(
+                self._start, endpoint_id, request, on_done
+            )
 
     def submit_batch(
         self, endpoint_id: str, batch: BatchRequest, on_done: DoneCallback
     ) -> None:
         """Batch analogue of :meth:`submit`; completes with a
-        :class:`BatchResponse`."""
+        :class:`BatchResponse`, on the loop."""
         self._runtime.run(self._start, endpoint_id, batch, on_done)
 
     def _start(
-        self,
-        endpoint_id: str,
-        message: Request | BatchRequest,
+        self, endpoint_id: str, message: Request | BatchRequest,
         on_done: DoneCallback,
     ) -> None:  # loop thread
         """Send one wire message: eagerly when nothing in it can suspend
-        before its reply, as one offload job when it is a ``@blocking``
-        call, in a task of its own otherwise.
+        before its reply, as one job on its member's pool when it is a
+        ``@blocking`` call (``Endpoint.offloads``), in a task otherwise.
 
-        Both task-free paths need no fault hook (hooks are consulted on
-        the offload executor) and room in the window.  Eager also needs
-        no current task (user code must never run inside a task that is
-        not its own) and a message that cannot suspend: a batch, whose
-        suspending entries get tasks of their own, or a call whose
-        skeleton says its method cannot (``Endpoint.may_suspend``; a
-        raw exported callable makes no such promise).  The offload path
-        needs a call whose skeleton says its method blocks a thread
-        (``Endpoint.offloads``).  A message that fails to resolve is
-        answered here, whatever path it would have taken.
+        Both task-free paths need no fault hook and a free slot of the
+        window.  Eager also needs no current task (user code never runs
+        in a task not its own) and a batch, or a call whose skeleton says
+        its method cannot suspend (``Endpoint.may_suspend``; a raw
+        exported callable makes no such promise).  A message that fails
+        to resolve is answered here.
         """
         try:
             ep, handler = self._resolve_message(endpoint_id, message)
         except ConnectError as exc:
             self._complete(on_done, None, exc)
             return
-        if self._fault_hook is None and not self._sema.locked():
+        if self._fault_hook is None:
             if handler is None or not ep.may_suspend.get(
                 message.object_id, _suspends
             )(message.method):
-                if asyncio.current_task(self._runtime.loop) is None:
+                size = 1 if handler is not None else len(message.entries)
+                if (
+                    asyncio.current_task(self._runtime.loop) is None
+                    and self._take(size)
+                ):
                     context = copy_context()
                     context.run(
-                        self._eager, ep, handler, message, on_done, context
+                        self._eager, ep, handler, message, size, on_done,
+                        context,
                     )
                     return
-            elif _offloads(ep, message):
-                self._offload_call(ep, message, on_done)
+            elif _offloads(ep, message) and self._take(1):
+                self._hand_off(ep, message, on_done, self._runtime.loop)
                 return
         self._spawn(self._run(
             self._invoke_async(endpoint_id, ep, handler, message), on_done
         ))
 
     def _eager(
-        self,
-        ep: Endpoint,
-        handler: Any,
-        message: Request | BatchRequest,
-        on_done: DoneCallback,
-        context: Context,
+        self, ep: Endpoint, handler: Any, message: Request | BatchRequest,
+        size: int, on_done: DoneCallback, context: Context,
     ) -> None:  # loop thread, run in ``context``
         """Step one message to its reply inside the caller's callback.
 
-        It holds a slot of the window and counts as in flight while it
-        runs, as a task would.  Should it suspend after all — a batch
-        whose entries were given tasks, a plain method that handed back
-        an awaitable — the rest of it becomes the message's one task,
-        in the same context and under the deadline its dispatch started
-        here.
+        It holds the slot :meth:`_start` took and counts as in flight
+        while it runs, as a task would.  Should it suspend after all — a
+        batch whose entries were given tasks, a plain method that handed
+        back an awaitable — the rest of it becomes the message's one
+        task, in the same context and under the deadline its dispatch
+        started here.
         """
-        size = 1 if handler is not None else len(message.entries)
-        _step(self._sema.acquire)  # free: _start saw room in the window
-        self._note_inflight(+size)
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, message)
@@ -408,56 +422,76 @@ class AsyncioTransport(_TransportBase):
                 )
                 return
             error = None
-        self._sema.release()
-        self._note_inflight(-size)
+        self._give(size)
         self._complete(on_done, reply, error)
 
     async def _resume(
-        self, rest: Any, message: Request | BatchRequest, size: int,
-        started: float,
+        self, rest: Any, message: Request | BatchRequest, size: int, started: float
     ) -> Any:
         """The task of an eagerly stepped message that suspended."""
         try:
             return await self._timed(rest, message, started)
         finally:
-            self._sema.release()
-            self._note_inflight(-size)
+            self._give(size)
 
-    def _offload_call(
-        self, ep: Endpoint, request: Request, on_done: DoneCallback
-    ) -> None:  # loop thread
+    def _hand_off(
+        self, ep: Endpoint, request: Request, on_done: DoneCallback,
+        loop: asyncio.AbstractEventLoop | None,
+    ) -> None:  # any thread; the call's slot is taken
         """Send an unbatched ``@blocking`` call with no task: one job on
-        the offload executor, one hand-off back (see :class:`_Offloaded`).
-
-        It pays what :meth:`_eager` pays — a slot of the window, the
-        in-flight count, one message counted and one trace event — plus
-        one loop timer for its deadline, counted from here.
-        """
-        _step(self._sema.acquire)  # free: _start saw room in the window
-        self._note_inflight(+1)
+        its member's pool (:class:`_Call`; ``loop`` is set when it was
+        submitted there).  It pays what :meth:`_eager` pays and joins the
+        deadline FIFO, waking the loop only when no timer is armed."""
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, request)
-        call = _Offloaded(self, request, on_done)
-        self._offloaded.add(call)
-        loop = self._runtime.loop
-        if self._timeout is not None:
-            call.timer = loop.call_at(loop.time() + self._timeout, call.expire)
-        try:
-            call.job = self._runtime.offload.submit(
-                call.run, loop, _sync_handler(ep, request)
-            )
-        except RuntimeError as exc:  # the executor stopped: interpreter exit
-            call.settle(None, exc)
-
-    def _offloaded_reply(self, ep: Endpoint, request: Request) -> Any:
-        """The reply of ``request`` run on the offload executor, as a
-        loop future: what a batch entry, or a call on the task path,
-        awaits.  Cancelling it cancels a job that has not started."""
-        return asyncio.wrap_future(
-            self._runtime.offload.submit(_sync_handler(ep, request), request),
-            loop=self._runtime.loop,
+        timeout = self._timeout
+        call = _Call(
+            self, _sync_handler(ep, request), request, on_done, loop,
+            0.0 if timeout is None else self._runtime.loop.time() + timeout,
         )
+        self._calls[call] = True
+        if timeout is not None and self._timer is None:
+            self._runtime.run(self._arm, False)
+        try:
+            (ep.pool or self._pool(ep)).submit(call)
+        except (ConnectError, RuntimeError) as exc:
+            call.settle(None, exc)  # killed since; or no thread, at exit
+
+    def _arm(self, fired: bool) -> None:  # loop thread
+        """Expire the hand-offs past their deadline, oldest first, and
+        arm the one timer (unless armed) for the oldest still unsettled."""
+        if fired:
+            self._timer = None
+        elif self._timer is not None:
+            return
+        loop = self._runtime.loop
+        now = loop.time()
+        while (call := self._oldest()) is not None:
+            if call.deadline > now:
+                self._timer = loop.call_at(call.deadline, self._arm, True)
+                return
+            call.settle(None, self._timeout_error(call.arg))
+
+    def _oldest(self) -> _Call | None:
+        while True:
+            try:
+                return next(iter(self._calls), None)
+            except RuntimeError:  # resized by another thread mid-peek
+                continue
+
+    def _pool_reply(self, ep: Endpoint, request: Request) -> Any:
+        """The reply of ``request`` run on its member's pool, as a loop
+        future (:class:`_Awaited`): what a batch entry, or a call on the
+        task path, awaits."""
+        future = self._runtime.loop.create_future()
+        try:
+            (ep.pool or self._pool(ep)).submit(
+                _Awaited(_sync_handler(ep, request), request, future)
+            )
+        except (ConnectError, RuntimeError) as exc:
+            future.set_exception(exc)
+        return future
 
     def _spawn(self, coro: Any, context: Context | None = None) -> None:
         # Tasks need a strong reference until done; _reap also surfaces
@@ -506,34 +540,22 @@ class AsyncioTransport(_TransportBase):
     def _resolve_message(
         self, endpoint_id: str, message: Request | BatchRequest
     ) -> tuple[Endpoint, Any]:
-        """The endpoint and, for a call, its handler (None for a batch,
-        whose entries resolve one by one at dispatch)."""
+        """The endpoint and, for a call, its *async* handler when
+        exported, the raw sync one otherwise (tests export plain
+        callables); None for a batch, whose entries resolve at dispatch."""
         if self._closed:
             raise ConnectError("asyncio transport shut down")
-        if type(message) is BatchRequest:
-            return self._resolve_endpoint(endpoint_id), None
-        return self._resolve_aio(endpoint_id, message)
-
-    def _resolve_aio(
-        self, endpoint_id: str, request: Request
-    ) -> tuple[Endpoint, Any]:
-        """Resolve to the endpoint's *async* handler when exported, the
-        raw sync handler otherwise (tests export plain callables)."""
         ep = self._resolve_endpoint(endpoint_id)
-        handler = ep.ahandlers.get(request.object_id)
+        if type(message) is BatchRequest:
+            return ep, None
+        object_id = message.object_id
+        handler = ep.ahandlers.get(object_id) or ep.handlers.get(object_id)
         if handler is None:
-            handler = ep.handlers.get(request.object_id)
-        if handler is None:
-            raise ConnectError(
-                f"no object {request.object_id!r} at endpoint {ep.name}"
-            )
+            raise ConnectError(f"no object {object_id!r} at endpoint {ep.name}")
         return ep, handler
 
     async def _invoke_async(
-        self,
-        endpoint_id: str,
-        ep: Endpoint,
-        handler: Any,
+        self, endpoint_id: str, ep: Endpoint, handler: Any,
         message: Request | BatchRequest,
     ) -> Any:
         """Deliver one resolved wire message, a call or a batch: one
@@ -541,26 +563,25 @@ class AsyncioTransport(_TransportBase):
         message counted and one trace event, however many calls it
         carries."""
         size = 1 if handler is not None else len(message.entries)
-        async with self._sema:
-            self._note_inflight(+size)
-            try:
-                hook = self._fault_hook
-                if hook is not None:
-                    # Hooks may sleep (injected delays); keep the loop
-                    # live by consulting them on the offload executor.
-                    await self._runtime.loop.run_in_executor(
-                        None, hook, endpoint_id,
-                        message if handler is not None else batch_envelope(message),
-                    )
-                self._messages.increment()
-                if self._tracer is not None:
-                    self._trace_message(ep, message)
-                return await self._timed(
-                    self._dispatch(ep, handler, message), message,
-                    self._runtime.loop.time(),
+        await self._enter(size)
+        try:
+            hook = self._fault_hook
+            if hook is not None:
+                # Hooks may sleep (injected delays); keep the loop live
+                # by consulting them on the loop's default executor.
+                await self._runtime.loop.run_in_executor(
+                    None, hook, endpoint_id,
+                    message if handler is not None else batch_envelope(message),
                 )
-            finally:
-                self._note_inflight(-size)
+            self._messages.increment()
+            if self._tracer is not None:
+                self._trace_message(ep, message)
+            return await self._timed(
+                self._dispatch(ep, handler, message), message,
+                self._runtime.loop.time(),
+            )
+        finally:
+            self._give(size)
 
     async def _timed(
         self, coro: Any, message: Request | BatchRequest, started: float
@@ -589,22 +610,18 @@ class AsyncioTransport(_TransportBase):
         """Run a call's handler, or unbatch a batch (``handler`` None) on
         the loop, its replies reassembled in entry order.
 
-        An entry whose method cannot suspend (its skeleton says so, see
-        ``Endpoint.may_suspend``) is stepped to its reply right here,
-        wherever the batch is being stepped: no entry of that kind pays
-        for a task.  A ``@blocking`` entry (``Endpoint.offloads``) is
-        one offload job whose reply completes a loop future, and every
-        other entry — ``async def``, ``@cpu_bound``, or a handler
-        exported with no such promise — gets a task of its own; both
-        start once the inline entries are done, so they still overlap.
-        Each inline entry runs in its own copy of the context, as its
-        task would have given it.  A call with a handler takes the same
-        offload path when it blocks a thread (the task path of a
-        ``@blocking`` call: a fault hook, a full window).
+        An entry that cannot suspend (``Endpoint.may_suspend``) is
+        stepped to its reply right here, in its own copy of the context,
+        with no task.  A ``@blocking`` entry is one job on its member's
+        pool completing a loop future (so is a ``@blocking`` call on the
+        task path), and every other entry — ``async def``,
+        ``@cpu_bound``, or a handler exported with no such promise — gets
+        a task of its own; both start once the inline entries are done,
+        so they still overlap.
         """
         if handler is not None:
             if _offloads(ep, message):
-                return await self._offloaded_reply(ep, message)
+                return await self._pool_reply(ep, message)
             reply = handler(message)
             return (await reply) if asyncio.iscoroutine(reply) else reply
         entries = message.entries
@@ -650,8 +667,7 @@ class AsyncioTransport(_TransportBase):
         if tasked or offloaded:
             create_task = self._runtime.loop.create_task
             replies = await asyncio.gather(
-                *(self._offloaded_reply(ep, request)
-                  for _, request in offloaded),
+                *(self._pool_reply(ep, request) for _, request in offloaded),
                 *(create_task(coro, context=context)
                   for _, coro, context in tasked),
             )
@@ -666,9 +682,7 @@ class AsyncioTransport(_TransportBase):
     def invoke(self, endpoint_id: str, request: Request) -> Response:
         return self._wait_for(self.submit, endpoint_id, request, request.method)
 
-    def invoke_batch(
-        self, endpoint_id: str, batch: BatchRequest
-    ) -> BatchResponse:
+    def invoke_batch(self, endpoint_id: str, batch: BatchRequest) -> BatchResponse:
         return self._wait_for(
             self.submit_batch, endpoint_id, batch, f"batch[{len(batch.entries)}]"
         )
@@ -695,15 +709,15 @@ class AsyncioTransport(_TransportBase):
         return self._ensure_cpu_executor()
 
     def shutdown(self) -> None:
-        """Cancel this transport's outstanding dispatches.
+        """Cancel this transport's outstanding dispatches, then close its
+        members' pools (on the loop).
 
-        Tasks are cancelled; an unbatched ``@blocking`` call still on the
-        offload executor completes with the same ``ConnectError`` a
+        Tasks are cancelled; an unbatched ``@blocking`` call still on its
+        member's pool completes with the same ``ConnectError`` a
         cancelled task gives, and its reply is dropped when it comes.
-        The shared loop and offload executor keep running — they are
-        process infrastructure, reused by the next transport.  The cpu
-        pool, by contrast, is transport-owned: its worker processes stop
-        here so a finished session never strands children.
+        The shared loop keeps running — process infrastructure, reused by
+        the next transport.  The transport-owned cpu pool stops here, so
+        a finished session never strands worker processes.
         """
         self._closed = True
         self._runtime.call_soon(self._cancel_all)
@@ -713,70 +727,94 @@ class AsyncioTransport(_TransportBase):
         if self._lag_task is not None:
             self._lag_task.cancel()
             self._lag_task = None
+        if self._timer is not None:
+            self._timer.cancel()
         # One turn later: by then every task made so far (a sweep that
         # raced shutdown may just have made one) has taken its first
         # step, so its _run turns the cancellation into a ConnectError.
         loop = self._runtime.loop
         for task in list(self._tasks):
             loop.call_soon(task.cancel)
-        for call in list(self._offloaded):
-            call.abandon(ConnectError("asyncio transport shut down"))
+        for call in list(self._calls):
+            call.settle(None, ConnectError("asyncio transport shut down"))
+        self._close_pools()
 
 
-class _Offloaded:
-    """An unbatched ``@blocking`` call on the offload executor.
+class _Call:
+    """An unbatched ``@blocking`` call handed off as one job on its
+    member's pool (:meth:`AsyncioTransport._hand_off`).
 
-    Whichever comes first settles it — the job's reply, its deadline
-    timer, or ``shutdown()`` — and whatever comes later is dropped: the
-    window slot is released and ``on_done`` runs exactly once.  The
-    deadline and shutdown also cancel the job, so a call still queued
-    behind the executor's workers never runs.
+    Whichever comes first settles it — the worker's reply, its member's
+    kill (the pool fails it with the retryable "is down"
+    ``ConnectError``), its deadline, or ``shutdown()`` — and whatever
+    comes later is dropped.  The claim is one atomic ``dict.pop`` from
+    the transport's FIFO of unsettled calls, so the window slot is given
+    back and ``on_done`` runs once, on the thread that settled it.  A
+    call settled while still queued never runs.  One submitted on the
+    loop thread (``loop`` set) is settled there: a reply or kill hops.
     """
 
-    __slots__ = ("transport", "request", "on_done", "timer", "job")
+    __slots__ = (
+        "transport", "handler", "arg", "on_done", "loop", "deadline",
+        "result", "error",
+    )
 
     def __init__(
-        self, transport: AsyncioTransport, request: Request,
-        on_done: DoneCallback,
+        self, transport: AsyncioTransport, handler: Any, request: Request,
+        on_done: DoneCallback, loop: asyncio.AbstractEventLoop | None, deadline: float,
     ) -> None:
-        self.transport = transport
-        self.request = request
-        self.on_done: DoneCallback | None = on_done
-        self.timer: asyncio.TimerHandle | None = None
-        self.job: Future | None = None
+        self.transport, self.handler, self.arg = transport, handler, request
+        self.on_done, self.loop, self.deadline = on_done, loop, deadline
+        self.result = self.error = None
 
-    def run(self, loop: asyncio.AbstractEventLoop, handle: Any) -> None:
-        """The job, on an offload worker: dispatch, hand the reply back."""
-        try:
-            reply, error = handle(self.request), None
-        except BaseException as exc:  # noqa: BLE001 - relayed to the loop
-            reply, error = None, exc
-        loop.call_soon_threadsafe(self.settle, reply, error)
+    def fn(self, request: Request) -> Any:  # a worker, at dequeue
+        if self not in self.transport._calls:
+            return None  # settled while it queued: never run
+        return self.handler(request)
+
+    def finish(self) -> None:  # the worker that ran it, or a kill
+        if self.loop is None:
+            self.settle(self.result, self.error)
+        else:
+            self.loop.call_soon_threadsafe(self.settle, self.result, self.error)
 
     def settle(self, reply: Any, error: BaseException | None) -> None:
-        on_done = self.on_done
-        if on_done is None:
-            return  # settled already: a late reply, or a late deadline
-        self.on_done = None
-        if self.timer is not None:
-            self.timer.cancel()
         transport = self.transport
-        transport._offloaded.discard(self)
-        transport._sema.release()
-        transport._note_inflight(-1)
-        transport._complete(on_done, reply, error)
+        if transport._calls.pop(self, None) is None:
+            return  # settled already: a late reply, deadline or kill
+        transport._give(1)
+        transport._complete(self.on_done, reply, error)
 
-    def abandon(self, error: BaseException) -> None:
-        if self.job is not None:
-            self.job.cancel()  # a no-op once a worker has it
-        self.settle(None, error)
 
-    def expire(self) -> None:
-        self.abandon(self.transport._timeout_error(self.request))
+class _Awaited:
+    """A ``@blocking`` call a task awaits (a batch entry, or a call on
+    the task path): one job on its member's pool whose outcome completes
+    ``future`` on the loop.  A job whose future was cancelled while it
+    queued (the task's deadline, ``shutdown()``) never runs."""
+
+    __slots__ = ("handler", "arg", "future", "result", "error")
+
+    def __init__(self, handler: Any, request: Request, future: Any) -> None:
+        self.handler, self.arg, self.future = handler, request, future
+        self.result = self.error = None
+
+    def fn(self, request: Request) -> Any:  # a worker, at dequeue
+        return None if self.future.cancelled() else self.handler(request)
+
+    def finish(self) -> None:  # the worker that ran it, or a kill
+        self.future.get_loop().call_soon_threadsafe(self.resolve)
+
+    def resolve(self) -> None:  # loop thread
+        if self.future.cancelled():
+            return  # its task gave up on it
+        if self.error is not None:
+            self.future.set_exception(self.error)
+        else:
+            self.future.set_result(self.result)
 
 
 def _sync_handler(ep: Endpoint, request: Request) -> Any:
-    """The handler an offload job runs: ``Skeleton.handle``."""
+    """The handler a pool job runs: ``Skeleton.handle``."""
     return ep.handlers.get(request.object_id, _unexported)
 
 
@@ -794,12 +832,11 @@ def _unexported(request: Request) -> Response:
 def _step(dispatch: Any, *args: Any) -> Any:
     """Run a dispatch coroutine that should not suspend to its reply.
 
-    Called in the context the dispatch is to run in.  Should the
-    coroutine suspend after all (``Skeleton.handle_async`` does when a
-    plain method hands back an awaitable, which it has then already put
-    in a task of its own; a batch does once it has given its suspending
-    entries theirs), the rest of it is returned as a coroutine for the
-    caller to give a task, in this same context.
+    Called in the context the dispatch is to run in.  Should it suspend
+    after all (``handle_async`` does when a plain method hands back an
+    awaitable, already put in a task of its own; a batch does once its
+    suspending entries have theirs), the rest of it is returned as a
+    coroutine for the caller to give a task, in this same context.
     """
     coro = dispatch(*args)
     try:

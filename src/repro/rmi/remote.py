@@ -204,7 +204,7 @@ def _declares_cpu_bound(cls: type) -> bool:
 # How a skeleton dispatches a method name, decided once per name
 # (Skeleton._resolve).  The last three never reply where the asyncio
 # transport sent them: two suspend handle_async, _BLOCKING runs on the
-# transport's offload executor instead.
+# member's own dispatch pool instead.
 _REFUSED, _PLAIN, _COROUTINE, _BLOCKING, _CPU = range(5)
 _SUSPENDING = frozenset((_COROUTINE, _BLOCKING, _CPU))
 
@@ -443,12 +443,13 @@ class Skeleton:
     def handle(self, request: Request) -> Response:
         """Synchronous dispatch: accept, method, reply, on this thread.
 
-        What a :class:`~repro.rmi.transport.ThreadedTransport` worker
-        runs, and what the asyncio transport runs on its offload
-        executor for a ``@blocking`` method (:meth:`offloads`): the
-        drain and redirect gate, the pending count and the statistics
-        clock all start when a thread picks the call up, not when it
-        was queued.
+        What a worker of the member's dispatch pool runs: every call on
+        a :class:`~repro.rmi.transport.ThreadedTransport`, and a
+        ``@blocking`` method's call (:meth:`offloads`) on the asyncio
+        transport, whose worker may also complete the call.  The drain
+        and redirect gate, the pending count and the statistics clock
+        all start when a worker picks the call up, not when it was
+        queued.
         """
         refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
@@ -484,7 +485,7 @@ class Skeleton:
         transport step them where the message was sent
         (:meth:`may_suspend` is how it tells them apart).  Methods
         marked with :func:`repro.rmi.aio.blocking` never come here: the
-        transport runs :meth:`handle` for them on its offload executor
+        transport runs :meth:`handle` for them on the member's own pool
         (:meth:`offloads`), so this coroutine has no executor branch.
         """
         refusal, method, kind, args, kwargs, started = self._accept(request)
@@ -534,8 +535,9 @@ class Skeleton:
 
     def offloads(self, name: str) -> bool:
         """Does method ``name`` block a thread (``@blocking``)?  The
-        asyncio transport then runs :meth:`handle` on its offload
-        executor.  Read off the same table as :meth:`may_suspend`."""
+        asyncio transport then runs :meth:`handle` on the member's own
+        pool of workers.  Read off the same table as :meth:`may_suspend`;
+        safe from any thread (the transport asks from the caller's)."""
         entry = self._methods.get(name) or self._resolve(name)
         return entry[1] == _BLOCKING
 

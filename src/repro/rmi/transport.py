@@ -8,41 +8,38 @@ stand-in for one JVM at one IP:port.  Two transports move
   Deterministic; used by unit tests and by the simulation experiments.
 - :class:`ThreadedTransport` — each endpoint owns a bounded pool of
   dispatch threads, calls block the caller until the remote worker
-  responds (or a timeout trips).
-  This is the live mode the runnable examples use: real concurrency, real
-  blocking semantics.
+  responds (or a timeout trips): the live mode the examples use.
 
 The invoke path is engineered to be contention-free (the fast-path
 invariants DESIGN.md documents):
 
-- the endpoint and dispatcher maps are *read-mostly*: lookups read a
-  plain dict with no lock; membership changes copy-on-write a fresh dict
-  under the admin lock and publish it with one atomic reference store;
-- per-endpoint state (alive flag, exported handlers) is guarded by that
-  endpoint's own lock, so killing one endpoint never stalls traffic to
-  the others;
+- the endpoint map is *read-mostly*: lookups read a plain dict with no
+  lock; membership changes copy-on-write a fresh dict under the admin
+  lock and publish it with one atomic reference store;
+- per-endpoint state (alive flag, exported handlers, dispatch pool) is
+  guarded by that endpoint's own lock, so killing one endpoint never
+  stalls traffic to the others;
 - ``messages_sent`` is a :class:`~repro.concurrency.StripedCounter`, so
   concurrent callers never lose counts and never serialize on it;
 - the threaded hand-off (caller thread -> dispatch thread -> caller
   thread) is one ``SimpleQueue.put`` of a slotted job record and one
   release of the lock the caller is parked on — no ``Future``, no
   ``Condition``, no per-call closure, no lock shared between callers.
-  Each endpoint's dispatcher spawns its (at most
-  ``workers_per_endpoint``) daemon workers only when a job finds none
-  free, so a closed-loop caller costs one thread per endpoint it talks
-  to.  A queued job is always *completed* — run by a worker, or failed
-  by the dispatcher's ``close`` — never dropped or cancelled.
+  Each endpoint owns one pool (:class:`_Dispatcher`, also where the
+  asyncio transport runs ``@blocking`` calls), whose (at most
+  ``workers_per_endpoint``) workers spawn only when a job finds none
+  free.  A queued job is always *completed* — run by a worker, or
+  failed by the pool's ``close`` — never dropped.
 
 Endpoints can be killed to model JVM crashes; invoking a dead or unknown
 endpoint raises :class:`ConnectError`, which the elastic stub's retry loop
 feeds on (paper section 4.3: "if the sending itself fails, the remote
 method invocation throws an exception which is intercepted by the client
-stub").  A killed endpoint stays *resolvable*: its dispatcher is closed
-but both records remain, so the failure always surfaces as the
-"endpoint ... is down" ConnectError the retry loop expects — for a call
-that arrives after the kill, for one that races it, and for one that was
-already queued behind a busy worker when it happened (jobs a worker had
-started run to completion).
+stub").  A killed endpoint stays *resolvable*, its pool closed, so the
+failure always surfaces as the "endpoint ... is down" ConnectError the
+retry loop expects — for a call after the kill, one racing it, and one
+already queued behind a busy worker (started jobs run to completion).
+A revived endpoint keeps its closed pool.
 """
 
 from __future__ import annotations
@@ -143,16 +140,14 @@ class Endpoint:
     Each endpoint carries its own lock for state transitions (export,
     unexport, kill, revive); the handler maps are copy-on-write so the
     invoke path reads them without locking.  ``ahandlers`` holds the
-    optional coroutine dispatch path a skeleton also exports — only the
-    asyncio transport reads it; sync transports use ``handlers`` alone.
-    ``may_suspend`` holds, per object exported with one, the predicate
-    that says whether a *method name* can suspend its coroutine dispatch
-    (``async def``, offloaded): the asyncio transport runs a call, or a
-    batch's entry, that cannot where the message was sent, without a
-    task of its own.  ``offloads`` holds, per object exported with one,
-    the predicate that says whether a method name blocks a thread
-    (``@blocking``): the asyncio transport runs such a call through the
-    *sync* handler on its offload executor, without a task.
+    coroutine dispatch path a skeleton also exports, read by the asyncio
+    transport only.  Per object exported with them, ``may_suspend`` says
+    whether a *method name* can suspend that coroutine (the asyncio
+    transport runs one that cannot where the message was sent, with no
+    task), and ``offloads`` whether it blocks a thread (``@blocking``:
+    the asyncio transport runs it through the *sync* handler on
+    ``pool``).  ``pool`` is the endpoint's :class:`_Dispatcher`, made by
+    its transport on first use and closed when the endpoint is killed.
     """
 
     name: str
@@ -164,6 +159,7 @@ class Endpoint:
     may_suspend: dict[str, Callable[[str], bool]] = field(default_factory=dict)
     offloads: dict[str, Callable[[str], bool]] = field(default_factory=dict)
     alive: bool = True
+    pool: _Dispatcher | None = field(default=None, repr=False, compare=False)
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -179,39 +175,29 @@ class Endpoint:
         with self.lock:
             if object_id in self.handlers:
                 raise ValueError(f"object already exported: {object_id}")
-            handlers = dict(self.handlers)
-            handlers[object_id] = handler
-            self.handlers = handlers
+            self._publish("handlers", object_id, handler)
             if async_handler is not None:
-                ahandlers = dict(self.ahandlers)
-                ahandlers[object_id] = async_handler
-                self.ahandlers = ahandlers
-                if may_suspend is not None:
-                    predicates = dict(self.may_suspend)
-                    predicates[object_id] = may_suspend
-                    self.may_suspend = predicates
-                if offloads is not None:
-                    predicates = dict(self.offloads)
-                    predicates[object_id] = offloads
-                    self.offloads = predicates
+                self._publish("ahandlers", object_id, async_handler)
+                self._publish("may_suspend", object_id, may_suspend)
+                self._publish("offloads", object_id, offloads)
 
     def unexport(self, object_id: str) -> None:
         with self.lock:
-            handlers = dict(self.handlers)
-            handlers.pop(object_id, None)
-            self.handlers = handlers
-            if object_id in self.ahandlers:
-                ahandlers = dict(self.ahandlers)
-                ahandlers.pop(object_id, None)
-                self.ahandlers = ahandlers
-            if object_id in self.may_suspend:
-                predicates = dict(self.may_suspend)
-                predicates.pop(object_id, None)
-                self.may_suspend = predicates
-            if object_id in self.offloads:
-                predicates = dict(self.offloads)
-                predicates.pop(object_id, None)
-                self.offloads = predicates
+            for table in ("handlers", "ahandlers", "may_suspend", "offloads"):
+                self._publish(table, object_id, None)
+
+    def _publish(self, table: str, object_id: str, value: Any) -> None:
+        """Copy-on-write one map, under ``lock``: ``object_id`` set to
+        ``value``, or dropped when ``value`` is None."""
+        entries = getattr(self, table)
+        if value is None and object_id not in entries:
+            return
+        entries = dict(entries)
+        if value is None:
+            del entries[object_id]
+        else:
+            entries[object_id] = value
+        setattr(self, table, entries)
 
 
 class Transport(Protocol):
@@ -226,9 +212,7 @@ class Transport(Protocol):
 
     def invoke(self, endpoint_id: str, request: Request) -> Response: ...
 
-    def invoke_batch(
-        self, endpoint_id: str, batch: BatchRequest
-    ) -> BatchResponse: ...
+    def invoke_batch(self, endpoint_id: str, batch: BatchRequest) -> BatchResponse: ...
 
     def kill(self, endpoint_id: str) -> None: ...
 
@@ -243,6 +227,9 @@ FaultHook = Callable[[str, Request], None]
 
 class _TransportBase:
     concurrent = False
+    # Workers in each endpoint's pool: one budget per member, on every
+    # transport (ThreadedTransport takes it as ``workers_per_endpoint``).
+    _workers = 4
 
     def __init__(self) -> None:
         # Read-mostly map: reads are lock-free, mutations copy-on-write
@@ -258,6 +245,7 @@ class _TransportBase:
         # concurrent transports, permanently None on DirectTransport so
         # deterministic tests stay single-process.
         self._cpu_executor = None
+        self._closed = False
 
     def set_tracer(self, tracer) -> None:
         """Attach (or detach, with None) a :class:`repro.obs.Tracer`.
@@ -269,15 +257,56 @@ class _TransportBase:
     def set_obs(self, obs) -> None:
         """Attach (or detach, with None) a full observability context.
 
-        Beyond the tracer this unlocks transport-owned metrics —
-        dispatch-pool saturation gauges here, loop-lag histograms on the
-        asyncio transport.  ``set_tracer`` alone stays available for
-        trace-only consumers (determinism tests)."""
-        self._obs = obs
-        self.set_tracer(None if obs is None else obs.tracer)
-        executor = self._cpu_executor
-        if executor is not None:
-            executor.set_obs(obs)
+        Beyond the tracer this unlocks transport-owned metrics — pool
+        saturation gauges, loop-lag histograms on the asyncio transport.
+        ``set_tracer`` alone serves trace-only consumers."""
+        with self._admin_lock:
+            self._obs = obs
+            self.set_tracer(None if obs is None else obs.tracer)
+            executor = self._cpu_executor
+            if executor is not None:
+                executor.set_obs(obs)
+            for ep in self._endpoints.values():
+                if ep.pool is not None:
+                    ep.pool.set_obs(obs)
+
+    def _pool(self, ep: Endpoint) -> _Dispatcher:
+        """``ep``'s dispatch pool, made on first use: the "is down"
+        ConnectError instead once ``ep`` is dead or the transport shut
+        down, so no pool outlives its endpoint unclosed."""
+        with self._admin_lock, ep.lock:
+            pool = ep.pool
+            if pool is None:
+                down = f"endpoint {ep.endpoint_id} ({ep.name}) is down"
+                if self._closed or not ep.alive:
+                    raise ConnectError(down)
+                pool = ep.pool = _Dispatcher(ep.name, down, self._workers)
+                pool.set_obs(self._obs)
+        return pool
+
+    def dispatch_stats(self, endpoint_id: str) -> dict[str, int] | None:
+        """Point-in-time saturation view of one endpoint's pool (zeros
+        before it has one; None for an unknown endpoint).
+
+        ``queued`` is jobs waiting for a worker, ``busy`` is workers
+        running one; ``queued > 0`` with ``busy == workers`` is the
+        saturation signature.
+        """
+        ep = self._endpoints.get(endpoint_id)
+        if ep is None:
+            return None
+        pool = ep.pool
+        queued, busy = (0, 0) if pool is None else pool.stats.snapshot()
+        return {"queued": queued, "busy": busy, "workers": self._workers}
+
+    def _close_pools(self) -> None:
+        """Close every endpoint's pool (end of a session)."""
+        self._closed = True
+        for ep in self._endpoints.values():
+            with ep.lock:
+                pool = ep.pool
+            if pool is not None:
+                pool.close()
 
     def cpu_executor(self):
         """The transport's :class:`~repro.rmi.cpu.CpuExecutor`, or None.
@@ -352,11 +381,15 @@ class _TransportBase:
         """Crash an endpoint: subsequent invokes raise ConnectError.
 
         The endpoint record is kept (dead but resolvable), so callers
-        racing the kill still get the "is down" ConnectError."""
+        racing the kill still get the "is down" ConnectError; its pool
+        fails what is queued with it and lets running jobs finish."""
         ep = self._endpoints.get(endpoint_id)
         if ep is not None:
             with ep.lock:
                 ep.alive = False
+                pool = ep.pool
+            if pool is not None:
+                pool.close()
 
     def revive(self, endpoint_id: str) -> None:
         ep = self._endpoints.get(endpoint_id)
@@ -367,9 +400,7 @@ class _TransportBase:
     def _resolve(
         self, endpoint_id: str, request: Request
     ) -> tuple[Endpoint, RequestHandler]:
-        ep = self.endpoint(endpoint_id)
-        if not ep.alive:
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
+        ep = self._resolve_endpoint(endpoint_id)
         handler = ep.handlers.get(request.object_id)
         if handler is None:
             raise ConnectError(
@@ -466,16 +497,10 @@ class DirectTransport(_TransportBase):
             self._on_message(endpoint_id, request)
         return handler(request)
 
-    def invoke_batch(
-        self, endpoint_id: str, batch: BatchRequest
-    ) -> BatchResponse:
-        """Deliver a batch deterministically, one entry at a time.
-
-        Entries dispatch sequentially in the caller's thread and in
-        entry order — the deterministic analogue of pipelining: one wire
-        message, then per-call processing, with ``on_message`` still
-        observing every logical invocation for simulation accounting.
-        """
+    def invoke_batch(self, endpoint_id: str, batch: BatchRequest) -> BatchResponse:
+        """Deliver a batch deterministically: one wire message, then each
+        entry in order in the caller's thread, ``on_message`` observing
+        every logical invocation for simulation accounting."""
         ep = self._resolve_endpoint(endpoint_id)
         self._batch_prologue(endpoint_id, ep, batch)
         on_message = self._on_message
@@ -488,14 +513,10 @@ class DirectTransport(_TransportBase):
 
 
 class _DispatchStats:
-    """Saturation counters for one endpoint's dispatch pool.
-
-    Three monotone striped counters; the derived views are
-    ``queued = submitted - started`` (jobs waiting for a worker) and
-    ``busy = started - finished`` (workers running a job).  Reading
-    them is racy by nature — each counter is exact, the difference is a
-    point-in-time estimate.
-    """
+    """Saturation counters for one endpoint's dispatch pool: three
+    monotone striped counters, giving ``queued = submitted - started``
+    and ``busy = started - finished`` — each exact, the differences
+    point-in-time estimates."""
 
     __slots__ = ("submitted", "started", "finished")
 
@@ -520,11 +541,15 @@ class _DispatchStats:
 class _Job:
     """One hand-off: what to run, and the one-shot slot its outcome lands in.
 
-    ``done`` is born locked; the caller parks on it and whoever completes
-    the job — a worker, or :meth:`_Dispatcher.close` — releases it, once.
+    A :class:`_Dispatcher` runs any record of this shape: a worker sets
+    ``result = fn(arg)`` (or ``error``) and calls ``finish()``;
+    :meth:`_Dispatcher.close` sets ``error`` and calls it instead.  Here
+    ``done`` is born locked, the caller parks on it, and ``finish``
+    releases it; the asyncio transport's records settle a completion
+    callback instead.
     """
 
-    __slots__ = ("fn", "arg", "result", "error", "done")
+    __slots__ = ("fn", "arg", "result", "error", "done", "finish")
 
     def __init__(self, fn: Callable[[Any], Any], arg: Any) -> None:
         self.fn = fn
@@ -534,6 +559,7 @@ class _Job:
         done = threading.Lock()
         done.acquire()
         self.done = done
+        self.finish = done.release
 
     def outcome(self) -> Any:
         """The result, or the handler's exception re-raised in the caller.
@@ -552,20 +578,16 @@ class _Job:
 
 
 class _Dispatcher:
-    """One endpoint's bounded dispatch pool.
+    """One endpoint's bounded dispatch pool, on both live transports.
 
     At most ``workers`` daemon threads, spawned only when a job arrives
     and no worker is free, block in ``SimpleQueue.get`` and run
-    :class:`_Job` records.  A call costs one queue put and one lock
-    release; there is no shared lock on the submit path.  ``_idle``
-    holds one token per worker known to be free (list append/pop are
-    atomic), so a single closed-loop caller only ever starts one thread;
-    once the pool is at full strength the tokens are no longer needed
-    and neither side touches them.
-
-    Every queued job is completed exactly once: run by a worker, or
-    failed by :meth:`close` with the ``ConnectError`` a dead endpoint
-    raises.  Nothing is dropped or cancelled.
+    :class:`_Job`-shaped records: one queue put per call, no shared lock
+    on the submit path.  ``_idle`` holds one token per worker known to
+    be free (list append/pop are atomic), so a single closed-loop caller
+    only ever starts one thread.  Every queued job is finished exactly
+    once: run by a worker, or failed by :meth:`close` with the
+    ``ConnectError`` a dead endpoint raises.
     """
 
     __slots__ = (
@@ -586,13 +608,16 @@ class _Dispatcher:
         self._spawned = 0
         self._closed = False
 
-    def submit(self, fn: Callable[[Any], Any], arg: Any) -> _Job:
-        """Queue ``fn(arg)`` for a worker; the caller parks on ``job.done``.
+    def set_obs(self, obs: Any) -> None:
+        """Resolve the two saturation gauges once (None detaches them)."""
+        self.gauges = None if obs is None else (
+            obs.registry.gauge(f"rmi.server.dispatch_queued.{self.name}"),
+            obs.registry.gauge(f"rmi.server.dispatch_busy.{self.name}"),
+        )
 
-        The saturation gauges are refreshed here — the moment queue
-        depth can only have grown — so a saturated pool is visible in
-        the metrics timeline even between scrapes.
-        """
+    def submit(self, job: Any) -> None:
+        """Queue ``job`` (see :class:`_Job`) for a worker, refreshing the
+        saturation gauges — when queue depth can only have grown."""
         if self._closed:
             raise ConnectError(self._down)
         if self._spawned < self._workers:
@@ -600,7 +625,6 @@ class _Dispatcher:
                 self._idle.pop()
             except IndexError:
                 self._spawn()
-        job = _Job(fn, arg)
         stats = self.stats
         stats.submitted.increment()
         self._queue.put(job)
@@ -614,7 +638,6 @@ class _Dispatcher:
             queued, busy = stats.snapshot()
             gauges[0].set(float(queued))
             gauges[1].set(float(busy))
-        return job
 
     def _spawn(self) -> None:
         with self._lock:
@@ -648,7 +671,7 @@ class _Dispatcher:
             finished()
             if self._spawned < workers:
                 idle.append(None)
-            job.done.release()
+            job.finish()
             # Do not pin the last request/response while parked in get().
             del job
 
@@ -677,7 +700,7 @@ class _Dispatcher:
             stats.started.increment()
             stats.finished.increment()
             job.error = ConnectError(self._down)
-            job.done.release()
+            job.finish()
         # A submit racing close() sweeps too; hand back the workers'
         # exit sentinels it may have picked up.
         for _ in range(sentinels):
@@ -701,79 +724,33 @@ class ThreadedTransport(_TransportBase):
             raise ValueError("workers_per_endpoint must be at least 1")
         self._workers = workers_per_endpoint
         self._timeout = timeout
-        # Read-mostly, like the endpoint map.  A killed endpoint keeps
-        # its (closed) dispatcher: submitting to it raises the "is down"
-        # ConnectError, and its saturation counters stay readable.
-        self._dispatchers: dict[str, _Dispatcher] = {}
 
     def add_endpoint(self, name: str) -> Endpoint:
+        # The pool comes with the endpoint, and stays closed once killed.
         ep = super().add_endpoint(name)
-        dispatcher = _Dispatcher(
-            name,
-            f"endpoint {ep.endpoint_id} ({name}) is down",
-            self._workers,
-        )
-        with self._admin_lock:
-            dispatcher.gauges = self._dispatch_gauges(name)
-            dispatchers = dict(self._dispatchers)
-            dispatchers[ep.endpoint_id] = dispatcher
-            self._dispatchers = dispatchers
+        self._pool(ep)
         return ep
 
-    def set_obs(self, obs) -> None:
-        with self._admin_lock:
-            super().set_obs(obs)
-            for dispatcher in self._dispatchers.values():
-                dispatcher.gauges = self._dispatch_gauges(dispatcher.name)
-
-    def _dispatch_gauges(self, name: str) -> tuple[Any, Any] | None:
-        """Resolve an endpoint's two saturation gauges once, so the
-        obs-on submit path does no name formatting or registry lookup."""
-        obs = self._obs
-        if obs is None:
-            return None
-        registry = obs.registry
-        return (
-            registry.gauge(f"rmi.server.dispatch_queued.{name}"),
-            registry.gauge(f"rmi.server.dispatch_busy.{name}"),
-        )
-
-    def dispatch_stats(self, endpoint_id: str) -> dict[str, int] | None:
-        """Point-in-time saturation view of one endpoint's pool.
-
-        ``queued`` is jobs waiting for a worker, ``busy`` is workers
-        running one; ``queued > 0`` with ``busy == workers`` is the
-        saturation signature that motivates the asyncio transport.
-        """
-        dispatcher = self._dispatchers.get(endpoint_id)
-        if dispatcher is None:
-            return None
-        queued, busy = dispatcher.stats.snapshot()
-        return {"queued": queued, "busy": busy, "workers": self._workers}
-
-    def _dispatcher(self, endpoint_id: str, ep: Endpoint) -> _Dispatcher:
-        dispatcher = self._dispatchers.get(endpoint_id)
-        if dispatcher is None:
-            # Resolved between add_endpoint's two publications; no one
-            # can hold the id yet, but fail like a dead endpoint anyway.
-            raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
-        if dispatcher._closed:
-            # After shutdown(), or kill() racing past _resolve: a dead
-            # endpoint wins before the fault hook, the message count and
-            # the trace event.  submit() re-checks for the true race.
-            raise ConnectError(dispatcher._down)
-        return dispatcher
+    def _dispatcher(self, ep: Endpoint) -> _Dispatcher:
+        # After shutdown(), or kill() racing past _resolve, a dead
+        # endpoint wins before the fault hook, the message count and the
+        # trace event; submit() re-checks for the true race.
+        pool = ep.pool or self._pool(ep)
+        if pool._closed:
+            raise ConnectError(pool._down)
+        return pool
 
     def invoke(self, endpoint_id: str, request: Request) -> Response:
         ep, handler = self._resolve(endpoint_id, request)
-        dispatcher = self._dispatcher(endpoint_id, ep)
+        dispatcher = self._dispatcher(ep)
         hook = self._fault_hook
         if hook is not None:
             hook(endpoint_id, request)
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, request)
-        job = dispatcher.submit(handler, request)
+        job = _Job(handler, request)
+        dispatcher.submit(job)
         if not job.done.acquire(True, self._timeout):
             raise RemoteError(
                 f"invocation of {request.method!r} timed out after "
@@ -784,19 +761,13 @@ class ThreadedTransport(_TransportBase):
     def invoke_batch(
         self, endpoint_id: str, batch: BatchRequest
     ) -> BatchResponse:
-        """Deliver a batch and dispatch its entries in parallel.
-
-        Entries are split into contiguous chunks, at most one per
-        endpoint worker, so a 64-call batch costs ~4 dispatch jobs
-        instead of 64 — that amortization (plus the single wire
-        message) is where the batched-throughput win comes from.
-        Chunk jobs run entries sequentially and results reassemble in
-        entry order.  One deadline covers the whole batch; tripping it
-        raises the same :class:`RemoteError` a single slow invocation
-        would.
-        """
+        """Deliver a batch and dispatch its entries in parallel: one
+        contiguous chunk per endpoint worker (a 64-call batch costs ~4
+        jobs, not 64), run in order and reassembled in entry order.  One
+        deadline covers the whole batch, raising the same
+        :class:`RemoteError` a single slow invocation would."""
         ep = self._resolve_endpoint(endpoint_id)
-        dispatcher = self._dispatcher(endpoint_id, ep)
+        dispatcher = self._dispatcher(ep)
         self._batch_prologue(endpoint_id, ep, batch)
         requests = batch.entries
         chunk_count = min(self._workers, len(requests))
@@ -805,7 +776,8 @@ class ThreadedTransport(_TransportBase):
         start = 0
         for i in range(chunk_count):
             stop = start + size + (1 if i < extra else 0)
-            jobs.append(dispatcher.submit(_run_chunk, (ep, requests[start:stop])))
+            jobs.append(_Job(_run_chunk, (ep, requests[start:stop])))
+            dispatcher.submit(jobs[-1])
             start = stop
         deadline = time.monotonic() + self._timeout
         responses: list[Response] = []
@@ -819,19 +791,10 @@ class ThreadedTransport(_TransportBase):
             responses.extend(job.outcome())
         return BatchResponse(entries=tuple(responses))
 
-    def kill(self, endpoint_id: str) -> None:
-        # Mark dead first so racing invokes fail in _resolve before they
-        # ever reach the dispatcher.
-        super().kill(endpoint_id)
-        dispatcher = self._dispatchers.get(endpoint_id)
-        if dispatcher is not None:
-            dispatcher.close()
-
     def cpu_executor(self):
         return self._ensure_cpu_executor()
 
     def shutdown(self) -> None:
-        """Stop every dispatcher and the cpu pool (end of a session)."""
-        for dispatcher in self._dispatchers.values():
-            dispatcher.close()
+        """Stop every pool and the cpu pool (end of a session)."""
+        self._close_pools()
         self._shutdown_cpu_executor()

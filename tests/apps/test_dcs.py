@@ -333,3 +333,37 @@ class TestConcurrentCreate:
             assert store.get("dcs/children/") == ["x"]
         finally:
             runtime.shutdown()
+
+
+class TestConcurrentDelete:
+    """Of two deletes of one znode, exactly one succeeds, even when both
+    read the record before either deletes it."""
+
+    def test_the_loser_of_two_racing_deletes_raises_and_fires_nothing(
+        self, deploy, runtime
+    ):
+        _, stub = deploy(CoordinationService)
+        stub.create("/x")
+        stub.watch("/x", "c")
+        store = runtime.store
+        zxid_before = store.get("dcs/zxid")
+        updates_before = store.get("CoordinationService$updates_total")
+        real_get = store.get
+        raced = []
+
+        def get(key, *args, **kwargs):
+            found = real_get(key, *args, **kwargs)
+            if key == "dcs/node/x" and not raced:
+                raced.append(key)
+                stub.delete("/x")  # B, between A's check and A's act
+            return found
+
+        store.get = get
+        with pytest.raises(ApplicationError) as excinfo:
+            stub.delete("/x")  # A
+        assert raced
+        assert isinstance(cause_of(excinfo), NoNodeError)
+        assert [e.kind for e in stub.poll_events("c")] == ["deleted"]
+        assert store.get("dcs/zxid") == zxid_before + 1
+        assert store.get("CoordinationService$updates_total") == updates_before + 1
+        assert not stub.exists("/x")

@@ -13,6 +13,7 @@ import asyncio
 import concurrent.futures
 import contextvars
 import os
+import sys
 import threading
 import time
 
@@ -95,10 +96,10 @@ class TestDispatch:
         _, skeleton = exported(transport, impl)
         stub = Stub(transport, skeleton.ref())
         assert stub.nap(0.01) == "rested"
-        # The marked method ran on the offload pool, not the loop thread.
+        # The marked method ran on its member's pool, not the loop thread.
         assert impl.offload_threads
         assert all(
-            name.startswith("ermi-aio-offload")
+            name.startswith("erm-server_")
             for name in impl.offload_threads
         )
 
@@ -110,7 +111,7 @@ class TestDispatch:
 
     def test_blocking_calls_overlap_on_one_loop(self, transport):
         """Two 150 ms sleeps through one event loop finish in well under
-        300 ms: the offload executor gives real concurrency."""
+        300 ms: the member's pool gives real concurrency."""
         _, skeleton = exported(transport)
         stub = Stub(transport, skeleton.ref())
         started = time.monotonic()
@@ -829,13 +830,13 @@ class TestEagerDispatch:
 
 
 # ----------------------------------------------------------------------
-# offloaded dispatch: a @blocking call is one job on the offload executor
+# offloaded dispatch: a @blocking call is one job on its member's pool
 # ----------------------------------------------------------------------
 
 
 class Gated(Remote):
-    """A member whose ``@blocking`` ``hold`` keeps an offload worker until
-    its gate opens; ``whoami`` is a plain call."""
+    """A member whose ``@blocking`` ``hold`` keeps a worker of its pool
+    until its gate opens; ``whoami`` is a plain call."""
 
     def __init__(self, name="gated"):
         self.name = name
@@ -852,17 +853,16 @@ class Gated(Remote):
         return self.name
 
 
-class offload_replies:
-    """Collects the callbacks offload workers post to the shared loop
-    while entered: one per reply handed back."""
+class posted_to_loop:
+    """Collects ``(thread name, callback)`` for each callback other
+    threads post to the shared loop while entered."""
 
     def __enter__(self):
         self.loop, self.posted = loop_runtime().loop, []
         plain = self.loop.call_soon_threadsafe
 
         def counting(callback, *args, **kwargs):
-            if threading.current_thread().name.startswith("ermi-aio-offload"):
-                self.posted.append(callback)
+            self.posted.append((threading.current_thread().name, callback))
             return plain(callback, *args, **kwargs)
 
         self.loop.call_soon_threadsafe = counting
@@ -872,13 +872,20 @@ class offload_replies:
         del self.loop.call_soon_threadsafe
 
 
+def pool_is_idle(transport, endpoint):
+    """Every job the member's pool was given has left it: run, or
+    skipped because its call was settled while it queued."""
+    stats = transport.dispatch_stats(endpoint.endpoint_id)
+    return stats["queued"] == 0 and stats["busy"] == 0
+
+
 def window_is_empty(transport):
     """No call in flight, every slot of the window free, nothing left
     to settle."""
     return (
         transport.inflight == 0
-        and transport._sema._value == transport.inflight_limit
-        and not transport._offloaded
+        and transport._free == transport.inflight_limit
+        and not transport._calls
     )
 
 
@@ -892,10 +899,127 @@ class TestOffloadedDispatch:
             assert stub.nap(0) == "rested"
         assert created == []  # one, before
         assert all(
-            name.startswith("ermi-aio-offload")
+            name.startswith("erm-server_")
             for name in impl.offload_threads
         )
         assert window_is_empty(transport)
+
+    def test_calls_from_another_thread_never_visit_the_loop(self, transport):
+        """An unbatched ``@blocking`` call submitted off the loop goes from
+        the caller to its member's pool and is completed by the worker:
+        no callback posted to the loop, no task, and the window ends
+        empty."""
+        impl = Service()
+        endpoint = transport.add_endpoint("loop-free")
+        skeleton = Skeleton(impl, transport, endpoint.endpoint_id)
+        stub = Stub(transport, skeleton.ref())
+        assert stub.nap(0) == "rested"  # warm: pool, workers, timer
+        assert _wait_for(lambda: transport._timer is not None)
+        with posted_to_loop() as posted, counting_tasks() as created:
+            futures = [stub.invoke_async("nap", 0) for _ in range(50)]
+            assert gather(futures) == ["rested"] * 50
+            for _ in range(50):
+                assert stub.nap(0) == "rested"
+        # Only this caller and this member's workers count: a worker of
+        # an earlier test's pool may still be finishing its last job.
+        me = threading.current_thread().name
+        assert [
+            (name, callback) for name, callback in posted
+            if name == me or name.startswith("erm-loop-free_")
+        ] == []
+        assert impl.offload_threads <= {f"erm-loop-free_{i}" for i in range(4)}
+        assert created == []
+        assert window_is_empty(transport)
+        assert transport.inflight_hwm >= 1
+
+    def test_a_batcher_singleton_completes_on_the_loop(self, transport):
+        """The batcher's sweep submits on the loop thread, and its
+        completion touches loop-only state: a ``@blocking`` singleton
+        runs on the member's pool and still completes on the loop."""
+        endpoint, skeleton = exported(transport, Mixed())
+        batcher = RequestBatcher(transport, max_batch=8)
+        stub = Stub(transport, skeleton.ref(), batcher=batcher)
+        completed_on = []
+        plain = batcher._done
+
+        def done(*args):
+            completed_on.append(threading.current_thread())
+            return plain(*args)
+
+        batcher._done = done
+        assert stub.invoke_async("nap", 0).result(timeout=5.0) == "rested"
+        assert completed_on == [loop_runtime().thread]
+        assert batcher.stats.entries == batcher.stats.batches == 1
+        assert transport.dispatch_stats(endpoint.endpoint_id)["busy"] == 0
+        assert window_is_empty(transport)
+
+    def test_a_full_window_sends_calls_from_another_thread_to_the_loop(self):
+        """The window counts hand-offs: with two slots, two calls go onto
+        the pool from the caller and the rest wait on the loop, then take
+        the slots the workers give back."""
+        transport = AsyncioTransport(inflight_limit=2)
+        impl = Gated()
+        try:
+            endpoint, skeleton = exported(transport, impl)
+            outcomes = []
+            for _ in range(6):
+                transport.submit(
+                    endpoint.endpoint_id, request_for(skeleton, "hold"),
+                    lambda reply, error: outcomes.append(outcome(reply)),
+                )
+            assert _wait_for(lambda: len(impl.held) == 2)
+            assert not _wait_for(lambda: len(impl.held) > 2, timeout=0.1)
+            assert transport.inflight == transport.inflight_hwm == 2
+            assert len(transport._waiters) == 4
+            impl.gate.set()
+            assert _wait_for(lambda: len(outcomes) == 6)
+            assert outcomes == [("result", "gated")] * 6
+            assert transport.inflight_hwm == 2
+            assert _wait_for(lambda: window_is_empty(transport))
+        finally:
+            impl.gate.set()
+            transport.shutdown()
+
+    def test_every_call_settles_once_when_replies_and_deadlines_race(self):
+        """Six threads hand off calls whose replies and 4 ms deadlines
+        land together, with the interpreter switching threads every
+        10 µs: each completion runs once, and the window ends empty."""
+        transport = AsyncioTransport(timeout=0.004)
+        endpoint, skeleton = exported(transport)
+        counts, lock = {}, threading.Lock()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def caller(thread):
+            for i in range(100):
+                def on_done(reply, error, key=(thread, i)):
+                    with lock:
+                        counts[key] = counts.get(key, 0) + 1
+
+                transport.submit(
+                    endpoint.endpoint_id,
+                    request_for(skeleton, "nap", 0.002 * (i % 3)), on_done,
+                )
+
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(t,)) for t in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert _wait_for(lambda: len(counts) == 600)
+            assert _wait_for(lambda: pool_is_idle(transport, endpoint))
+            assert _wait_for(lambda: window_is_empty(transport))
+            assert not _wait_for(
+                lambda: any(n > 1 for n in counts.values()), timeout=0.1
+            )
+            assert skeleton.pending == 0
+        finally:
+            sys.setswitchinterval(previous)
+            transport.shutdown()
 
     def test_blocking_entries_of_a_batch_cost_no_task_of_their_own(
         self, transport
@@ -922,20 +1046,19 @@ class TestOffloadedDispatch:
         try:
             endpoint, skeleton = exported(transport, impl)
             outcomes = []
-            with offload_replies() as posted:
-                transport.submit(
-                    endpoint.endpoint_id, request_for(skeleton, "hold"),
-                    lambda reply, error: outcomes.append((reply, error)),
-                )
-                assert _wait_for(lambda: outcomes)
-                [(reply, error)] = outcomes
-                assert reply is None and isinstance(error, RemoteError)
-                assert str(error) == "invocation of 'hold' timed out after 0.05s"
-                assert _wait_for(lambda: window_is_empty(transport))
-                impl.gate.set()
-                assert _wait_for(lambda: posted)
-                on_the_loop(lambda: None)  # the late reply has run
-            assert len(outcomes) == 1  # and was dropped
+            transport.submit(
+                endpoint.endpoint_id, request_for(skeleton, "hold"),
+                lambda reply, error: outcomes.append((reply, error)),
+            )
+            assert _wait_for(lambda: outcomes)
+            [(reply, error)] = outcomes
+            assert reply is None and isinstance(error, RemoteError)
+            assert str(error) == "invocation of 'hold' timed out after 0.05s"
+            assert _wait_for(lambda: window_is_empty(transport))
+            impl.gate.set()
+            # The late reply has come back on the worker...
+            assert _wait_for(lambda: pool_is_idle(transport, endpoint))
+            assert not _wait_for(lambda: len(outcomes) > 1, timeout=0.2)
             assert window_is_empty(transport)
             assert skeleton.pending == 0
         finally:
@@ -948,7 +1071,7 @@ class TestOffloadedDispatch:
         try:
             endpoint, busy_skeleton = exported(transport, busy)
             late_skeleton = Skeleton(late, transport, endpoint.endpoint_id)
-            workers = loop_runtime().offload._max_workers
+            workers = transport.dispatch_stats(endpoint.endpoint_id)["workers"]
             outcomes = []
 
             def on_done(reply, error):
@@ -967,8 +1090,8 @@ class TestOffloadedDispatch:
             assert _wait_for(lambda: len(outcomes) == workers + 1)
             assert all("timed out" in str(error) for error in outcomes)
             busy.gate.set()
-            # The executor is FIFO: past this job, the late one is dequeued.
-            loop_runtime().offload.submit(lambda: None).result(timeout=5.0)
+            # Once the pool is idle, the late job has been dequeued.
+            assert _wait_for(lambda: pool_is_idle(transport, endpoint))
             assert not _wait_for(lambda: late.held, timeout=0.2)
             assert late_skeleton.stats.snapshot() == {}
             assert window_is_empty(transport)
@@ -983,21 +1106,19 @@ class TestOffloadedDispatch:
         try:
             endpoint, skeleton = exported(transport, impl)
             outcomes = []
-            with offload_replies() as posted:
-                transport.submit(
-                    endpoint.endpoint_id, request_for(skeleton, "hold"),
-                    lambda reply, error: outcomes.append((reply, error)),
-                )
-                assert _wait_for(lambda: impl.held)
-                transport.shutdown()
-                assert _wait_for(lambda: outcomes)
-                [(reply, error)] = outcomes
-                assert reply is None and isinstance(error, ConnectError)
-                assert "shut down" in str(error)
-                impl.gate.set()
-                assert _wait_for(lambda: posted)
-                on_the_loop(lambda: None)
-            assert len(outcomes) == 1
+            transport.submit(
+                endpoint.endpoint_id, request_for(skeleton, "hold"),
+                lambda reply, error: outcomes.append((reply, error)),
+            )
+            assert _wait_for(lambda: impl.held)
+            transport.shutdown()
+            assert _wait_for(lambda: outcomes)
+            [(reply, error)] = outcomes
+            assert reply is None and isinstance(error, ConnectError)
+            assert "shut down" in str(error)
+            impl.gate.set()
+            assert _wait_for(lambda: pool_is_idle(transport, endpoint))
+            assert not _wait_for(lambda: len(outcomes) > 1, timeout=0.2)
             assert window_is_empty(transport)
         finally:
             impl.gate.set()
@@ -1023,7 +1144,8 @@ class TestOffloadedDispatch:
             ("result", "rested"), ("result", 4), ("result", "rested"),
         ]
         assert [method for method, _ in seen] == ["nap", "ermi.batch[3]"]
-        assert all(name.startswith("ermi-aio-offload") for _, name in seen)
+        loop_thread = loop_runtime().thread.name
+        assert all(name != loop_thread for _, name in seen)
 
 
 class TestDrainWhileQueued:
@@ -1062,7 +1184,7 @@ class TestDrainWhileQueued:
         ]
         base = [counter.value for counter in counters]
         try:
-            workers = loop_runtime().offload._max_workers
+            workers = transport.dispatch_stats(victim.endpoint_id)["workers"]
             parked = []
             for _ in range(workers):
                 transport.submit(
