@@ -2,8 +2,9 @@
 
 Runs the ``async`` suite once through
 :func:`repro.experiments.benchreport.run_suite` (which validates the
-report against its spec), writes ``BENCH_rmi_async.json`` at the repo
-root, and asserts the headline claims:
+report against its spec), writes ``BENCH_rmi_async.json`` to a temporary
+directory (never over the committed full-scale baseline), and asserts
+the headline claims:
 
 - the asyncio transport sustains >= 2048 concurrent in-flight calls
   (measured by the gated in-flight probe, where every handler parks
@@ -21,8 +22,6 @@ CI smoke runs; the assertions are scale-independent.
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.experiments.benchreport import (
@@ -36,22 +35,26 @@ from repro.experiments.benchreport import (
     validate_report,
 )
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUITE = "async"
 
 SUSTAINED_INFLIGHT_FLOOR = 2048
 
 
 @pytest.fixture(scope="module")
-def suite():
-    doc = run_suite(SUITE, str(REPO_ROOT))["BENCH_rmi_async.json"]
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench")
+
+
+@pytest.fixture(scope="module")
+def suite(out_dir):
+    doc = run_suite(SUITE, str(out_dir))["BENCH_rmi_async.json"]
     print("\n" + format_table(doc))
     return {record["name"]: record for record in doc["records"]}, doc["extra"]
 
 
 class TestAsyncBenchmark:
-    def test_report_emitted_and_wellformed(self, suite):
-        path = REPO_ROOT / "BENCH_rmi_async.json"
+    def test_report_emitted_and_wellformed(self, suite, out_dir):
+        path = out_dir / "BENCH_rmi_async.json"
         assert path.exists()
         doc = load_report(str(path))
         assert validate_report(doc) == []

@@ -2,9 +2,10 @@
 
 Runs the ``cpu`` suite once through
 :func:`repro.experiments.benchreport.run_suite` (which validates the
-report against its spec), writes ``BENCH_rmi_cpu.json`` at the repo
-root, and asserts the headline claims at floors that depend on the
-cores actually available:
+report against its spec), writes ``BENCH_rmi_cpu.json`` to a temporary
+directory (never over the committed full-scale baseline), and asserts
+the headline claims at floors that depend on the cores actually
+available:
 
 - with >= 4 cores, the process pool beats the threaded offload pool by
   >= 3x on cpu-bound handlers of >= 5 ms (>= 2x at smoke scale, where
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import pathlib
 import time
 from typing import Any
 
@@ -50,7 +50,6 @@ from repro.experiments.benchreport import (
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import DirectTransport, Response
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUITE = "cpu"
 
 SCALE = bench_scale()
@@ -69,15 +68,20 @@ TOLERANCE = 0.05
 
 
 @pytest.fixture(scope="module")
-def suite():
-    doc = run_suite(SUITE, str(REPO_ROOT))["BENCH_rmi_cpu.json"]
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench")
+
+
+@pytest.fixture(scope="module")
+def suite(out_dir):
+    doc = run_suite(SUITE, str(out_dir))["BENCH_rmi_cpu.json"]
     print("\n" + format_table(doc))
     return {record["name"]: record for record in doc["records"]}, doc["extra"]
 
 
 class TestCpuBenchmark:
-    def test_report_emitted_and_wellformed(self, suite):
-        path = REPO_ROOT / "BENCH_rmi_cpu.json"
+    def test_report_emitted_and_wellformed(self, suite, out_dir):
+        path = out_dir / "BENCH_rmi_cpu.json"
         assert path.exists()
         doc = load_report(str(path))
         assert validate_report(doc) == []

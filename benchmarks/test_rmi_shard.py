@@ -2,8 +2,9 @@
 
 Runs the ``shard`` suite once through
 :func:`repro.experiments.benchreport.run_suite` (which validates the
-report against its spec), writes ``BENCH_rmi_shard.json`` at the repo
-root, and asserts the headline claims:
+report against its spec), writes ``BENCH_rmi_shard.json`` to a temporary
+directory (never over the committed full-scale baseline), and asserts
+the headline claims:
 
 - affinity routing beats flat round-robin on hot-key p99 latency at
   c256 — per-member caches stay warm when each member only sees its
@@ -21,8 +22,6 @@ warm steady states at every scale.
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.experiments.benchreport import (
@@ -35,7 +34,6 @@ from repro.experiments.benchreport import (
     validate_report,
 )
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUITE = "shard"
 
 #: Required hot-key p99 advantage of affinity over flat routing.  The
@@ -45,15 +43,20 @@ HOT_P99_RATIO_FLOOR = 1.3
 
 
 @pytest.fixture(scope="module")
-def suite():
-    doc = run_suite(SUITE, str(REPO_ROOT))["BENCH_rmi_shard.json"]
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench")
+
+
+@pytest.fixture(scope="module")
+def suite(out_dir):
+    doc = run_suite(SUITE, str(out_dir))["BENCH_rmi_shard.json"]
     print("\n" + format_table(doc))
     return {record["name"]: record for record in doc["records"]}, doc["extra"]
 
 
 class TestShardBenchmark:
-    def test_report_emitted_and_wellformed(self, suite):
-        path = REPO_ROOT / "BENCH_rmi_shard.json"
+    def test_report_emitted_and_wellformed(self, suite, out_dir):
+        path = out_dir / "BENCH_rmi_shard.json"
         assert path.exists()
         doc = load_report(str(path))
         assert validate_report(doc) == []

@@ -1,8 +1,8 @@
-"""Scenario suite benchmark: runs the full matrix, refreshes baselines.
+"""Scenario stories: the full matrix, each scenario's headline asserted.
 
 Runs every scenario in :data:`repro.scenarios.catalog.SCENARIOS` once
-and rewrites its ``BENCH_scenario_*.json`` at the repo root, then
-asserts each scenario's headline story:
+through :func:`repro.scenarios.runner.run_scenario`, writing nothing,
+and asserts each scenario's headline story:
 
 - **diurnal** — the pool tracks the cycle with near-zero agility and
   tight tails;
@@ -14,75 +14,48 @@ asserts each scenario's headline story:
   shard grows while cold shards hold their minimum;
 - **multi-tenant** — both tenants meet QoS side by side.
 
-Unlike the wall-clock suites, these reports are deterministic: metrics
-are virtual-time, so ``ERMI_BENCH_SCALE`` changes the *report contents*
-(fewer simulated arrivals), not just the measurement window.  Baselines
-are committed at scale 1.0 — only refresh them at the default scale.
+``ERMI_BENCH_SCALE`` shrinks the simulated event count, not the
+dynamics.  The full-scale numbers are the committed
+``SCENARIO_<name>.json`` summaries, which CI compares byte for byte
+with ``python -m repro scenario all --summary-dir``.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
-from repro.experiments.benchreport import (
-    bench_scale,
-    format_table,
-    load_report,
-    validate_report,
-)
-from repro.scenarios.bench import run_scenario_suite, scenario_report_path
+from repro.experiments.benchreport import bench_scale
 from repro.scenarios.catalog import SCENARIOS
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+from repro.scenarios.runner import run_scenario
 
 
 @pytest.fixture(scope="module")
 def suite():
-    results = run_scenario_suite(out_dir=str(REPO_ROOT))
-    for _name, result, doc in results:
+    results = {
+        name: run_scenario(name, scale=bench_scale()) for name in SCENARIOS
+    }
+    for result in results.values():
         print("\n" + result.describe())
-        print(format_table(doc))
-    return {name: (result, doc) for name, result, doc in results}
-
-
-class TestScenarioReports:
-    def test_every_scenario_emits_a_wellformed_report(self, suite):
-        for name in SCENARIOS:
-            path = scenario_report_path(str(REPO_ROOT), name)
-            doc = load_report(path)
-            assert validate_report(doc) == [], path
-            assert doc["deterministic"] is True
-            assert "created_unix" not in doc  # replayable byte-for-byte
-            assert doc["extra"]["seed"] == SCENARIOS[name].seed
-
-    def test_matrix_covers_the_issue(self, suite):
-        assert len(suite) >= 4
-
-    def test_reports_match_live_docs(self, suite):
-        for name, (_result, doc) in suite.items():
-            on_disk = load_report(scenario_report_path(str(REPO_ROOT), name))
-            assert on_disk == doc
+    return results
 
 
 class TestScenarioStories:
     def test_diurnal_tracks_the_cycle(self, suite):
-        result, _ = suite["diurnal"]
+        result = suite["diurnal"]
         assert result.qos_met()
         assert result.average_agility() < 1.5
         tenant = result.tenants["dcs"]
         assert tenant.stats.completed == tenant.stats.arrivals
 
     def test_flash_crowd_shows_provisioning_lag_but_holds_qos(self, suite):
-        result, doc = suite["flash-crowd"]
+        result = suite["flash-crowd"]
         assert result.qos_met()
-        record = doc["records"][0]
+        latency = result.summary()["latency"]
         # The spike's queueing tail dwarfs the steady-state median.
-        assert record["p99_us"] > 10 * record["p50_us"]
+        assert latency["p99_ms"] > 10 * latency["p50_ms"]
 
     def test_thundering_herd_reconnects_everything(self, suite):
-        result, _ = suite["thundering-herd"]
+        result = suite["thundering-herd"]
         if bench_scale() >= 1.0:
             # At smoke scales the two victims may have nothing in
             # flight at the kill instant; at full scale they always do.
@@ -95,7 +68,7 @@ class TestScenarioStories:
         assert result.total("completed") == result.total("arrivals")
 
     def test_hot_key_warms_caches_and_grows_hot_shard(self, suite):
-        result, _ = suite["hot-key"]
+        result = suite["hot-key"]
         tenant = result.tenants["hedwig-sharded"]
         assert tenant.stats.cache_hit_rate() > 0.5
         assert len(tenant.final_sizes) == 4
@@ -107,13 +80,13 @@ class TestScenarioStories:
         assert peak > total_min
 
     def test_multi_tenant_meets_qos_side_by_side(self, suite):
-        result, _ = suite["multi-tenant"]
+        result = suite["multi-tenant"]
         assert set(result.tenants) == {"marketcetera", "hedwig"}
         for tenant in result.tenants.values():
             assert tenant.qos_met()
 
     def test_percentiles_are_coherent(self, suite):
-        for _name, (_result, doc) in suite.items():
-            for record in doc["records"]:
-                assert 0 < record["p50_us"] <= record["p99_us"]
-                assert record["calls"] > 0
+        for result in suite.values():
+            latency = result.summary()["latency"]
+            assert 0 < latency["p50_ms"] <= latency["p99_ms"]
+            assert latency["count"] > 0

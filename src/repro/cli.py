@@ -10,9 +10,9 @@ Commands:
 - ``transform <file.py>`` — apply the Figure 6 source rewrite and print
   (or write) the transformed module;
 - ``bench`` — run the RMI benchmark suites (async transport, sharded
-  routing, store watches, cpu pool, scenario matrix), write their
-  ``BENCH_*.json`` reports (schema documented in README.md) and, with
-  ``--check DIR``, gate them against the committed baselines;
+  routing, cpu pool), write their ``BENCH_*.json`` reports (schema
+  documented in README.md) and, with ``--check DIR``, gate them against
+  the committed baselines;
 - ``chaos`` — run the scripted fault-injection scenario and emit a
   ``CHAOS_report.json`` recovery-latency report (schema
   ``repro.chaos/v1``); exits non-zero if any failure leaked to the
@@ -26,9 +26,9 @@ Commands:
   trackers the experiments use.
 - ``scenario`` — run one scenario from the open-loop matrix (or
   ``all``/``list``): seeded, replayable, emitting a ``repro.obs/v1``
-  summary with tail-latency, agility, and QoS sections.  The same
-  matrix feeds ``bench --suite scenario`` and its committed
-  ``BENCH_scenario_*.json`` baselines.
+  summary with tail-latency, agility, and QoS sections.  ``scenario
+  all --summary-dir .`` rewrites the committed ``SCENARIO_<name>.json``
+  files, which CI compares byte for byte with a fresh run.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = sub.add_parser(
         "bench",
-        help="run the RMI benchmark suites (async + shard + store + cpu + "
-        "scenario) and write their BENCH_*.json reports",
+        help="run the RMI benchmark suites (async + shard + cpu) and write "
+        "their BENCH_*.json reports",
     )
     bench_cmd.add_argument(
         "--suite", default="all",

@@ -608,11 +608,6 @@ class ElasticObjectPool:
             reaped.append(member)
         return reaped
 
-    def detect_dead_members(self) -> list[PoolMember]:
-        """Legacy name for :meth:`reap_failures` (kept for callers that
-        predate the unified failure path)."""
-        return self.reap_failures()
-
     # ------------------------------------------------------------------
     # monitoring windows
     # ------------------------------------------------------------------

@@ -529,19 +529,15 @@ class ElasticRuntime:
         caller: str = "client",
         retry_policy: RetryPolicy | None = None,
         batcher: RequestBatcher | None = None,
-        epoch_caching: bool = True,
     ) -> ElasticStub:
         """Client stub for a pool: one remote object, load balanced.
 
         The stub caches member identities against the pool's membership
         epoch in the shared store, so its common path is lock-free and
         identities are only re-fetched when the pool actually changed.
-        With ``epoch_caching`` (the default) the epoch itself is read
-        through the runtime's watch cache: membership changes are pushed
-        into the stub's process, and the steady-state invocation path
-        performs **zero** store reads.  ``epoch_caching=False`` restores
-        the one-``get``-per-call poll (the pre-watch behaviour, kept for
-        benchmarking the difference).
+        The epoch itself is read through the runtime's watch cache:
+        membership changes are pushed into the stub's process, and the
+        steady-state invocation path performs **zero** store reads.
 
         Retries are bounded by ``retry_policy`` (defaults apply when
         omitted): the runtime wires the stub to its own clock so the
@@ -555,18 +551,14 @@ class ElasticRuntime:
         """
         epoch_key = f"{name}$epoch"
         live = isinstance(self.scheduler, ThreadScheduler)
-        if epoch_caching:
-            cache = self.store_cache
-            epoch_source = lambda: cache.get(epoch_key, default=0)  # noqa: E731
-        else:
-            epoch_source = lambda: self.store.get(epoch_key, default=0)  # noqa: E731
+        cache = self.store_cache
         stub = ElasticStub(
             transport=self.transport,
             sentinel_resolver=lambda: self.registry.lookup(name),
             mode=mode,
             caller=caller,
             rng=self.rng.stream(f"stub:{name}:{caller}"),
-            epoch_source=epoch_source,
+            epoch_source=lambda: cache.get(epoch_key, default=0),
             retry_policy=retry_policy,
             clock=self.scheduler.clock,
             sleep=time.sleep if live else None,

@@ -3,7 +3,7 @@
 Each suite measures one claim the end-to-end workloads in
 ``benchmarks/e2e`` cannot isolate, and is one declarative
 :class:`SuiteSpec` in :data:`SUITES`: the function that runs it, the
-``BENCH_*.json`` report(s) it writes, its gate families, and the record
+``BENCH_*.json`` report it writes, its gate families, and the record
 names and ``extra`` keys every report must carry.
 
 - ``async`` — asyncio vs threaded transport at c64–c4096 in-flight
@@ -11,19 +11,18 @@ names and ``extra`` keys every report must carry.
   callers on the threaded transport;
 - ``shard`` — key-affinity vs flat routing on a sharded pool (hot-key
   p99), plus the per-shard elasticity probe;
-- ``store`` — watched vs polled epoch reads, and watch vs lease
-  convergence under c256 churn;
-- ``cpu`` — process pool vs threaded offload, and shm vs pipe payloads;
-- ``scenario`` — the open-loop scenario matrix in virtual time
-  (:mod:`repro.scenarios.bench`).
+- ``cpu`` — process pool vs threaded offload, and shm vs pipe payloads.
 
 :func:`run_suite` runs a suite, validates every report against its spec
 before writing it, and with a baseline directory applies
 :func:`compare_reports`: each record is divided by its family's anchor
-(or compared raw when the family has none) and flagged when it drops
-more than :data:`TOLERANCE`.  ``python -m repro bench --suite X
---check DIR`` is the command; ``ERMI_BENCH_SCALE`` shrinks iteration
-counts for smoke runs.
+and flagged when it drops more than :data:`TOLERANCE`.  ``python -m
+repro bench --suite X --check DIR`` is the command; ``ERMI_BENCH_SCALE``
+shrinks iteration counts for smoke runs.
+
+The scenario matrix is not a suite: it runs in virtual time, so its
+``SCENARIO_<name>.json`` summaries (``python -m repro scenario all
+--summary-dir .``) are judged by a byte compare, not by a tolerance.
 """
 
 from __future__ import annotations
@@ -678,218 +677,6 @@ def run_shard_suite(scale: float) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# the store suite: watched epoch path vs per-call polling
-# ----------------------------------------------------------------------
-
-# Steady-state leg: invocations against a quiet pool, where the only
-# coordination cost difference is how the stub learns the epoch.
-STORE_EPOCH_CALLS = 20_000
-STORE_POOL_MEMBERS = 2
-
-# Convergence leg: how fast STORE_CONVERGE_CLIENTS client-side caches
-# observe an epoch bump.  The poll baseline is lease-mode caching at
-# STORE_CONVERGE_LEASE_MS (the throttled equivalent of per-call polling
-# that also does zero steady-state reads — the honest comparison), the
-# watch mode is push invalidation.
-STORE_CONVERGE_CLIENTS = 256
-STORE_CONVERGE_ROUNDS = 8
-STORE_CONVERGE_LEASE_MS = 25.0
-# Convergence latencies are tens of microseconds (watch) to one lease
-# (poll); a single descheduled combiner thread can shift p50 by 30%+.
-# Best-of-minima over independent repeats keeps the regression gate
-# stable in CI (same discipline as the obs-overhead gate).
-STORE_CONVERGE_REPEATS = 3
-
-
-def _make_epoch_harness() -> tuple[Any, Any, Callable[[], int]]:
-    """A live pool on DirectTransport over a store that counts epoch
-    reads.  Returns ``(runtime, pool, epoch_reads)``.
-
-    DirectTransport keeps dispatch synchronous and cheap, so the
-    epoch-path cost difference is visible instead of drowned in thread
-    handoffs; the burst interval parks the control loop far outside the
-    measured window.
-    """
-    from repro.core.api import ElasticObject
-    from repro.core.runtime import ElasticRuntime
-    from repro.kvstore.store import HyperStore
-    from repro.rmi.transport import DirectTransport
-
-    counts = {"epoch_gets": 0}
-
-    def on_op(op: str, key: str) -> None:
-        if op == "get" and key.endswith("$epoch"):
-            counts["epoch_gets"] += 1
-
-    class EpochEcho(ElasticObject):
-        def __init__(self) -> None:
-            super().__init__()
-            self.set_min_pool_size(STORE_POOL_MEMBERS)
-            self.set_max_pool_size(STORE_POOL_MEMBERS + 4)
-            self.set_burst_interval(3_600.0)
-
-        def echo(self, value: Any) -> Any:
-            return value
-
-    runtime = ElasticRuntime.local(
-        nodes=4,
-        slices_per_node=4,
-        transport=DirectTransport(),
-        store=HyperStore(nodes=1, on_op=on_op),
-    )
-    pool = runtime.new_pool(EpochEcho, name="bench-epoch")
-    return runtime, pool, lambda: counts["epoch_gets"]
-
-
-def _run_epoch_leg(
-    name: str,
-    runtime: Any,
-    epoch_reads: Callable[[], int],
-    cached: bool,
-    calls: int,
-) -> tuple[BenchRecord, float]:
-    """Measure one epoch-learning discipline on a fresh stub; returns
-    its record and the store epoch reads per call."""
-    stub = runtime.stub("bench-epoch", epoch_caching=cached)
-    stub.echo("prime")  # first call pays the (one) read-through miss
-    warmup = max(1, calls // 10)
-    before = epoch_reads()
-    durations = time_calls(lambda: stub.echo(1), calls, warmup=warmup)
-    reads_per_call = (epoch_reads() - before) / (calls + warmup)
-    record = summarize(
-        name,
-        {
-            "transport": "direct",
-            "members": STORE_POOL_MEMBERS,
-            "concurrency": 1,
-            "epoch_caching": cached,
-        },
-        durations,
-    )
-    return record, round(reads_per_call, 6)
-
-
-def _run_convergence_leg(
-    name: str, watch: bool, rounds: int
-) -> tuple[BenchRecord, dict[str, Any]]:
-    """Membership-convergence latency for c256 client caches.
-
-    Each round bumps the epoch key once and then sweeps all caches
-    round-robin until every one observes the new value; the per-cache
-    latency is bump-to-observation.  Both modes run the identical sweep
-    loop — the only difference is how the cache learns about the bump
-    (pushed event vs lease expiry + re-read).
-    """
-    from repro.kvstore.cache import WatchCache
-    from repro.kvstore.store import HyperStore
-
-    store = HyperStore(nodes=1)
-    key = "bench-conv$epoch"
-    store.put(key, 0)
-    caches = [
-        WatchCache(
-            store, watch=watch, lease_ms=STORE_CONVERGE_LEASE_MS
-        )
-        for _ in range(STORE_CONVERGE_CLIENTS)
-    ]
-    clock = time.perf_counter
-    try:
-        for cache in caches:
-            cache.get(key)  # prime: attach watches / start leases
-        durations: list[float] = []
-        wall = 0.0
-        for _ in range(rounds):
-            target = store.incr(key)
-            started = clock()
-            waiting = dict(enumerate(caches))
-            while waiting:
-                for index, cache in list(waiting.items()):
-                    if cache.get(key) == target:
-                        durations.append(clock() - started)
-                        del waiting[index]
-            wall += clock() - started
-        record = summarize(
-            name,
-            {
-                "clients": STORE_CONVERGE_CLIENTS,
-                "rounds": rounds,
-                "lease_ms": STORE_CONVERGE_LEASE_MS,
-                "watch": watch,
-            },
-            durations,
-            wall,
-        )
-        extra = {
-            "convergence_p50_ms": round(percentile(durations, 0.50) * 1e3, 4),
-            "convergence_p99_ms": round(percentile(durations, 0.99) * 1e3, 4),
-            "store_reads": store.total_ops(),
-        }
-        return record, extra
-    finally:
-        for cache in caches:
-            cache.close()
-
-
-def run_store_suite(scale: float) -> dict[str, Any]:
-    """Coordination-read cost: watched cache vs per-call store polling.
-
-    Two contrasts, both from PR 8's tentpole:
-
-    - ``epoch-poll-c1`` vs ``epoch-watch-c1`` — invocation latency on a
-      quiet pool with the epoch polled per call (the pre-watch baseline,
-      exactly one store ``get`` per invocation) vs read through the
-      runtime's WatchCache (zero steady-state store reads).  Headline:
-      ``extra["steady-state"]`` epoch reads per call.
-    - ``churn-poll-c256`` vs ``churn-watch-c256`` — how fast 256 client
-      caches observe an epoch bump: lease expiry (bounded staleness,
-      zero steady-state reads — the best a poll-flavoured design does)
-      vs push invalidation.  Headline: ``extra["convergence"]`` p50
-      latency ratio.
-    """
-    extra: dict[str, Any] = {}
-
-    records = []
-    calls = _scaled(STORE_EPOCH_CALLS, scale)
-    runtime, _pool, epoch_reads = _make_epoch_harness()
-    try:
-        steady: dict[str, Any] = {"calls_per_leg": calls}
-        for name, cached in (("epoch-poll-c1", False), ("epoch-watch-c1", True)):
-            record, reads_per_call = _run_epoch_leg(
-                name, runtime, epoch_reads, cached, calls
-            )
-            records.append(record)
-            mode = "watch" if cached else "poll"
-            steady[f"{mode}_epoch_reads_per_call"] = reads_per_call
-        extra["steady-state"] = steady
-    finally:
-        runtime.shutdown()
-
-    rounds = max(2, int(STORE_CONVERGE_ROUNDS * scale))
-    convergence: dict[str, Any] = {
-        "clients": STORE_CONVERGE_CLIENTS,
-        "rounds": rounds,
-        "lease_ms": STORE_CONVERGE_LEASE_MS,
-    }
-    for name, watch in (("churn-poll-c256", False), ("churn-watch-c256", True)):
-        record, leg_extra = _run_convergence_leg(name, watch, rounds)
-        for _ in range(STORE_CONVERGE_REPEATS - 1):
-            candidate = _run_convergence_leg(name, watch, rounds)
-            if candidate[1]["convergence_p50_ms"] < leg_extra["convergence_p50_ms"]:
-                record, leg_extra = candidate
-        records.append(record)
-        mode = "watch" if watch else "poll"
-        for stat, value in leg_extra.items():
-            convergence[f"{mode}_{stat}"] = value
-    watch_p50 = convergence["watch_convergence_p50_ms"]
-    poll_p50 = convergence["poll_convergence_p50_ms"]
-    convergence["speedup_p50"] = round(
-        poll_p50 / watch_p50 if watch_p50 > 0 else float("inf"), 2
-    )
-    extra["convergence"] = convergence
-    return build_report("rmi_store", records, extra)
-
-
-# ----------------------------------------------------------------------
 # the cpu (process-pool skeleton execution) suite
 # ----------------------------------------------------------------------
 
@@ -1091,26 +878,16 @@ def build_report(
     suite: str,
     records: list[BenchRecord],
     extra: dict[str, Any] | None = None,
-    deterministic: bool = False,
 ) -> dict[str, Any]:
-    """The JSON document for one suite run (schema in README.md).
-
-    ``deterministic`` omits the environment stamps (``created_unix``,
-    ``python``, ``platform``) so two runs with identical measurements
-    serialize byte-identically — the scenario suite's replay contract,
-    where every metric is virtual-time and therefore machine-independent.
-    """
+    """The JSON document for one suite run (schema in README.md)."""
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "suite": suite,
+        "created_unix": time.time(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "records": [asdict(record) for record in records],
     }
-    if deterministic:
-        doc["deterministic"] = True
-    else:
-        doc["created_unix"] = time.time()
-        doc["python"] = platform.python_version()
-        doc["platform"] = platform.platform()
-    doc["records"] = [asdict(record) for record in records]
     if extra:
         doc["extra"] = extra
     return doc
@@ -1184,78 +961,25 @@ class SuiteSpec:
     """One suite, declared.
 
     ``run(scale)`` returns ``{report file name: document}`` for exactly
-    the files ``reports()`` names; ``reports()`` maps each file to the
-    record names it must carry (a callable, so the scenario suite can
-    read its names off the catalogue, which imports this module).
-    ``families`` are the gate families, each ``(record-name prefixes,
-    anchor)``: a record is compared as a multiple of its family's anchor
-    record from the same run, or raw when the anchor is ``None``.
+    the files ``reports`` names; ``reports`` maps each file to the
+    record names it must carry.  ``families`` are the gate families,
+    each ``(record-name prefixes, anchor)``: a record is compared as a
+    multiple of its family's anchor record from the same run.
     Records in ``ungated`` stay in the report but are not compared.
     ``extra`` names the ``extra`` keys every report must carry.
     """
 
     run: Callable[[float], dict[str, dict[str, Any]]]
-    reports: Callable[[], dict[str, tuple[str, ...]]]
-    families: tuple[tuple[tuple[str, ...], str | None], ...]
+    reports: dict[str, tuple[str, ...]]
+    families: tuple[tuple[tuple[str, ...], str], ...]
     extra: tuple[str, ...]
     ungated: frozenset[str] = frozenset()
-
-
-def latency_drift(
-    baseline: dict[str, Any], current: dict[str, Any], tolerance: float
-) -> list[tuple[str, str]]:
-    """``(label, line)`` for each record whose p50/p99 grew more than
-    ``tolerance``.
-
-    Raw families (the scenario suite) are gated on this beside
-    throughput: their percentiles are deterministic virtual-time figures
-    and their headline.  Downward drift (an improvement) passes.
-    """
-    cur = {r["name"]: r for r in current.get("records", [])}
-    problems = []
-    for base_record in baseline.get("records", []):
-        name = base_record["name"]
-        record = cur.get(name)
-        if record is None:
-            continue  # the throughput gate reports it as missing
-        for field in ("p50_us", "p99_us"):
-            base_value = float(base_record[field])
-            if base_value <= 0:
-                continue
-            delta = (float(record[field]) - base_value) / base_value
-            if delta > tolerance:
-                problems.append((
-                    f"{name} {field}",
-                    f"{name} {field} {base_value:.1f} -> "
-                    f"{float(record[field]):.1f} ({delta:+.1%})  REGRESSION",
-                ))
-    return problems
-
-
-def _scenario_reports() -> dict[str, tuple[str, ...]]:
-    # Imported here: repro.scenarios imports this module.
-    from repro.scenarios.bench import scenario_report_name
-    from repro.scenarios.catalog import SCENARIOS
-
-    return {
-        scenario_report_name(name): (f"scenario-{name}",)
-        for name in SCENARIOS
-    }
-
-
-def _run_scenarios(scale: float) -> dict[str, dict[str, Any]]:
-    from repro.scenarios.bench import run_scenario_suite, scenario_report_name
-
-    return {
-        scenario_report_name(name): doc
-        for name, _result, doc in run_scenario_suite(scale)
-    }
 
 
 SUITES: dict[str, SuiteSpec] = {
     "async": SuiteSpec(
         run=lambda scale: {"BENCH_rmi_async.json": run_async_suite(scale)},
-        reports=lambda: {
+        reports={
             "BENCH_rmi_async.json": tuple(
                 f"{kind}-c{c}"
                 for kind in ("threaded", "aio")
@@ -1279,25 +1003,11 @@ SUITES: dict[str, SuiteSpec] = {
     ),
     "shard": SuiteSpec(
         run=lambda scale: {"BENCH_rmi_shard.json": run_shard_suite(scale)},
-        reports=lambda: {
+        reports={
             "BENCH_rmi_shard.json": ("shard-flat-c256", "shard-affinity-c256"),
         },
         families=((("shard-",), "shard-flat-c256"),),
         extra=("shard-flat-c256", "shard-affinity-c256", "shard-elasticity"),
-    ),
-    "store": SuiteSpec(
-        run=lambda scale: {"BENCH_rmi_store.json": run_store_suite(scale)},
-        reports=lambda: {
-            "BENCH_rmi_store.json": (
-                "epoch-poll-c1", "epoch-watch-c1",
-                "churn-poll-c256", "churn-watch-c256",
-            ),
-        },
-        families=(
-            (("epoch-",), "epoch-poll-c1"),
-            (("churn-",), "churn-poll-c256"),
-        ),
-        extra=("steady-state", "convergence"),
     ),
     # Thread-vs-process ratios depend on the measuring machine's core
     # count (a 1-core box shows ~1x where a 4-core runner shows ~4x), so
@@ -1309,7 +1019,7 @@ SUITES: dict[str, SuiteSpec] = {
     # against that anchor between runs of identical code: also ungated.
     "cpu": SuiteSpec(
         run=lambda scale: {"BENCH_rmi_cpu.json": run_cpu_suite(scale)},
-        reports=lambda: {
+        reports={
             "BENCH_rmi_cpu.json": tuple(
                 f"cpu-{kind}-{cost}ms"
                 for kind in ("thread", "proc")
@@ -1332,17 +1042,6 @@ SUITES: dict[str, SuiteSpec] = {
             "speedup", "zero_copy",
         ),
         ungated=frozenset({"cpu-proc-1ms", "cpu-aio-proc-5ms"}),
-    ),
-    # Virtual-time metrics, identical on any machine for a seed: raw
-    # comparison, plus upward p50/p99 drift.
-    "scenario": SuiteSpec(
-        run=_run_scenarios,
-        reports=_scenario_reports,
-        families=((("scenario-",), None),),
-        extra=(
-            "seed", "scale", "mode", "users", "qos_met", "average_agility",
-            "redispatched", "herd_arrivals", "final_sizes",
-        ),
     ),
 }
 
@@ -1372,10 +1071,9 @@ def compare_reports(
     report first, so the comparison is in units of "times the anchor":
     absolute machine speed cancels, relative regressions within the
     family still show.  A slowdown that hits a whole family equally is
-    invisible here, which is what the end-to-end workloads are for.  A
-    family without an anchor compares raw values and also gates upward
-    p50/p99 drift (:func:`latency_drift`).  Records only in ``current``
-    pass; records only in ``baseline`` are missing.
+    invisible here, which is what the end-to-end workloads are for.
+    Records only in ``current`` pass; records only in ``baseline`` are
+    missing.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1): {tolerance}")
@@ -1393,7 +1091,6 @@ def compare_reports(
     regressions: list[str] = []
     missing: list[str] = []
     gated: set[str] = set()
-    raw = False
     for prefixes, anchor in spec.families:
         names = [
             name for name in base
@@ -1401,18 +1098,12 @@ def compare_reports(
         ]
         if not names:
             continue
-        if anchor is None:
-            raw = True
-            base_unit = cur_unit = 1.0
-            unit = "calls/s"
-        else:
-            base_unit = base.get(anchor, 0.0)
-            cur_unit = cur.get(anchor, 0.0)
-            if base_unit <= 0.0 or cur_unit <= 0.0:
-                raise ValueError(
-                    f"cannot normalize: anchor {anchor!r} missing or zero"
-                )
-            unit = f"x {anchor}"
+        base_unit = base.get(anchor, 0.0)
+        cur_unit = cur.get(anchor, 0.0)
+        if base_unit <= 0.0 or cur_unit <= 0.0:
+            raise ValueError(
+                f"cannot normalize: anchor {anchor!r} missing or zero"
+            )
         for name in names:
             gated.add(name)
             base_value = base[name] / base_unit
@@ -1431,21 +1122,17 @@ def compare_reports(
                 verdict = "  REGRESSION"
             lines.append(
                 f"{name:<20} {base_value:>12.2f} {cur_value:>12.2f} "
-                f"{delta:>+7.1%}{verdict}  ({unit})"
+                f"{delta:>+7.1%}{verdict}  (x {anchor})"
             )
     for name in base:
         if name not in gated:
             lines.append(f"{name:<20} (ungated; skipped)")
-    if raw:
-        for label, line in latency_drift(baseline, current, tolerance):
-            regressions.append(label)
-            lines.append(line)
     return CompareResult(lines=lines, regressions=regressions, missing=missing)
 
 
 def spec_problems(spec: SuiteSpec, docs: dict[str, dict[str, Any]]) -> list[str]:
     """What a suite's reports lack against its spec (empty when valid)."""
-    reports = spec.reports()
+    reports = spec.reports
     problems = []
     if sorted(docs) != sorted(reports):
         problems.append(f"reports {sorted(docs)}, want {sorted(reports)}")
@@ -1495,7 +1182,7 @@ def load_baselines(
     compare the run with itself.
     """
     baselines: dict[str, dict[str, Any] | None] = {}
-    for file in SUITES[name].reports():
+    for file in SUITES[name].reports:
         path = os.path.join(baseline_dir, file)
         baselines[file] = load_report(path) if os.path.exists(path) else None
     return baselines

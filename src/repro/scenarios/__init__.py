@@ -8,12 +8,12 @@ live mode — through a seeded, replayable scenario matrix
 thundering-herd reconnect, zipfian hot-key skew on sharded pools, and
 mixed multi-app tenancy on one cluster.  Each run emits a
 ``repro.obs/v1`` summary with tail-latency, agility, and QoS sections
-(:mod:`repro.scenarios.runner`) and feeds the committed
-``BENCH_scenario_*.json`` baselines the CI gate compares against
-(:mod:`repro.scenarios.bench`).
+(:mod:`repro.scenarios.runner`).  The committed
+``SCENARIO_<name>.json`` files are those summaries at the catalogue's
+seeds; CI replays the matrix and compares them byte for byte.
 
-Entry points: ``python -m repro scenario <name>`` and
-``python -m repro bench --suite scenario``.
+Entry point: ``python -m repro scenario <name>`` (``all --summary-dir .``
+regenerates the committed files).
 """
 
 from repro.scenarios.catalog import (

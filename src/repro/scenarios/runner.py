@@ -7,9 +7,11 @@ ticks, the provisioner's jittered container starts, the fault schedule,
 and each tenant's :class:`~repro.scenarios.engine.OpenLoopEngine` — and
 every random draw comes from a named :class:`~repro.sim.rng.RngStreams`
 substream, so two runs with the same seed produce byte-identical
-``repro.obs/v1`` summaries (the CI ``scenario-replay`` gate) and
-byte-identical ``BENCH_scenario_*.json`` reports (all metrics are
-virtual-time, hence machine-independent).
+``repro.obs/v1`` summaries.  Every metric in them is virtual-time, hence
+machine-independent: the committed ``SCENARIO_<name>.json`` files are
+the summaries ``python -m repro scenario all --summary-dir .`` writes,
+and the CI ``scenario-replay`` job compares a fresh run with them byte
+for byte.
 
 Elasticity is closed-loop even though the load is open-loop: each
 second the runner samples every member's modeled server (busy/idle)
@@ -31,14 +33,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.cluster.provisioner import ContainerProvisioner
 from repro.core.api import ElasticObject
 from repro.core.monitor import ManualUtilization
 from repro.core.pool import ElasticObjectPool, PoolMember
 from repro.core.runtime import ElasticRuntime
-from repro.experiments.benchreport import BenchRecord, percentile
+from repro.experiments.benchreport import percentile
 from repro.faults.injector import FaultInjector
 from repro.kvstore.store import HyperStore
 from repro.metrics.agility import AgilityTracker
@@ -258,70 +260,6 @@ class ScenarioResult:
             f"agility={self.average_agility():.2f}, "
             f"qos={'met' if self.qos_met() else 'MISSED'}, "
             f"final sizes {sizes}"
-        )
-
-    # -- bench records ---------------------------------------------------
-
-    def bench_records(
-        self,
-    ) -> tuple[list[BenchRecord], dict[str, Any]]:
-        """Virtual-time BenchRecords + extra doc for ``BENCH_scenario_*``.
-
-        ``calls_per_sec`` and the latency percentiles are virtual-time
-        quantities: deterministic for a seed and identical on any
-        machine, which is why the scenario regression gate compares
-        them raw (no normalization anchor needed).
-        """
-        records = [self._record(None)]
-        if len(self.tenants) > 1:
-            for name in sorted(self.tenants):
-                records.append(self._record(name))
-        extra = {
-            "seed": self.seed,
-            "scale": self.scale,
-            "mode": self.mode,
-            "users": self.spec.users,
-            "qos_met": self.qos_met(),
-            "average_agility": round(self.average_agility(), 6),
-            "redispatched": self.total("redispatched"),
-            "herd_arrivals": self.total("herd_arrivals"),
-            "final_sizes": {
-                name: t.final_sizes
-                for name, t in sorted(self.tenants.items())
-            },
-        }
-        return records, extra
-
-    def _record(self, tenant_name: str | None) -> BenchRecord:
-        if tenant_name is None:
-            name = f"scenario-{self.spec.name}"
-            lat = self.merged_latencies()
-            completed = self.total("completed")
-            arrivals = self.total("arrivals")
-        else:
-            tenant = self.tenants[tenant_name]
-            name = f"scenario-{self.spec.name}-{tenant_name}"
-            lat = tenant.stats.latencies
-            completed = tenant.stats.completed
-            arrivals = tenant.stats.arrivals
-        duration = self.spec.duration_s
-        return BenchRecord(
-            name=name,
-            config={
-                "mode": self.mode,
-                "scale": self.scale,
-                "seed": self.seed,
-                "duration_s": duration,
-                "arrivals": arrivals,
-            },
-            calls=completed,
-            elapsed_s=round(duration, 6),
-            calls_per_sec=round(completed / duration, 6),
-            p50_us=round(percentile(lat, 0.50) * 1e6, 3),
-            p99_us=round(percentile(lat, 0.99) * 1e6, 3),
-            mean_us=round(
-                (sum(lat) / len(lat) if lat else 0.0) * 1e6, 3
-            ),
         )
 
 

@@ -88,14 +88,14 @@ class TestClientFailover:
         stub.echo("warm-up")
         sentinel = pool.sentinel()
         runtime.transport.kill(sentinel.endpoint_id)
-        pool.detect_dead_members()  # runtime tick would do this
+        pool.reap_failures()  # runtime tick would do this
         assert stub.echo("still-works") == "still-works"
 
     def test_stub_refreshes_membership_after_failures(self, runtime, stub, pool):
         stub.echo("warm-up")
         victim = pool.active_members()[2]
         runtime.transport.kill(victim.endpoint_id)
-        pool.detect_dead_members()
+        pool.reap_failures()
         for i in range(10):
             stub.echo(i)
         live_refs = {m.ref() for m in pool.active_members()}

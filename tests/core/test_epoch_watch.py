@@ -46,14 +46,6 @@ class TestSteadyState:
             assert stub.echo(i) == i
         assert epoch_reads(runtime.store, op_counts) == 0
 
-    def test_poll_mode_keeps_one_read_per_call(self, runtime, pool, op_counts):
-        stub = runtime.stub("pool", epoch_caching=False)
-        stub.echo("warm")
-        op_counts.clear()
-        for i in range(50):
-            assert stub.echo(i) == i
-        assert epoch_reads(runtime.store, op_counts) == 50
-
     def test_stubs_share_one_cache_subscription(self, runtime, pool):
         before = runtime.store.watch_stats()["subscriptions"]
         stubs = [runtime.stub("pool") for _ in range(10)]

@@ -15,11 +15,12 @@ purpose for now, to be lowered together with the ceilings:
 - ``pool.members`` keeps every member ever, each holding its skeleton,
   instance, stats and monitor; ``pool.provisioning_records`` and
   ``pool.scaling_events`` keep two records each per cycle;
-- ``ThreadedTransport._dispatchers`` keeps each killed endpoint's
-  closed ``_Dispatcher``, with its ``_DispatchStats`` and three
-  ``StripedCounter``\\ s, on every resize (the threaded transport's
-  extra 27 per cycle), and every transport's endpoint map keeps the
-  killed ``Endpoint``.
+- every transport's endpoint map keeps the killed ``Endpoint``, and
+  with it, in ``Endpoint.pool``, the closed ``_Dispatcher`` of any
+  endpoint that ran a call on its own workers, with its
+  ``_DispatchStats`` and three ``StripedCounter``\\ s (the threaded
+  transport's extra 27 per cycle: every call there runs on the pool,
+  while ``who()`` is plain, so an asyncio member never makes one).
 """
 
 from __future__ import annotations

@@ -117,40 +117,6 @@ class TestCpuFamilyGate:
             compare_reports(CPU, BASELINE, BASELINE, tolerance=1.5)
 
 
-class TestRawFamilyGate:
-    """A family with no anchor (the scenario suite) compares raw values,
-    so a uniform slowdown *does* flag there, and the suite's extra check
-    gates upward p50/p99 drift."""
-
-    SPEC = SUITES["scenario"]
-
-    @staticmethod
-    def _doc(rate: float, p99: float) -> dict:
-        return {
-            "records": [{
-                "name": "scenario-diurnal", "calls_per_sec": rate,
-                "p50_us": 1000.0, "p99_us": p99,
-            }]
-        }
-
-    def test_identical_reports_pass(self):
-        doc = self._doc(55.0, 9000.0)
-        assert compare_reports(self.SPEC, doc, doc).ok
-
-    def test_raw_throughput_drop_flags(self):
-        result = compare_reports(
-            self.SPEC, self._doc(55.0, 9000.0), self._doc(30.0, 9000.0)
-        )
-        assert result.regressions == ["scenario-diurnal"]
-        assert any("(calls/s)" in line for line in result.lines)
-
-    def test_tail_latency_drift_flags(self):
-        result = compare_reports(
-            self.SPEC, self._doc(55.0, 9000.0), self._doc(55.0, 18000.0)
-        )
-        assert result.regressions == ["scenario-diurnal p99_us"]
-
-
 class TestAsyncFamilyGate:
     """One family per transport: each leg is read against its own
     transport's own anchor."""

@@ -1,19 +1,13 @@
 """End-to-end scenario runner tests: replay, scaling, elasticity, QoS.
 
-Full-scale matrix runs live in the bench suite; these use small scales
-(and one tiny bespoke spec) to keep the tier-1 suite fast.
+Full-scale matrix runs are the committed ``SCENARIO_<name>.json``
+files; these use small scales (and one tiny bespoke spec) to keep the
+tier-1 suite fast.
 """
-
-import json
 
 import pytest
 
 from repro.obs.export import validate_summary
-from repro.scenarios.bench import (
-    check_scenario_reports,
-    run_scenario_suite,
-    scenario_report_name,
-)
 from repro.scenarios.catalog import (
     ConstantPattern,
     FaultSpec,
@@ -158,61 +152,6 @@ class TestElasticity:
         # The injector logged the crash into the trace summary.
         assert summary["counts"].get("member-crash", 0) == 1
         assert summary["components"].get("faults", 0) >= 1
-
-
-class TestBenchSuite:
-    def test_suite_writes_deterministic_reports(self, tmp_path):
-        results = run_scenario_suite(
-            scale=SCALE, out_dir=str(tmp_path), names=["diurnal"]
-        )
-        assert len(results) == 1
-        name, result, doc = results[0]
-        assert name == "diurnal"
-        assert doc["deterministic"] is True
-        assert "created_unix" not in doc
-        path = tmp_path / scenario_report_name("diurnal")
-        assert path.exists()
-        on_disk = json.loads(path.read_text())
-        assert on_disk == doc
-
-    def test_report_replays_byte_identically(self, tmp_path):
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_scenario_suite(
-            scale=SCALE, out_dir=str(a_dir), names=["flash-crowd"]
-        )
-        run_scenario_suite(
-            scale=SCALE, out_dir=str(b_dir), names=["flash-crowd"]
-        )
-        name = scenario_report_name("flash-crowd")
-        assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
-
-    def test_check_passes_against_own_baseline(self, tmp_path):
-        results = run_scenario_suite(
-            scale=SCALE, out_dir=str(tmp_path), names=["diurnal"]
-        )
-        ok, lines = check_scenario_reports(results, str(tmp_path))
-        assert ok, "\n".join(lines)
-
-    def test_check_fails_on_missing_baseline(self, tmp_path):
-        results = run_scenario_suite(scale=SCALE, names=["diurnal"])
-        ok, lines = check_scenario_reports(results, str(tmp_path))
-        assert not ok
-        assert any("baseline missing" in line for line in lines)
-
-    def test_check_fails_on_drift(self, tmp_path):
-        results = run_scenario_suite(
-            scale=SCALE, out_dir=str(tmp_path), names=["diurnal"]
-        )
-        # Simulate a behavioral regression: the baseline says the
-        # modeled system used to be 2x faster than the current run.
-        path = tmp_path / scenario_report_name("diurnal")
-        doc = json.loads(path.read_text())
-        for record in doc["records"]:
-            record["p99_us"] /= 2.0
-        path.write_text(json.dumps(doc))
-        ok, lines = check_scenario_reports(results, str(tmp_path))
-        assert not ok
-        assert any("p99" in line for line in lines)
 
 
 class TestLiveMode:

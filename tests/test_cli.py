@@ -6,6 +6,12 @@ import textwrap
 import pytest
 
 from repro.cli import main
+from repro.experiments.benchreport import (
+    SUITES,
+    BenchRecord,
+    SuiteSpec,
+    build_report,
+)
 
 
 class TestFigureCommand:
@@ -162,65 +168,80 @@ class TestScenarioCommand:
         assert (a / name).read_bytes() != (b / name).read_bytes()
 
 
+def _tiny_suite_run(scale):
+    records = [
+        BenchRecord(name, {}, 100, 1.0, rate, 10.0, 20.0, 12.0)
+        for name, rate in (("tiny-anchor", 100.0), ("tiny-leg", 50.0))
+    ]
+    return {"BENCH_tiny.json": build_report("tiny", records, {"k": 1})}
+
+
 class TestBenchScenarioSuite:
+    """``repro bench`` itself: baselines, gate and exit codes, on a tiny
+    deterministic suite that measures nothing."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_suite(self, monkeypatch):
+        monkeypatch.setitem(SUITES, "tiny", SuiteSpec(
+            run=_tiny_suite_run,
+            reports={"BENCH_tiny.json": ("tiny-anchor", "tiny-leg")},
+            families=((("tiny-",), "tiny-anchor"),),
+            extra=("k",),
+        ))
+
     def test_suite_writes_reports_and_self_check_passes(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path
     ):
-        monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05")
         out_dir = tmp_path / "reports"
         # Baselines are read before the run writes, so the first run
         # lays them down and the second checks against them.
         assert main([
-            "bench", "--suite", "scenario", "--out-dir", str(out_dir),
+            "bench", "--suite", "tiny", "--out-dir", str(out_dir),
         ]) == 0
         capsys.readouterr()
         code = main([
-            "bench", "--suite", "scenario",
+            "bench", "--suite", "tiny",
             "--out-dir", str(out_dir),
             "--check", str(out_dir),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "bench check OK (scenario)" in out
-        names = {p.name for p in out_dir.glob("BENCH_scenario_*.json")}
-        assert "BENCH_scenario_diurnal.json" in names
-        assert len(names) >= 4
+        assert "bench check OK (tiny)" in out
+        assert [p.name for p in out_dir.iterdir()] == ["BENCH_tiny.json"]
 
-    def test_check_against_missing_baselines_fails(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05")
+    def test_check_against_missing_baselines_fails(self, capsys, tmp_path):
         out_dir = tmp_path / "reports"
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main([
-            "bench", "--suite", "scenario",
+            "bench", "--suite", "tiny",
             "--out-dir", str(out_dir),
             "--check", str(empty),
         ])
         assert code == 1
         captured = capsys.readouterr()
         assert "baseline missing" in captured.out
-        assert "REGRESSION (scenario)" in captured.err
+        assert "REGRESSION (tiny)" in captured.err
 
     def test_check_reads_baselines_before_the_run_overwrites_them(
         self, capsys, tmp_path, monkeypatch
     ):
         """``--check .`` with the default ``--out-dir .``: the gate must
         see the baseline as it was, not the report the run just wrote."""
-        monkeypatch.setenv("ERMI_BENCH_SCALE", "0.05")
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--suite", "scenario"]) == 0
-        path = tmp_path / "BENCH_scenario_diurnal.json"
+        assert main(["bench", "--suite", "tiny"]) == 0
+        path = tmp_path / "BENCH_tiny.json"
         doc = json.loads(path.read_text())
         for record in doc["records"]:
-            record["calls_per_sec"] *= 2.0
+            if record["name"] == "tiny-leg":
+                record["calls_per_sec"] *= 2.0
         path.write_text(json.dumps(doc))
         capsys.readouterr()
-        code = main(["bench", "--suite", "scenario", "--check", "."])
+        code = main(["bench", "--suite", "tiny", "--check", "."])
         assert code == 1
-        assert "scenario-diurnal" in capsys.readouterr().err
+        assert "tiny-leg" in capsys.readouterr().err
 
     def test_unknown_suite_is_rejected(self, capsys):
-        assert main(["bench", "--suite", "hotpath"]) == 2
-        assert "unknown suite 'hotpath'" in capsys.readouterr().err
+        for suite in ("hotpath", "store", "scenario"):
+            assert main(["bench", "--suite", suite]) == 2
+            assert f"unknown suite {suite!r}" in capsys.readouterr().err
