@@ -167,16 +167,17 @@ class _PreCpuSkeleton(Skeleton):
         refusal, method, _kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
+        name = request.method
         try:
-            result = method(*args, **kwargs)
-            if inspect.iscoroutine(result):
-                result = asyncio.run(result)
-        except Exception as exc:
-            return self._reply(request, started, None, exc)
-        except BaseException:
+            try:
+                result = method(*args, **kwargs)
+                if inspect.iscoroutine(result):
+                    result = asyncio.run(result)
+            except Exception as exc:
+                return self._reply(name, started, None, exc)
+            return self._reply(name, started, result, None)
+        finally:
             self._release()
-            raise
-        return self._reply(request, started, result, None)
 
 
 def _make_stub(skeleton_cls: type[Skeleton]) -> Stub:

@@ -11,33 +11,35 @@ What a task is paid for
     Only suspension on the loop.  A method that cannot suspend — a
     plain method: not ``async def``, not ``@blocking``, not
     ``@cpu_bound``; the skeleton says which, via ``Endpoint.export`` —
-    is stepped to its reply where it was sent, still through the
-    exported ``handle_async`` and in a context copy of its own: an
-    unbatched call of one, and every such entry of a batch, run inside
-    the sweep or loop callback that sent the message, with no task, no
-    timer and no extra loop turn.  A ``@blocking`` call or batch entry
-    costs no task either: it is one job on its member's pool.  An
-    unbatched ``async def`` or ``@cpu_bound`` call costs one task; a
-    batch costs one per such entry, plus one for the batch once it waits
-    on them or on its ``@blocking`` entries.  Whether a method suspends
-    is never found out by running it: user code in an ``async def`` body
-    must see its *own* task.  A message also goes through a task when a
-    fault hook is installed or the in-flight window is full, and a plain
-    one when it is sent from inside a task.  ``rmi.aio.loop_lag_ms``
-    shows the longer loop turns a wave of plain handlers costs.
+    runs to its reply where it was sent, inside the sweep or loop
+    callback that sent the message, in a context copy of its own, with
+    no task, no timer and no extra loop turn.  An unbatched call of one
+    goes through the exported ``handle_async``, stepped once; each run
+    of consecutive such entries of a batch for one skeleton goes
+    through its ``handle_run`` in one pass, admitted, run and counted
+    once per run.  A ``@blocking`` call or batch entry costs no task
+    either: it is one job on its member's pool.  An unbatched ``async
+    def`` or ``@cpu_bound`` call costs one task; a batch costs one per
+    such entry, plus one for the batch once it waits on them or on its
+    ``@blocking`` entries.  Whether a method suspends is never found
+    out by running it: user code in an ``async def`` body must see its
+    *own* task.  A message also goes through a task when a fault hook
+    is installed or the in-flight window is full, and a plain one when
+    it is sent from inside a task.  ``rmi.aio.loop_lag_ms`` shows the
+    longer loop turns a wave of plain handlers costs.
 
 Dispatch rules
-    Skeletons dispatch *on the loop* via ``handle_async``: coroutine
-    methods are awaited in place and plain methods run inline (they must
-    be CPU-light).  Methods marked with :func:`blocking` never touch the
-    loop: the skeleton's synchronous ``handle`` — what a
-    ``ThreadedTransport`` worker runs — runs on the member's own pool
-    (``Endpoint.pool``, 4 workers, made on its first ``@blocking`` call
-    and closed with it), so a member brings its own capacity, and drain,
-    redirect and the statistics clock see the call when a worker picks
-    it up.  An unbatched one submitted off the loop goes onto the pool
-    from the submitting thread and is completed by the worker: no loop
-    callback runs for it (:class:`_Call`).
+    Skeletons dispatch *on the loop*: coroutine methods are awaited in
+    place (``handle_async``) and plain methods run inline, batched or
+    not (they must be CPU-light).  Methods marked with :func:`blocking`
+    never touch the loop: the skeleton's synchronous ``handle`` — what
+    a ``ThreadedTransport`` worker runs for an unbatched call — runs on
+    the member's own pool (``Endpoint.pool``, 4 workers, made on its
+    first ``@blocking`` call and closed with it), so a member brings its
+    own capacity, and drain, redirect and the statistics clock see the
+    call when a worker picks it up.  An unbatched one submitted off the
+    loop goes onto the pool from the submitting thread and is completed
+    by the worker: no loop callback runs for it (:class:`_Call`).
 
 Bridging
     ``submit()``/``submit_batch()`` are the native, callback-based API.
@@ -610,14 +612,14 @@ class AsyncioTransport(_TransportBase):
         """Run a call's handler, or unbatch a batch (``handler`` None) on
         the loop, its replies reassembled in entry order.
 
-        An entry that cannot suspend (``Endpoint.may_suspend``) is
-        stepped to its reply right here, in its own copy of the context,
-        with no task.  A ``@blocking`` entry is one job on its member's
-        pool completing a loop future (so is a ``@blocking`` call on the
-        task path), and every other entry — ``async def``,
-        ``@cpu_bound``, or a handler exported with no such promise — gets
-        a task of its own; both start once the inline entries are done,
-        so they still overlap.
+        Each run of consecutive entries for one skeleton whose methods
+        cannot suspend (``Endpoint.may_suspend``) is served right here,
+        with no task, by its run handler (``Skeleton.handle_run``).  A
+        raw exported callable is called here, in a context copy of its
+        own.  A ``@blocking`` entry is one job on its member's pool
+        completing a loop future (so is a ``@blocking`` call on the task
+        path); any other entry gets a task of its own.  Both start once
+        the entries served here are done, so they still overlap.
         """
         if handler is not None:
             if _offloads(ep, message):
@@ -628,52 +630,67 @@ class AsyncioTransport(_TransportBase):
         responses: list[Any] = [None] * len(entries)
         tasked: list[tuple[int, Any, Any]] = []  # (index, coroutine, context)
         offloaded: list[tuple[int, Request]] = []
-        ahandlers, predicates = ep.ahandlers, ep.may_suspend
+        awaited: list[tuple[int, Any]] = []  # (index, its reply's awaitable)
+        run: list[Request] = []  # consecutive plain entries of one skeleton
+        loop = self._runtime.loop
+        runs, ahandlers, predicates = ep.runs, ep.ahandlers, ep.may_suspend
         try:
-            for index, request in enumerate(entries):
-                object_id = request.object_id
+            for index, request in enumerate((*entries, None)):
+                object_id = None if request is None else request.object_id
+                joins = object_id in runs and not predicates.get(
+                    object_id, _suspends
+                )(request.method)
+                if run and not (joins and object_id == run[0].object_id):
+                    first = index - len(run)
+                    replies = runs[run[0].object_id](run, loop)
+                    for at, reply in enumerate(replies, first):
+                        if type(reply) is Response:
+                            responses[at] = reply
+                        else:  # the task of a plain method's coroutine
+                            awaited.append((at, reply))
+                    run = []
+                if joins:
+                    run.append(request)
+                    continue
+                if request is None:
+                    break
                 handler = ahandlers.get(object_id)
+                if handler is not None:
+                    if _offloads(ep, request):
+                        offloaded.append((index, request))
+                    else:
+                        tasked.append((index, handler(request), None))
+                    continue
+                handler = ep.handlers.get(object_id)
                 if handler is None:
-                    handler = ep.handlers.get(object_id)
-                    if handler is None:
-                        responses[index] = Response(
-                            kind="unresolved", value=object_id
-                        )
-                        continue
-                    # A raw exported callable: calling it cannot suspend
-                    # anything, but what it returns may be a coroutine.
-                    inline = (handler, request)
-                else:
-                    may_suspend = predicates.get(object_id)
-                    if may_suspend is None or may_suspend(request.method):
-                        if _offloads(ep, request):
-                            offloaded.append((index, request))
-                        else:
-                            tasked.append((index, handler(request), None))
-                        continue
-                    inline = (_step, handler, request)
+                    responses[index] = Response(kind="unresolved", value=object_id)
+                    continue
+                # A raw exported callable: calling it cannot suspend
+                # anything, but what it returns may be a coroutine.
                 context = copy_context()
-                reply = context.run(*inline)
+                reply = context.run(handler, request)
                 if type(reply) is not Response and asyncio.iscoroutine(reply):
                     tasked.append((index, reply, context))
                 else:
                     responses[index] = reply
         except BaseException:
-            # The batch fails as a whole; nothing collected has a task
-            # yet, so nothing is left running (or "never awaited").
+            # The batch fails as a whole; an entry collected for a task
+            # is closed unrun (never "never awaited"), and a task a run
+            # made settles its own call.
             for _, coro, _ in tasked:
                 coro.close()
             raise
-        if tasked or offloaded:
-            create_task = self._runtime.loop.create_task
-            replies = await asyncio.gather(
-                *(self._pool_reply(ep, request) for _, request in offloaded),
-                *(create_task(coro, context=context)
-                  for _, coro, context in tasked),
+        if tasked or offloaded or awaited:
+            awaited.extend(
+                (index, self._pool_reply(ep, request))
+                for index, request in offloaded
             )
-            indices = [index for index, _ in offloaded]
-            indices.extend(index for index, _, _ in tasked)
-            for index, reply in zip(indices, replies):
+            awaited.extend(
+                (index, loop.create_task(coro, context=context))
+                for index, coro, context in tasked
+            )
+            replies = await asyncio.gather(*(reply for _, reply in awaited))
+            for (index, _), reply in zip(awaited, replies):
                 responses[index] = reply
         return BatchResponse(entries=tuple(responses))
 

@@ -30,9 +30,10 @@ import inspect
 import itertools
 import threading
 import weakref
+from contextvars import copy_context
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Sequence
 
 from repro.concurrency import ThreadStripes
 from repro.errors import (
@@ -128,6 +129,13 @@ class CallStats:
     def __init__(self) -> None:
         self._stripes: ThreadStripes[_StatsStripe] = ThreadStripes(_StatsStripe)
 
+    def record_run(self, window: dict[str, MethodStats]) -> None:
+        """Record a run of calls, already folded per method, in one
+        write to this thread's stripe."""
+        stripe = self._stripes.stripe()
+        with stripe.lock:
+            self._merge(stripe.methods, window)
+
     def record(self, method: str, latency: float, error: bool = False) -> None:
         stripe = self._stripes.stripe()
         with stripe.lock:
@@ -211,6 +219,19 @@ _SUSPENDING = frozenset((_COROUTINE, _BLOCKING, _CPU))
 _DRAINED = Response("drained")
 
 
+def _response(result: Any, error: Exception | None) -> Response:
+    """Fold one call's outcome into its reply."""
+    if error is None:
+        return Response("result", marshal_result(result))
+    if isinstance(error, CpuWorkerLostError):
+        # Worker death is a transport-level failure, not an application
+        # error: it propagates past the error-Response fold so the
+        # client's retry loop sees a ConnectError (one attempt charged,
+        # then retried against the respawned worker).
+        raise error
+    return Response("error", marshal_error(error))
+
+
 class Skeleton:
     """Server-side dispatcher for one exported object."""
 
@@ -259,7 +280,7 @@ class Skeleton:
         self.redirect_policy: Callable[[Request], RemoteRef | None] | None = None
         transport.endpoint(endpoint_id).export(
             self.object_id, self.handle, self.handle_async, self.may_suspend,
-            self.offloads,
+            self.offloads, self.handle_run,
         )
 
     def ref(self) -> RemoteRef:
@@ -358,6 +379,31 @@ class Skeleton:
             self._methods[name] = entry
         return entry
 
+    def _redirect(self, request: Request) -> Response | None:
+        """The reply the sentinel's redirect table gives ``request``, if
+        it bounces it to another member (``redirect_policy`` is set)."""
+        target = self.redirect_policy(request)
+        if target is not None and target != self.ref():
+            return Response("redirect", b"", target)
+        return None
+
+    def _admit(self, count: int) -> bool:
+        """Count ``count`` calls pending, unless the member drains."""
+        with self._pending_lock:
+            # Checked again under the lock start_drain takes: a call
+            # that passed the unlocked check must not be counted after
+            # the drain saw nothing pending and reported it drained.
+            if self.draining:
+                return False
+            self.pending += count
+        return True
+
+    def _release(self, count: int = 1) -> None:
+        with self._pending_lock:
+            self.pending -= count
+            if self.pending == 0 and self.draining:
+                self._drained.set()
+
     def _accept(
         self, request: Request
     ) -> tuple[Response | None, Any, int, tuple, dict, float]:
@@ -366,23 +412,18 @@ class Skeleton:
 
         Returns ``(refusal, method, kind, args, kwargs, started)``.  With
         a refusal nothing is left pending; otherwise the caller owns one
-        pending slot, which :meth:`_reply` releases.  Refused names (see
-        :meth:`_resolve`) are recorded as zero-latency errored calls.
+        pending slot, and releases it once it has its :meth:`_reply`.
+        Refused names (see :meth:`_resolve`) are recorded as
+        zero-latency errored calls.
         """
         if self.draining:
             return _DRAINED, None, _REFUSED, (), {}, 0.0
         if self.redirect_policy is not None:
-            target = self.redirect_policy(request)
-            if target is not None and target != self.ref():
-                redirect = Response("redirect", b"", target)
+            redirect = self._redirect(request)
+            if redirect is not None:
                 return redirect, None, _REFUSED, (), {}, 0.0
-        with self._pending_lock:
-            # Checked again under the lock start_drain takes: a call
-            # that passed the check above must not be counted after the
-            # drain saw nothing pending and reported the member drained.
-            if self.draining:
-                return _DRAINED, None, _REFUSED, (), {}, 0.0
-            self.pending += 1
+        if not self._admit(1):
+            return _DRAINED, None, _REFUSED, (), {}, 0.0
         accepted = False
         try:
             started = self.clock.now()
@@ -395,56 +436,30 @@ class Skeleton:
             self.stats.record(name, 0.0, error=True)
             if self._obs is not None:
                 self._observe(name, 0.0, error=True)
-            refusal = Response("error", marshal_result(method))
-            return refusal, None, kind, (), {}, 0.0
+            return _response(None, method), None, kind, (), {}, 0.0
         finally:
             if not accepted:
                 self._release()
 
     def _reply(
-        self,
-        request: Request,
-        started: float,
-        result: Any,
-        error: Exception | None,
+        self, name: str, started: float, result: Any, error: Exception | None
     ) -> Response:
-        """Shared dispatch epilogue: statistics, observability, the fold
-        of the outcome into a Response, and the pending slot's release
-        (after the reply is marshalled, so a drain waits for it)."""
-        try:
-            elapsed = self.clock.now() - started
-            failed = error is not None
-            self.stats.record(request.method, elapsed, failed)
-            if self._obs is not None:
-                self._observe(request.method, elapsed, error=failed)
-            if not failed:
-                return Response("result", marshal_result(result))
-            if isinstance(error, CpuWorkerLostError):
-                # Worker death is a transport-level failure, not an
-                # application error: it propagates past the error-
-                # Response fold so the client's retry loop sees a
-                # ConnectError (one attempt charged, then retried
-                # against the respawned worker).
-                raise error
-            return Response("error", marshal_error(error))
-        finally:
-            # _release(), inlined: this is every dispatch's way out.
-            with self._pending_lock:
-                self.pending -= 1
-                if self.pending == 0 and self.draining:
-                    self._drained.set()
-
-    def _release(self) -> None:
-        with self._pending_lock:
-            self.pending -= 1
-            if self.pending == 0 and self.draining:
-                self._drained.set()
+        """Shared dispatch epilogue: statistics, observability and the
+        fold of the outcome of a call ``started`` then into a Response.
+        The caller releases its slot after this (so a drain waits for
+        the reply to be marshalled)."""
+        elapsed = self.clock.now() - started
+        failed = error is not None
+        self.stats.record(name, elapsed, failed)
+        if self._obs is not None:
+            self._observe(name, elapsed, error=failed)
+        return _response(result, error)
 
     def handle(self, request: Request) -> Response:
         """Synchronous dispatch: accept, method, reply, on this thread.
 
-        What a worker of the member's dispatch pool runs: every call on
-        a :class:`~repro.rmi.transport.ThreadedTransport`, and a
+        What a worker of the member's dispatch pool runs: every unbatched
+        call on a :class:`~repro.rmi.transport.ThreadedTransport`, and a
         ``@blocking`` method's call (:meth:`offloads`) on the asyncio
         transport, whose worker may also complete the call.  The drain
         and redirect gate, the pending count and the statistics clock
@@ -454,28 +469,28 @@ class Skeleton:
         refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
+        name = request.method
         try:
-            if kind == _CPU:
-                result = self._cpu.run_call(
-                    self.impl, request.method, args, kwargs
-                )
-            else:
-                result = method(*args, **kwargs)
-                if inspect.iscoroutine(result):
-                    # Coroutine remote methods stay invocable on the
-                    # sync transports: the dispatch thread owns no
-                    # loop, so a private one drives the coroutine to
-                    # completion.
-                    result = asyncio.run(result)
-        except Exception as exc:
-            return self._reply(request, started, None, exc)
-        except BaseException:
+            try:
+                if kind == _CPU:
+                    result = self._cpu.run_call(self.impl, name, args, kwargs)
+                else:
+                    result = method(*args, **kwargs)
+                    if inspect.iscoroutine(result):
+                        # Coroutine remote methods stay invocable on the
+                        # sync transports: the dispatch thread owns no
+                        # loop, so a private one drives the coroutine to
+                        # completion.
+                        result = asyncio.run(result)
+            except Exception as exc:
+                return self._reply(name, started, None, exc)
+            return self._reply(name, started, result, None)
+        finally:
             self._release()
-            raise
-        return self._reply(request, started, result, None)
 
     async def handle_async(self, request: Request) -> Response:
-        """Loop-native dispatch (the asyncio transport's path).
+        """Loop-native dispatch (the asyncio transport's path for an
+        unbatched call, and for a batch entry that may suspend).
 
         :meth:`handle` with a different call: ``@cpu_bound`` methods are
         awaited on a worker process and coroutine methods are awaited in
@@ -491,32 +506,117 @@ class Skeleton:
         refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
             return refusal
+        name = request.method
         try:
-            if kind == _CPU:
-                # Hand the call to a worker process and await its
-                # future without blocking the loop.
-                result = await asyncio.wrap_future(
-                    self._cpu.submit_call(
-                        self.impl, request.method, args, kwargs
+            try:
+                if kind == _CPU:
+                    # Hand the call to a worker process and await its
+                    # future without blocking the loop.
+                    result = await asyncio.wrap_future(
+                        self._cpu.submit_call(self.impl, name, args, kwargs)
                     )
-                )
-            else:
-                result = method(*args, **kwargs)
-                if inspect.iscoroutine(result):
-                    if kind == _PLAIN:
-                        # A plain method handed back a coroutine (a
-                        # sync wrapper around an ``async def``): the
-                        # caller may be stepping us inside a task it
-                        # shares with other entries, so this user code
-                        # gets a task of its own before it runs.
-                        result = asyncio.get_running_loop().create_task(result)
-                    result = await result
-        except Exception as exc:
-            return self._reply(request, started, None, exc)
-        except BaseException:
+                else:
+                    result = method(*args, **kwargs)
+                    if inspect.iscoroutine(result):
+                        if kind == _PLAIN:
+                            # A plain method handed back a coroutine (a
+                            # sync wrapper around an ``async def``): the
+                            # transport may be stepping us outside any
+                            # task, so this user code gets a task of its
+                            # own before it runs.
+                            result = asyncio.get_running_loop().create_task(
+                                result
+                            )
+                        result = await result
+            except Exception as exc:
+                return self._reply(name, started, None, exc)
+            return self._reply(name, started, result, None)
+        finally:
             self._release()
-            raise
-        return self._reply(request, started, result, None)
+
+    def handle_run(
+        self, requests: Sequence[Request],
+        loop: asyncio.AbstractEventLoop | None = None,
+    ) -> list[Any]:
+        """:meth:`handle` for a run of calls to this object, in one pass.
+
+        Redirects are decided per call, before admission; the drain gate,
+        the pending count and the statistics write are paid once per
+        run, and the clock is read once per call boundary.  The slots go
+        back after the last reply is built, so a drain one call starts
+        waits for the rest, which still run.  With ``loop`` (the asyncio
+        transport; calls that cannot suspend only) each call runs in a
+        context copy of its own, and a coroutine a plain method hands
+        back becomes a task on ``loop`` that stands in for its reply.
+        """
+        if self.draining:
+            return [_DRAINED] * len(requests)
+        replies: list[Any] = [None] * len(requests)
+        if self.redirect_policy is not None:
+            replies = [self._redirect(request) for request in requests]
+        admitted = [index for index, reply in enumerate(replies) if reply is None]
+        held = len(admitted)
+        if not self._admit(held):
+            return [reply or _DRAINED for reply in replies]
+        window: dict[str, MethodStats] = {}
+        now = self.clock.now
+        try:
+            started = now()
+            for index in admitted:
+                name = requests[index].method
+                method, kind = self._methods.get(name) or self._resolve(name)
+                result = error = None
+                if kind == _REFUSED:
+                    error = method
+                else:
+                    args, kwargs = unmarshal_call(requests[index].payload)
+                    try:
+                        if kind == _CPU:
+                            result = self._cpu.run_call(self.impl, name, args, kwargs)
+                        elif loop is None:
+                            result = method(*args, **kwargs)
+                            if inspect.iscoroutine(result):
+                                result = asyncio.run(result)  # as in handle
+                        else:
+                            context = copy_context()
+                            result = context.run(method, *args, **kwargs)
+                    except Exception as exc:
+                        error = exc
+                    if loop is not None and inspect.iscoroutine(result):
+                        task = replies[index] = loop.create_task(
+                            self._settle(name, started, result), context=context
+                        )
+                        # The task holds the call's slot until it is done,
+                        # cancelled before it ever ran too.
+                        task.add_done_callback(lambda _: self._release())
+                        held -= 1
+                        started = now()
+                        continue
+                replies[index] = _response(result, error)
+                ended = now()
+                latency = 0.0 if kind == _REFUSED else ended - started
+                stats = window.get(name)
+                if stats is None:
+                    stats = window[name] = MethodStats()
+                stats.calls += 1
+                stats.total_latency += latency
+                stats.errors += error is not None
+                if self._obs is not None:
+                    self._observe(name, latency, error is not None)
+                started = ended
+        finally:
+            self.stats.record_run(window)
+            self._release(held)
+        return replies
+
+    async def _settle(self, name: str, started: float, coroutine: Any) -> Response:
+        """The task of a run's call whose plain method handed back a
+        coroutine: await it, then reply."""
+        try:
+            result = await coroutine
+        except Exception as exc:
+            return self._reply(name, started, None, exc)
+        return self._reply(name, started, result, None)
 
     def may_suspend(self, name: str) -> bool:
         """Can a call of ``name`` fail to reply in :meth:`handle_async`'s

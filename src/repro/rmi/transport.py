@@ -49,7 +49,8 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, NamedTuple, Protocol
+from operator import attrgetter
+from typing import Any, Awaitable, Callable, NamedTuple, Protocol, Sequence
 
 from repro.concurrency import StripedCounter
 from repro.errors import ConnectError, RemoteError
@@ -103,9 +104,10 @@ class BatchRequest:
     The client-side batcher coalesces concurrent calls bound for the
     same endpoint into one of these; the transport delivers it as a
     *single* message — one fault-hook consultation, one
-    ``messages_sent`` increment — and unbatches on the server side,
-    dispatching every entry through its own exported handler so drain,
-    redirect, statistics, and errors stay per logical call.
+    ``messages_sent`` increment — and unbatches on the server side: each
+    run of consecutive entries for one skeleton in one pass of its run
+    handler, which keeps redirects, statistics and errors per logical
+    call while it admits and counts the run once.
 
     Entry payloads travel exactly as they were marshalled (pickled
     bytes or zero-copy :class:`FastPayload`); batching never re-wraps
@@ -146,8 +148,11 @@ class Endpoint:
     transport runs one that cannot where the message was sent, with no
     task), and ``offloads`` whether it blocks a thread (``@blocking``:
     the asyncio transport runs it through the *sync* handler on
-    ``pool``).  ``pool`` is the endpoint's :class:`_Dispatcher`, made by
-    its transport on first use and closed when the endpoint is killed.
+    ``pool``).  ``runs`` holds a skeleton's run handler
+    (``Skeleton.handle_run``), which serves a batch's consecutive
+    entries for its object in one pass on every transport.  ``pool`` is
+    the endpoint's :class:`_Dispatcher`, made by its transport on first
+    use and closed when the endpoint is killed.
     """
 
     name: str
@@ -158,6 +163,7 @@ class Endpoint:
     ahandlers: dict[str, AsyncRequestHandler] = field(default_factory=dict)
     may_suspend: dict[str, Callable[[str], bool]] = field(default_factory=dict)
     offloads: dict[str, Callable[[str], bool]] = field(default_factory=dict)
+    runs: dict[str, Callable[..., list]] = field(default_factory=dict)
     alive: bool = True
     pool: _Dispatcher | None = field(default=None, repr=False, compare=False)
     lock: threading.RLock = field(
@@ -171,11 +177,13 @@ class Endpoint:
         async_handler: AsyncRequestHandler | None = None,
         may_suspend: Callable[[str], bool] | None = None,
         offloads: Callable[[str], bool] | None = None,
+        run_handler: Callable[..., list] | None = None,
     ) -> None:
         with self.lock:
             if object_id in self.handlers:
                 raise ValueError(f"object already exported: {object_id}")
             self._publish("handlers", object_id, handler)
+            self._publish("runs", object_id, run_handler)
             if async_handler is not None:
                 self._publish("ahandlers", object_id, async_handler)
                 self._publish("may_suspend", object_id, may_suspend)
@@ -183,7 +191,7 @@ class Endpoint:
 
     def unexport(self, object_id: str) -> None:
         with self.lock:
-            for table in ("handlers", "ahandlers", "may_suspend", "offloads"):
+            for table in ("handlers", "ahandlers", "may_suspend", "offloads", "runs"):
                 self._publish(table, object_id, None)
 
     def _publish(self, table: str, object_id: str, value: Any) -> None:
@@ -449,12 +457,27 @@ class _TransportBase:
                 endpoint=ep.name, method=message.method, caller=message.caller,
             )
 
-    @staticmethod
-    def _dispatch_entry(ep: Endpoint, request: Request) -> Response:
-        handler = ep.handlers.get(request.object_id)
-        if handler is None:
-            return Response(kind="unresolved", value=request.object_id)
-        return handler(request)
+
+_object_id = attrgetter("object_id")
+
+
+def _serve(ep: Endpoint, requests: Sequence[Request]) -> list[Response]:
+    """A batch's replies, its entries served in order on this thread:
+    each run of consecutive entries for one skeleton in one pass of its
+    run handler, any other entry through its exported handler."""
+    replies: list[Response] = []
+    for object_id, entries in itertools.groupby(requests, _object_id):
+        run = ep.runs.get(object_id)
+        if run is not None:
+            replies.extend(run(list(entries)))
+            continue
+        handler = ep.handlers.get(object_id)
+        for request in entries:
+            replies.append(
+                Response(kind="unresolved", value=object_id)
+                if handler is None else handler(request)
+            )
+    return replies
 
 
 def batch_envelope(batch: BatchRequest) -> Request:
@@ -498,18 +521,16 @@ class DirectTransport(_TransportBase):
         return handler(request)
 
     def invoke_batch(self, endpoint_id: str, batch: BatchRequest) -> BatchResponse:
-        """Deliver a batch deterministically: one wire message, then each
-        entry in order in the caller's thread, ``on_message`` observing
-        every logical invocation for simulation accounting."""
+        """Deliver a batch deterministically: one wire message, then its
+        entries in order in the caller's thread (:func:`_serve`), after
+        ``on_message`` has observed every logical invocation for
+        simulation accounting."""
         ep = self._resolve_endpoint(endpoint_id)
         self._batch_prologue(endpoint_id, ep, batch)
-        on_message = self._on_message
-        responses = []
-        for request in batch.entries:
-            if on_message is not None:
-                on_message(endpoint_id, request)
-            responses.append(self._dispatch_entry(ep, request))
-        return BatchResponse(entries=tuple(responses))
+        if self._on_message is not None:
+            for request in batch.entries:
+                self._on_message(endpoint_id, request)
+        return BatchResponse(entries=tuple(_serve(ep, batch.entries)))
 
 
 class _DispatchStats:
@@ -708,9 +729,7 @@ class _Dispatcher:
 
 
 def _run_chunk(arg: tuple[Endpoint, tuple[Request, ...]]) -> list[Response]:
-    ep, chunk = arg
-    dispatch = _TransportBase._dispatch_entry
-    return [dispatch(ep, request) for request in chunk]
+    return _serve(*arg)
 
 
 class ThreadedTransport(_TransportBase):
@@ -770,6 +789,8 @@ class ThreadedTransport(_TransportBase):
         dispatcher = self._dispatcher(ep)
         self._batch_prologue(endpoint_id, ep, batch)
         requests = batch.entries
+        if not requests:
+            return BatchResponse(entries=())
         chunk_count = min(self._workers, len(requests))
         size, extra = divmod(len(requests), chunk_count)
         jobs = []

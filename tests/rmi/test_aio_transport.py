@@ -28,10 +28,11 @@ from repro.rmi.aio import (
 )
 from repro.rmi.batching import RequestBatcher
 from repro.rmi.cpu import cpu_bound
-from repro.rmi.fastpath import marshal_call, unmarshal_result
+from repro.obs import Observability
+from repro.rmi.fastpath import marshal_call, unmarshal_call, unmarshal_result
 from repro.rmi.future import gather
 from repro.rmi.remote import Remote, Skeleton, Stub
-from repro.rmi.transport import BatchRequest, Request, Response
+from repro.rmi.transport import BatchRequest, Request, Response, ThreadedTransport
 
 from tests.rmi.test_transport import _wait_for
 
@@ -390,7 +391,171 @@ def outcome(response):
     return response.kind, response.value
 
 
-class TestBatchDispatch:
+class RunService(Remote):
+    """Plain methods that look at their own skeleton while a run of them
+    is served (``skeleton`` is set once it is exported)."""
+
+    def __init__(self):
+        self.skeleton = None
+        self.seen = []  # (is_drained, pending) as each double() found them
+        self.gate = threading.Event()
+
+    def double(self, n):
+        self.seen.append((self.skeleton.is_drained, self.skeleton.pending))
+        return 2 * n
+
+    def explode(self):
+        raise ValueError("kaboom")
+
+    def leave(self):
+        self.skeleton.start_drain()
+
+    def gated(self, n):
+        """A plain method that hands back an awaitable, done once the
+        gate opens."""
+        return self._wait(n)
+
+    async def _wait(self, n):
+        while not self.gate.is_set():
+            await asyncio.sleep(0.001)
+        return 2 * n
+
+
+class RunDispatchPromises:
+    """What serving a batch's plain entries in one pass
+    (``Skeleton.handle_run``) keeps, on either live transport.  Every
+    batch here is one run: plain methods of one skeleton."""
+
+    # Calls still pending while one call's coroutine waits: on the loop
+    # only that call, whose task holds its slot; on a worker the whole
+    # run, which drives the coroutine to its end in place.
+    held_while_waiting: int
+
+    def serve(self, transport, obs=None):
+        endpoint = transport.add_endpoint("server")
+        impl = RunService()
+        impl.skeleton = Skeleton(impl, transport, endpoint.endpoint_id, obs=obs)
+        return endpoint.endpoint_id, impl, impl.skeleton
+
+    def send(self, transport, endpoint_id, skeleton, *calls):
+        batch = BatchRequest(entries=tuple(
+            request_for(skeleton, *call) for call in calls
+        ))
+        return transport.invoke_batch(endpoint_id, batch).entries
+
+    def test_statistics_stay_per_method(self, transport):
+        endpoint_id, _, skeleton = self.serve(transport)
+        replies = self.send(
+            transport, endpoint_id, skeleton,
+            ("double", 1), ("explode",), ("double", 2), ("explode",),
+            ("double", 3),
+        )
+        assert [r.kind for r in replies] == [
+            "result", "error", "result", "error", "result",
+        ]
+        stats = skeleton.stats.snapshot()
+        assert (stats["double"].calls, stats["double"].errors) == (3, 0)
+        assert (stats["explode"].calls, stats["explode"].errors) == (2, 2)
+        assert skeleton.pending == 0
+
+    def test_a_drain_started_inside_a_run_waits_for_the_rest_of_it(
+        self, transport
+    ):
+        endpoint_id, impl, skeleton = self.serve(transport)
+        replies = self.send(
+            transport, endpoint_id, skeleton,
+            ("double", 1), ("leave",), ("double", 2), ("double", 3),
+        )
+        assert [outcome(r) for r in replies] == [
+            ("result", 2), ("result", None), ("result", 4), ("result", 6),
+        ]
+        # The run was admitted whole: its later calls still ran, and the
+        # member reported drained only once all four replies were built.
+        assert impl.seen == [(False, 4)] * 3
+        assert skeleton.is_drained and skeleton.pending == 0
+        replies = self.send(
+            transport, endpoint_id, skeleton, ("double", 4), ("double", 5)
+        )
+        assert [r.kind for r in replies] == ["drained", "drained"]
+        assert skeleton.stats.snapshot()["double"].calls == 3
+
+    def test_redirects_are_decided_per_entry_before_admission(self, transport):
+        endpoint_id, impl, skeleton = self.serve(transport)
+        elsewhere = Skeleton(RunService(), transport, endpoint_id).ref()
+        skeleton.redirect_policy = lambda request: (
+            elsewhere if unmarshal_call(request.payload)[0][0] % 2 == 0
+            else None
+        )
+        replies = self.send(
+            transport, endpoint_id, skeleton, *(("double", n) for n in range(6))
+        )
+        assert [r.kind for r in replies] == ["redirect", "result"] * 3
+        assert {replies[n].value for n in (0, 2, 4)} == {elsewhere}
+        assert [outcome(replies[n]) for n in (1, 3, 5)] == [
+            ("result", 2), ("result", 6), ("result", 10),
+        ]
+        # Only the three served calls were ever pending, or counted.
+        assert impl.seen == [(False, 3)] * 3
+        assert skeleton.stats.snapshot()["double"].calls == 3
+        assert skeleton.pending == 0
+
+    def test_a_coroutine_handed_back_holds_its_slot_until_it_replies(
+        self, transport
+    ):
+        endpoint_id, impl, skeleton = self.serve(transport)
+        done = []
+        sender = threading.Thread(target=lambda: done.append(self.send(
+            transport, endpoint_id, skeleton,
+            ("double", 1), ("gated", 2), ("double", 3),
+        )))
+        sender.start()
+        try:
+            assert _wait_for(lambda: skeleton.pending == self.held_while_waiting)
+            assert not done
+            assert "gated" not in skeleton.stats.snapshot()
+        finally:
+            impl.gate.set()
+            sender.join(timeout=5.0)
+        assert [outcome(r) for r in done[0]] == [
+            ("result", 2), ("result", 4), ("result", 6),
+        ]
+        assert skeleton.stats.snapshot()["gated"].calls == 1
+        assert skeleton.pending == 0
+
+    def test_each_call_of_a_run_is_observed(self, transport):
+        obs = Observability()
+        endpoint_id, _, skeleton = self.serve(transport, obs=obs)
+        calls = [
+            ("double", 1), ("explode",), ("double", 2), ("explode",),
+            ("double", 3), ("double", 4),
+        ]
+        self.send(transport, endpoint_id, skeleton, *calls)
+        events = [e.field_dict() for e in obs.tracer.events("skeleton", "invoke")]
+        assert [(e["method"], e["error"]) for e in events] == [
+            (name, name == "explode") for name, *_ in calls
+        ]
+        latency = f"rmi.server.latency.{skeleton.object_id}"
+        assert obs.registry.histogram(f"{latency}.double").count == 4
+        assert obs.registry.histogram(f"{latency}.explode").count == 2
+        assert obs.registry.counter("rmi.server.errors").value == 2
+
+
+class TestThreadedBatchDispatch(RunDispatchPromises):
+    """The promises on a worker: one worker per endpoint, so a batch is
+    one chunk and its entries one run."""
+
+    held_while_waiting = 3
+
+    @pytest.fixture
+    def transport(self):
+        t = ThreadedTransport(workers_per_endpoint=1)
+        yield t
+        t.shutdown()
+
+
+class TestBatchDispatch(RunDispatchPromises):
+    held_while_waiting = 1
+
     def test_every_kind_of_entry_replies_in_entry_order(self, transport):
         endpoint, skeleton = exported(transport, Mixed())
         leaving = Skeleton(Mixed(), transport, endpoint.endpoint_id)

@@ -1,8 +1,12 @@
 """Thread-safety of call statistics and stub bookkeeping."""
 
+import sys
 import threading
+import time
 
-from repro.rmi.remote import CallStats, MethodStats
+from repro.rmi.fastpath import marshal_call
+from repro.rmi.remote import CallStats, MethodStats, Remote, Skeleton
+from repro.rmi.transport import DirectTransport, Request
 
 
 class TestCallStatsConcurrency:
@@ -65,3 +69,58 @@ class TestMethodStats:
     def test_mean_latency(self):
         stats = MethodStats(calls=4, total_latency=1.0)
         assert stats.latency() == 0.25
+
+
+class _Echo(Remote):
+    def echo(self, value):
+        return value
+
+
+class TestRunAdmissionConcurrency:
+    def test_a_drain_racing_runs_admits_each_run_whole(self):
+        """Runs served on four threads while a fifth starts the drain:
+        each run is admitted whole or refused whole, none is served once
+        the member reported drained, and the statistics count exactly
+        the served runs' calls."""
+        transport = DirectTransport()
+        endpoint = transport.add_endpoint("member")
+        skeleton = Skeleton(_Echo(), transport, endpoint.endpoint_id)
+        run = [
+            Request(skeleton.object_id, "echo", marshal_call((n,), {}), "t")
+            for n in range(8)
+        ]
+        outcomes: list[set[str]] = []
+        late: list[set[str]] = []
+
+        def server():
+            for _ in range(500):
+                drained_before = skeleton.is_drained
+                kinds = {reply.kind for reply in skeleton.handle_run(run)}
+                outcomes.append(kinds)
+                if drained_before and kinds != {"drained"}:
+                    late.append(kinds)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=server) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while len(outcomes) < 20 and time.monotonic() < deadline:
+                time.sleep(0.0005)
+            skeleton.start_drain()
+            assert skeleton.wait_drained(timeout=5.0)
+            assert skeleton.pending == 0
+        finally:
+            for thread in threads:
+                thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 4 * 500
+        assert all(kinds in ({"result"}, {"drained"}) for kinds in outcomes)
+        assert late == []
+        served = sum(kinds == {"result"} for kinds in outcomes)
+        assert 0 < served < len(outcomes)
+        assert skeleton.stats.snapshot()["echo"].calls == 8 * served
+        assert skeleton.pending == 0

@@ -456,3 +456,21 @@ class TestThreadedDispatcher:
             )
         assert hooked == []
         assert transport.messages_sent == sent
+
+
+@pytest.mark.parametrize("kind", ["direct", "threaded", "asyncio"])
+def test_an_empty_batch_is_one_message_with_no_replies(kind):
+    from repro.rmi.aio import AsyncioTransport
+
+    transport = {
+        "direct": DirectTransport, "threaded": ThreadedTransport,
+        "asyncio": AsyncioTransport,
+    }[kind]()
+    try:
+        ep = transport.add_endpoint("s")
+        reply = transport.invoke_batch(ep.endpoint_id, BatchRequest(entries=()))
+        assert reply.entries == ()
+        assert transport.messages_sent == 1
+    finally:
+        if kind != "direct":
+            transport.shutdown()
