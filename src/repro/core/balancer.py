@@ -68,15 +68,15 @@ class ElasticStub:
     returns invokers, failures of individual members are masked by retry,
     and only total pool failure propagates.
 
-    Membership caching is *epoch-based* when an ``epoch_source`` is given
-    (the runtime wires one that reads the pool's epoch key the sentinel
-    bumps in the KV store on every membership change): the common path
-    reads the cached member list with no lock at all — the list reference
-    is swapped atomically on refresh and the round-robin cursor is an
-    ``itertools.count`` (atomic in CPython) — and identities are re-read
-    from the sentinel only when the epoch moves.  Without an epoch source
-    the stub falls back to the legacy count-based refresh (re-fetch every
-    ``refresh_every`` calls).
+    Membership caching is *epoch-based*: ``epoch_source`` (the runtime
+    wires one that reads the pool's epoch key the sentinel bumps in the
+    KV store on every membership change) is read on every call, the
+    common path reads the cached member list with no lock at all — the
+    list reference is swapped atomically on refresh and the round-robin
+    cursor is an ``itertools.count`` (atomic in CPython) — and
+    identities are re-read from the sentinel only when the epoch moves.
+    Without an epoch source the epoch never moves: members are fetched
+    at first contact and after a round in which every one failed.
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class ElasticStub:
         mode: BalancingMode = BalancingMode.ROUND_ROBIN,
         caller: str = "client",
         rng: Any = None,
-        refresh_every: int = 64,
         epoch_source: Callable[[], int] | None = None,
         retry_policy: RetryPolicy | None = None,
         clock: Clock | None = None,
@@ -99,7 +98,6 @@ class ElasticStub:
         self._mode = mode
         self._caller = caller
         self._rng = rng
-        self._refresh_every = refresh_every
         self._epoch_source = epoch_source
         # Retry behaviour is budget-bounded: the policy caps attempts,
         # refresh rounds, and (when a clock is wired) total elapsed time,
@@ -127,7 +125,6 @@ class ElasticStub:
         self._epoch = -1  # epoch the cached members belong to
         self._members: list[RemoteRef] = []
         self._rr = itertools.count()
-        self._calls_since_refresh = 0
         self._discarded: set[RemoteRef] = set()
         self._lock = threading.Lock()
 
@@ -182,11 +179,12 @@ class ElasticStub:
                     self._rr = itertools.count()
             self._discarded.clear()
             self._members = list(refs)
-            self._calls_since_refresh = 0
             if epoch is not None:
                 self._epoch = epoch
 
     def _read_epoch(self) -> int:
+        if self._epoch_source is None:
+            return 0
         try:
             return int(self._epoch_source())
         except (RemoteError, StoreError):
@@ -206,56 +204,43 @@ class ElasticStub:
         ``members[(start + k) % len(members)]``.  Nothing is copied to
         pick a member.
         """
-        if self._epoch_source is not None:
-            # Epoch path: lock-free unless the epoch moved.
+        # Lock-free unless the epoch moved.
+        members = self._members
+        epoch = self._read_epoch()
+        if not members or epoch != self._epoch:
+            try:
+                self._refresh_members(epoch=epoch)
+            except (ConnectError, MemberDrainedError, RemoteError):
+                # The sentinel may be dead mid-re-election (the
+                # epoch moved because its members were reaped).
+                # Serve the stale cache — dead entries get
+                # discarded by per-member retry — and leave the
+                # epoch unchanged so the next call re-fetches.
+                if not self._members:
+                    raise
+                if epoch != self._epoch and self._discarded:
+                    # The epoch moved, so the discard set describes
+                    # a membership that no longer exists.  Without
+                    # this, a long sentinel outage accumulated every
+                    # ref ever discarded (the set grew without
+                    # bound) and a member that recovered under the
+                    # same identity stayed out of the stale rotation
+                    # until a refresh finally succeeded.  Return the
+                    # discarded refs to the candidate list — per-
+                    # member retry re-discards the ones still dead —
+                    # and restart the cursor (positions shifted).
+                    with self._lock:
+                        revived = sorted(
+                            (
+                                ref for ref in self._discarded
+                                if ref not in self._members
+                            ),
+                            key=lambda r: (r.endpoint_id, r.object_id),
+                        )
+                        self._members = self._members + revived
+                        self._discarded.clear()
+                        self._rr = itertools.count()
             members = self._members
-            epoch = self._read_epoch()
-            if not members or epoch != self._epoch:
-                try:
-                    self._refresh_members(epoch=epoch)
-                except (ConnectError, MemberDrainedError, RemoteError):
-                    # The sentinel may be dead mid-re-election (the
-                    # epoch moved because its members were reaped).
-                    # Serve the stale cache — dead entries get
-                    # discarded by per-member retry — and leave the
-                    # epoch unchanged so the next call re-fetches.
-                    if not self._members:
-                        raise
-                    if epoch != self._epoch and self._discarded:
-                        # The epoch moved, so the discard set describes
-                        # a membership that no longer exists.  Without
-                        # this, a long sentinel outage accumulated every
-                        # ref ever discarded (the set grew without
-                        # bound) and a member that recovered under the
-                        # same identity stayed out of the stale rotation
-                        # until a refresh finally succeeded.  Return the
-                        # discarded refs to the candidate list — per-
-                        # member retry re-discards the ones still dead —
-                        # and restart the cursor (positions shifted).
-                        with self._lock:
-                            revived = sorted(
-                                (
-                                    ref for ref in self._discarded
-                                    if ref not in self._members
-                                ),
-                                key=lambda r: (r.endpoint_id, r.object_id),
-                            )
-                            self._members = self._members + revived
-                            self._discarded.clear()
-                            self._rr = itertools.count()
-                members = self._members
-        else:
-            # Legacy path: count-based periodic refresh.
-            with self._lock:
-                needs_refresh = (
-                    not self._members
-                    or self._calls_since_refresh >= self._refresh_every
-                )
-            if needs_refresh:
-                self._refresh_members()
-            with self._lock:
-                self._calls_since_refresh += 1
-                members = self._members
         if not members:
             raise ConnectError("elastic pool has no members")
         if self._mode is BalancingMode.RANDOM and self._rng is not None:

@@ -8,29 +8,28 @@ most one ``asyncio.Task`` (~KBs, no stack), so one process sustains tens
 of thousands of concurrent calls.
 
 What a task is paid for
-    Only suspension on the loop.  A method that cannot suspend — a
-    plain method: not ``async def``, not ``@blocking``, not
-    ``@cpu_bound``; the skeleton says which, via ``Endpoint.export`` —
-    runs to its reply where it was sent, inside the sweep or loop
-    callback that sent the message, in a context copy of its own, with
-    no task, no timer and no extra loop turn.  An unbatched call of one
-    goes through the exported ``handle_async``, stepped once; each run
-    of consecutive such entries of a batch for one skeleton goes
-    through its ``handle_run`` in one pass, admitted, run and counted
-    once per run.  A ``@blocking`` call or batch entry costs no task
-    either: it is one job on its member's pool.  An unbatched ``async
-    def`` or ``@cpu_bound`` call costs one task; a batch costs one per
-    such entry, plus one for the batch once it waits on them or on its
-    ``@blocking`` entries.  Whether a method suspends is never found
-    out by running it: user code in an ``async def`` body must see its
-    *own* task.  A message also goes through a task when a fault hook
-    is installed or the in-flight window is full, and a plain one when
-    it is sent from inside a task.  ``rmi.aio.loop_lag_ms`` shows the
-    longer loop turns a wave of plain handlers costs.
+    Only suspension on the loop.  A message is walked to its reply
+    where it was sent, inside the sweep or loop callback that sent it,
+    with no task, no timer and no extra loop turn: each run of
+    consecutive plain entries for one skeleton (not ``async def``, not
+    ``@blocking``, not ``@cpu_bound``; the exported skeleton says
+    which) goes through its ``handle_run`` in one pass, admitted, run
+    and counted once per run, each call in a context copy of its own;
+    an unbatched plain call is a run of one.  A ``@blocking`` call or
+    batch entry costs no task either: it is one job on its member's
+    pool.  An unbatched ``async def`` or ``@cpu_bound`` call costs one
+    task; a batch costs one per such entry, plus one for the batch once
+    it waits on them or on its ``@blocking`` entries.  Whether a method
+    suspends is never found out by running it: user code in an ``async
+    def`` body must see its *own* task.  A message also goes through a
+    task when a fault hook is installed or the in-flight window is
+    full, and when it is sent from inside a task.
+    ``rmi.aio.loop_lag_ms`` shows the longer loop turns a wave of plain
+    handlers costs.
 
 Dispatch rules
     Skeletons dispatch *on the loop*: coroutine methods are awaited in
-    place (``handle_async``) and plain methods run inline, batched or
+    a task (``handle_async``) and plain methods run inline, batched or
     not (they must be CPU-light).  Methods marked with :func:`blocking`
     never touch the loop: the skeleton's synchronous ``handle`` — what
     a ``ThreadedTransport`` worker runs for an unbatched call — runs on
@@ -63,10 +62,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import types
 from collections import deque
 from concurrent.futures import Future
-from contextvars import Context, copy_context
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
@@ -330,12 +327,13 @@ class AsyncioTransport(_TransportBase):
             self._start(endpoint_id, request, on_done)
             return
         ep = self._endpoints.get(endpoint_id)
+        target = None if ep is None else ep.objects.get(request.object_id)
         if (
-            ep is not None and ep.alive and not self._closed
-            and self._fault_hook is None and _offloads(ep, request)
+            target is not None and ep.alive and not self._closed
+            and self._fault_hook is None and target.offloads(request.method)
             and self._take(1)
         ):
-            self._hand_off(ep, request, on_done, None)
+            self._hand_off(ep, target, request, on_done, None)
         else:
             runtime.loop.call_soon_threadsafe(
                 self._start, endpoint_id, request, on_done
@@ -352,104 +350,107 @@ class AsyncioTransport(_TransportBase):
         self, endpoint_id: str, message: Request | BatchRequest,
         on_done: DoneCallback,
     ) -> None:  # loop thread
-        """Send one wire message: eagerly when nothing in it can suspend
-        before its reply, as one job on its member's pool when it is a
-        ``@blocking`` call (``Endpoint.offloads``), in a task otherwise.
+        """Send one wire message: as one job on its member's pool when it
+        is an unbatched ``@blocking`` call (the target ``offloads`` it),
+        walked where it was sent (:meth:`_eager`), or in a task.
 
         Both task-free paths need no fault hook and a free slot of the
-        window.  Eager also needs no current task (user code never runs
-        in a task not its own) and a batch, or a call whose skeleton says
-        its method cannot suspend (``Endpoint.may_suspend``; a raw
-        exported callable makes no such promise).  A message that fails
-        to resolve is answered here.
+        window; eager also needs no current task (user code never runs
+        in a task not its own).  A message that fails to resolve is
+        answered here.
         """
         try:
-            ep, handler = self._resolve_message(endpoint_id, message)
+            ep, target = self._resolve_message(endpoint_id, message)
         except ConnectError as exc:
             self._complete(on_done, None, exc)
             return
+        entries = message.entries if target is None else (message,)
         if self._fault_hook is None:
-            if handler is None or not ep.may_suspend.get(
-                message.object_id, _suspends
-            )(message.method):
-                size = 1 if handler is not None else len(message.entries)
-                if (
-                    asyncio.current_task(self._runtime.loop) is None
-                    and self._take(size)
-                ):
-                    context = copy_context()
-                    context.run(
-                        self._eager, ep, handler, message, size, on_done,
-                        context,
-                    )
+            if target is not None and target.offloads(message.method):
+                if self._take(1):
+                    self._hand_off(ep, target, message, on_done, self._runtime.loop)
                     return
-            elif _offloads(ep, message) and self._take(1):
-                self._hand_off(ep, message, on_done, self._runtime.loop)
+            elif (
+                asyncio.current_task(self._runtime.loop) is None
+                and self._take(len(entries))
+            ):
+                self._eager(ep, target, message, entries, on_done)
                 return
         self._spawn(self._run(
-            self._invoke_async(endpoint_id, ep, handler, message), on_done
+            self._invoke_async(endpoint_id, ep, target, message, entries),
+            on_done,
         ))
 
     def _eager(
-        self, ep: Endpoint, handler: Any, message: Request | BatchRequest,
-        size: int, on_done: DoneCallback, context: Context,
-    ) -> None:  # loop thread, run in ``context``
-        """Step one message to its reply inside the caller's callback.
+        self, ep: Endpoint, target: Any, message: Request | BatchRequest,
+        entries: tuple[Request, ...], on_done: DoneCallback,
+    ) -> None:  # loop thread
+        """Walk one message to its reply inside the caller's callback.
 
         It holds the slot :meth:`_start` took and counts as in flight
-        while it runs, as a task would.  Should it suspend after all — a
-        batch whose entries were given tasks, a plain method that handed
-        back an awaitable — the rest of it becomes the message's one
-        task, in the same context and under the deadline its dispatch
-        started here.
+        while it runs, as a task would.  Should its replies wait on
+        something (:meth:`_walk`), the rest of it becomes the message's
+        one task, under the deadline its dispatch started here.
         """
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, message)
         started = self._runtime.loop.time()
         try:
-            if handler is None:
-                reply = _step(self._dispatch, ep, None, message)
-            else:
-                reply = _step(handler, message)
+            replies, waiting = self._walk(ep, entries, target)
         except BaseException as exc:  # noqa: BLE001 - relayed to completer
             reply, error = None, exc
         else:
-            if type(reply) is types.CoroutineType:  # _step's rest of it
-                self._spawn(
-                    self._run(
-                        self._resume(reply, message, size, started), on_done
-                    ),
-                    context,
-                )
+            if waiting:
+                self._spawn(self._run(
+                    self._resume(message, replies, waiting, started, len(entries)),
+                    on_done,
+                ))
                 return
+            reply = replies[0] if target is not None else BatchResponse(
+                entries=tuple(replies)
+            )
             error = None
-        self._give(size)
+        self._give(len(entries))
         self._complete(on_done, reply, error)
 
     async def _resume(
-        self, rest: Any, message: Request | BatchRequest, size: int, started: float
+        self, message: Request | BatchRequest, replies: list[Any],
+        waiting: list[tuple[int, Any]], started: float, size: int,
     ) -> Any:
-        """The task of an eagerly stepped message that suspended."""
+        """The task of a walked message whose replies wait: await them
+        under the deadline of its dispatch ``started`` then (loop time),
+        then give back its ``size`` slots.  An unbatched call's reply is
+        awaited in this task; a batch's, each in a task of its own."""
+        deadline = None if self._timeout is None else started + self._timeout
         try:
-            return await self._timed(rest, message, started)
+            async with asyncio.timeout_at(deadline):
+                if type(message) is not BatchRequest:
+                    return await waiting[0][1]
+                settled = await asyncio.gather(*(reply for _, reply in waiting))
+        except TimeoutError as exc:
+            raise self._timeout_error(message) from exc
         finally:
             self._give(size)
+        for (index, _), reply in zip(waiting, settled):
+            replies[index] = reply
+        return BatchResponse(entries=tuple(replies))
 
     def _hand_off(
-        self, ep: Endpoint, request: Request, on_done: DoneCallback,
-        loop: asyncio.AbstractEventLoop | None,
+        self, ep: Endpoint, target: Any, request: Request,
+        on_done: DoneCallback, loop: asyncio.AbstractEventLoop | None,
     ) -> None:  # any thread; the call's slot is taken
         """Send an unbatched ``@blocking`` call with no task: one job on
-        its member's pool (:class:`_Call`; ``loop`` is set when it was
-        submitted there).  It pays what :meth:`_eager` pays and joins the
-        deadline FIFO, waking the loop only when no timer is armed."""
+        its member's pool running ``target.handle`` (:class:`_Call`;
+        ``loop`` is set when it was submitted there).  It pays what
+        :meth:`_eager` pays and joins the deadline FIFO, waking the loop
+        only when no timer is armed."""
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, request)
         timeout = self._timeout
         call = _Call(
-            self, _sync_handler(ep, request), request, on_done, loop,
+            self, target.handle, request, on_done, loop,
             0.0 if timeout is None else self._runtime.loop.time() + timeout,
         )
         self._calls[call] = True
@@ -462,7 +463,11 @@ class AsyncioTransport(_TransportBase):
 
     def _arm(self, fired: bool) -> None:  # loop thread
         """Expire the hand-offs past their deadline, oldest first, and
-        arm the one timer (unless armed) for the oldest still unsettled."""
+        keep the one timer armed: for the oldest still unsettled, or,
+        with none, one timeout from now, so the next hand-offs find it
+        armed even when the one that asked for it settled first.  A
+        timer that fires on none lapses: an idle transport wakes the
+        loop at most once per timeout."""
         if fired:
             self._timer = None
         elif self._timer is not None:
@@ -474,6 +479,8 @@ class AsyncioTransport(_TransportBase):
                 self._timer = loop.call_at(call.deadline, self._arm, True)
                 return
             call.settle(None, self._timeout_error(call.arg))
+        if not fired:
+            self._timer = loop.call_at(now + self._timeout, self._arm, True)
 
     def _oldest(self) -> _Call | None:
         while True:
@@ -482,24 +489,24 @@ class AsyncioTransport(_TransportBase):
             except RuntimeError:  # resized by another thread mid-peek
                 continue
 
-    def _pool_reply(self, ep: Endpoint, request: Request) -> Any:
-        """The reply of ``request`` run on its member's pool, as a loop
-        future (:class:`_Awaited`): what a batch entry, or a call on the
-        task path, awaits."""
+    def _pool_reply(self, ep: Endpoint, target: Any, request: Request) -> Any:
+        """The reply of ``request`` run on its member's pool by
+        ``target.handle``, as a loop future (:class:`_Awaited`): what a
+        batch entry, or a call on the task path, awaits."""
         future = self._runtime.loop.create_future()
         try:
             (ep.pool or self._pool(ep)).submit(
-                _Awaited(_sync_handler(ep, request), request, future)
+                _Awaited(target.handle, request, future)
             )
         except (ConnectError, RuntimeError) as exc:
             future.set_exception(exc)
         return future
 
-    def _spawn(self, coro: Any, context: Context | None = None) -> None:
+    def _spawn(self, coro: Any) -> None:
         # Tasks need a strong reference until done; _reap also surfaces
         # completion-callback bugs via the loop's exception handler
         # instead of a silent "exception never retrieved".
-        task = self._runtime.loop.create_task(coro, context=context)
+        task = self._runtime.loop.create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._reap)
 
@@ -537,34 +544,28 @@ class AsyncioTransport(_TransportBase):
         else:
             on_done(reply, None)
 
-    # -- dispatch coroutines ------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
 
     def _resolve_message(
         self, endpoint_id: str, message: Request | BatchRequest
     ) -> tuple[Endpoint, Any]:
-        """The endpoint and, for a call, its *async* handler when
-        exported, the raw sync one otherwise (tests export plain
-        callables); None for a batch, whose entries resolve at dispatch."""
+        """The endpoint and, for a call, its target; None for a batch,
+        whose entries resolve as they are walked."""
         if self._closed:
             raise ConnectError("asyncio transport shut down")
-        ep = self._resolve_endpoint(endpoint_id)
         if type(message) is BatchRequest:
-            return ep, None
-        object_id = message.object_id
-        handler = ep.ahandlers.get(object_id) or ep.handlers.get(object_id)
-        if handler is None:
-            raise ConnectError(f"no object {object_id!r} at endpoint {ep.name}")
-        return ep, handler
+            return self._resolve_endpoint(endpoint_id), None
+        return self._resolve(endpoint_id, message)
 
     async def _invoke_async(
-        self, endpoint_id: str, ep: Endpoint, handler: Any,
-        message: Request | BatchRequest,
+        self, endpoint_id: str, ep: Endpoint, target: Any,
+        message: Request | BatchRequest, entries: tuple[Request, ...],
     ) -> Any:
-        """Deliver one resolved wire message, a call or a batch: one
-        slot of the dispatch window, one fault-hook consultation, one
-        message counted and one trace event, however many calls it
-        carries."""
-        size = 1 if handler is not None else len(message.entries)
+        """Deliver one resolved wire message in a task: one slot of the
+        dispatch window, one fault-hook consultation, one message counted
+        and one trace event, however many calls it carries; then walk
+        it, as :meth:`_eager` does."""
+        size = len(entries)
         await self._enter(size)
         try:
             hook = self._fault_hook
@@ -573,30 +574,22 @@ class AsyncioTransport(_TransportBase):
                 # by consulting them on the loop's default executor.
                 await self._runtime.loop.run_in_executor(
                     None, hook, endpoint_id,
-                    message if handler is not None else batch_envelope(message),
+                    message if target is not None else batch_envelope(message),
                 )
             self._messages.increment()
             if self._tracer is not None:
                 self._trace_message(ep, message)
-            return await self._timed(
-                self._dispatch(ep, handler, message), message,
-                self._runtime.loop.time(),
-            )
-        finally:
+            started = self._runtime.loop.time()
+            replies, waiting = self._walk(ep, entries, target)
+        except BaseException:
             self._give(size)
-
-    async def _timed(
-        self, coro: Any, message: Request | BatchRequest, started: float
-    ) -> Any:
-        """Await ``coro`` under the deadline of a dispatch ``started``
-        then (loop time)."""
-        if self._timeout is None:
-            return await coro
-        try:
-            async with asyncio.timeout_at(started + self._timeout):
-                return await coro
-        except TimeoutError as exc:
-            raise self._timeout_error(message) from exc
+            raise
+        if waiting:
+            return await self._resume(message, replies, waiting, started, size)
+        self._give(size)
+        return replies[0] if target is not None else BatchResponse(
+            entries=tuple(replies)
+        )
 
     def _timeout_error(self, message: Request | BatchRequest) -> RemoteError:
         what = (
@@ -606,93 +599,76 @@ class AsyncioTransport(_TransportBase):
         )
         return RemoteError(f"{what} timed out after {self._timeout}s")
 
-    async def _dispatch(
-        self, ep: Endpoint, handler: Any, message: Request | BatchRequest
-    ) -> Any:
-        """Run a call's handler, or unbatch a batch (``handler`` None) on
-        the loop, its replies reassembled in entry order.
+    def _walk(
+        self, ep: Endpoint, entries: tuple[Request, ...], target: Any = None
+    ) -> tuple[list[Any], list[tuple[int, Any]]]:  # loop thread
+        """Serve a message's entries in order, here, and say what the
+        rest of them wait on.
 
-        Each run of consecutive entries for one skeleton whose methods
-        cannot suspend (``Endpoint.may_suspend``) is served right here,
-        with no task, by its run handler (``Skeleton.handle_run``).  A
-        raw exported callable is called here, in a context copy of its
-        own.  A ``@blocking`` entry is one job on its member's pool
-        completing a loop future (so is a ``@blocking`` call on the task
-        path); any other entry gets a task of its own.  Both start once
-        the entries served here are done, so they still overlap.
+        Each run of consecutive entries for one target whose methods
+        cannot suspend (``may_suspend``) is served in one pass of its
+        ``handle_run``, which runs each call in a context copy of its
+        own; an unbatched plain call is a run of one.  Any other entry
+        is left to wait: a ``@blocking`` one (``offloads``) as one job
+        on its member's pool, started once the runs are served, so the
+        jobs still overlap; the rest as the ``handle_async`` coroutine
+        of its target, not yet started.  Returns ``(replies, waiting)``:
+        the replies in entry order, None where ``waiting`` holds
+        ``(index, awaitable)``.  ``target`` is an unbatched call's,
+        resolved when it was sent; a batch's entries resolve here, and
+        one whose object is not exported replies ``unresolved``.
         """
-        if handler is not None:
-            if _offloads(ep, message):
-                return await self._pool_reply(ep, message)
-            reply = handler(message)
-            return (await reply) if asyncio.iscoroutine(reply) else reply
-        entries = message.entries
-        responses: list[Any] = [None] * len(entries)
-        tasked: list[tuple[int, Any, Any]] = []  # (index, coroutine, context)
-        offloaded: list[tuple[int, Request]] = []
-        awaited: list[tuple[int, Any]] = []  # (index, its reply's awaitable)
-        run: list[Request] = []  # consecutive plain entries of one skeleton
         loop = self._runtime.loop
-        runs, ahandlers, predicates = ep.runs, ep.ahandlers, ep.may_suspend
+        replies: list[Any] = [None] * len(entries)
+        waiting: list[tuple[int, Any]] = []
+        offloaded: list[tuple[int, Any, Request]] = []
+        run: list[Request] = []  # consecutive plain entries of ``target``
+        object_id = None if target is None else entries[0].object_id
+        suspends = None if target is None else target.may_suspend
         try:
             for index, request in enumerate((*entries, None)):
-                object_id = None if request is None else request.object_id
-                joins = object_id in runs and not predicates.get(
-                    object_id, _suspends
-                )(request.method)
-                if run and not (joins and object_id == run[0].object_id):
-                    first = index - len(run)
-                    replies = runs[run[0].object_id](run, loop)
-                    for at, reply in enumerate(replies, first):
-                        if type(reply) is Response:
-                            responses[at] = reply
-                        else:  # the task of a plain method's coroutine
-                            awaited.append((at, reply))
-                    run = []
-                if joins:
+                if (
+                    request is not None and request.object_id == object_id
+                    and not suspends(request.method)
+                ):
                     run.append(request)
                     continue
+                if run:
+                    served = target.handle_run(run, loop)
+                    for at, reply in enumerate(served, index - len(run)):
+                        if type(reply) is Response:
+                            replies[at] = reply
+                        else:  # the task of a plain method's coroutine
+                            waiting.append((at, reply))
+                    run = []
                 if request is None:
                     break
-                handler = ahandlers.get(object_id)
-                if handler is not None:
-                    if _offloads(ep, request):
-                        offloaded.append((index, request))
-                    else:
-                        tasked.append((index, handler(request), None))
-                    continue
-                handler = ep.handlers.get(object_id)
-                if handler is None:
-                    responses[index] = Response(kind="unresolved", value=object_id)
-                    continue
-                # A raw exported callable: calling it cannot suspend
-                # anything, but what it returns may be a coroutine.
-                context = copy_context()
-                reply = context.run(handler, request)
-                if type(reply) is not Response and asyncio.iscoroutine(reply):
-                    tasked.append((index, reply, context))
+                if request.object_id != object_id:
+                    object_id = request.object_id
+                    target = ep.objects.get(object_id)
+                    if target is None:
+                        replies[index] = Response("unresolved", value=object_id)
+                        object_id = None
+                        continue
+                    suspends = target.may_suspend
+                    if not suspends(request.method):
+                        run.append(request)
+                        continue
+                if target.offloads(request.method):
+                    offloaded.append((index, target, request))
                 else:
-                    responses[index] = reply
+                    waiting.append((index, target.handle_async(request)))
         except BaseException:
-            # The batch fails as a whole; an entry collected for a task
-            # is closed unrun (never "never awaited"), and a task a run
-            # made settles its own call.
-            for _, coro, _ in tasked:
-                coro.close()
+            # The message fails as a whole: a coroutine made for an entry
+            # is closed unstarted (never "never awaited"), and a task a
+            # run made settles its own call.
+            for _, reply in waiting:
+                if asyncio.iscoroutine(reply):
+                    reply.close()
             raise
-        if tasked or offloaded or awaited:
-            awaited.extend(
-                (index, self._pool_reply(ep, request))
-                for index, request in offloaded
-            )
-            awaited.extend(
-                (index, loop.create_task(coro, context=context))
-                for index, coro, context in tasked
-            )
-            replies = await asyncio.gather(*(reply for _, reply in awaited))
-            for (index, _), reply in zip(awaited, replies):
-                responses[index] = reply
-        return BatchResponse(entries=tuple(responses))
+        for index, owner, request in offloaded:
+            waiting.append((index, self._pool_reply(ep, owner, request)))
+        return replies, waiting
 
     # -- sync bridges (Transport protocol) ----------------------------------
 
@@ -828,67 +804,6 @@ class _Awaited:
             self.future.set_exception(self.error)
         else:
             self.future.set_result(self.result)
-
-
-def _sync_handler(ep: Endpoint, request: Request) -> Any:
-    """The handler a pool job runs: ``Skeleton.handle``."""
-    return ep.handlers.get(request.object_id, _unexported)
-
-
-def _offloads(ep: Endpoint, request: Request) -> bool:
-    """Does the skeleton say ``request``'s method blocks a thread?"""
-    predicate = ep.offloads.get(request.object_id)
-    return predicate is not None and predicate(request.method)
-
-
-def _unexported(request: Request) -> Response:
-    """The sync handler of an object unexported since it resolved."""
-    raise ConnectError(f"no object {request.object_id!r} exported")
-
-
-def _step(dispatch: Any, *args: Any) -> Any:
-    """Run a dispatch coroutine that should not suspend to its reply.
-
-    Called in the context the dispatch is to run in.  Should it suspend
-    after all (``handle_async`` does when a plain method hands back an
-    awaitable, already put in a task of its own; a batch does once its
-    suspending entries have theirs), the rest of it is returned as a
-    coroutine for the caller to give a task, in this same context.
-    """
-    coro = dispatch(*args)
-    try:
-        yielded = coro.send(None)
-    except StopIteration as done:
-        return done.value
-    return _finish(coro, yielded)
-
-
-def _suspends(method: str) -> bool:
-    """The predicate of a handler exported without one: it may."""
-    return True
-
-
-async def _finish(coro: Any, yielded: Any) -> Any:
-    # A native coroutine around _rest: what create_task accepts on
-    # every supported interpreter.
-    return await _rest(coro, yielded)
-
-
-@types.coroutine
-def _rest(coro: Any, yielded: Any):
-    """Delegate to ``coro`` from its second step on: what ``await coro``
-    does, for a coroutine whose first step already ran and yielded
-    ``yielded`` (the future it waits on, passed up to the task)."""
-    try:
-        while True:
-            try:
-                sent = yield yielded
-            except BaseException as exc:  # noqa: BLE001 - thrown into coro
-                yielded = coro.throw(exc)
-            else:
-                yielded = coro.send(sent)
-    except StopIteration as done:
-        return done.value
 
 
 def _bridge(waiter: Future) -> DoneCallback:

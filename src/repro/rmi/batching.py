@@ -328,7 +328,7 @@ class RequestBatcher:
         (``forced``: until it is empty).
 
         On the loop a flight returns once its batch has either completed
-        (the transport stepped it to its reply) or been given a task;
+        (the transport walked it to its reply) or been given a task;
         the sweep goes on either way, and a completion that finds
         entries held back by the window sweeps again unless this sweep
         is still under way.  Elsewhere each flight

@@ -129,12 +129,20 @@ class CallStats:
     def __init__(self) -> None:
         self._stripes: ThreadStripes[_StatsStripe] = ThreadStripes(_StatsStripe)
 
-    def record_run(self, window: dict[str, MethodStats]) -> None:
-        """Record a run of calls, already folded per method, in one
-        write to this thread's stripe."""
+    def record_run(self, window: dict[str, list]) -> None:
+        """Record a run of calls, already folded per method as
+        ``[calls, total_latency, errors]``, in one write to this
+        thread's stripe."""
         stripe = self._stripes.stripe()
         with stripe.lock:
-            self._merge(stripe.methods, window)
+            methods = stripe.methods
+            for name, (calls, latency, errors) in window.items():
+                stats = methods.get(name)
+                if stats is None:
+                    stats = methods[name] = MethodStats()
+                stats.calls += calls
+                stats.total_latency += latency
+                stats.errors += errors
 
     def record(self, method: str, latency: float, error: bool = False) -> None:
         stripe = self._stripes.stripe()
@@ -211,8 +219,8 @@ def _declares_cpu_bound(cls: type) -> bool:
 
 # How a skeleton dispatches a method name, decided once per name
 # (Skeleton._resolve).  The last three never reply where the asyncio
-# transport sent them: two suspend handle_async, _BLOCKING runs on the
-# member's own dispatch pool instead.
+# transport sent them: two are awaited in handle_async, _BLOCKING runs
+# on the member's own dispatch pool instead.
 _REFUSED, _PLAIN, _COROUTINE, _BLOCKING, _CPU = range(5)
 _SUSPENDING = frozenset((_COROUTINE, _BLOCKING, _CPU))
 
@@ -278,10 +286,7 @@ class Skeleton:
         # Redirect table installed by the sentinel: a callable deciding,
         # per call, whether to bounce it to another member.
         self.redirect_policy: Callable[[Request], RemoteRef | None] | None = None
-        transport.endpoint(endpoint_id).export(
-            self.object_id, self.handle, self.handle_async, self.may_suspend,
-            self.offloads, self.handle_run,
-        )
+        transport.endpoint(endpoint_id).export(self.object_id, self)
 
     def ref(self) -> RemoteRef:
         return RemoteRef(self.endpoint_id, self.object_id, self.uid)
@@ -489,19 +494,16 @@ class Skeleton:
             self._release()
 
     async def handle_async(self, request: Request) -> Response:
-        """Loop-native dispatch (the asyncio transport's path for an
-        unbatched call, and for a batch entry that may suspend).
+        """Loop-native dispatch: the asyncio transport's path for a call
+        of an ``async def`` or ``@cpu_bound`` method, unbatched or a
+        batch entry (:meth:`may_suspend` is how it tells them apart).
 
         :meth:`handle` with a different call: ``@cpu_bound`` methods are
         awaited on a worker process and coroutine methods are awaited in
-        place.  Plain unmarked methods run inline on the loop and must be
-        CPU-light (the offload rules DESIGN.md documents): for them this
-        coroutine finishes in its first step, which is what lets the
-        transport step them where the message was sent
-        (:meth:`may_suspend` is how it tells them apart).  Methods
-        marked with :func:`repro.rmi.aio.blocking` never come here: the
-        transport runs :meth:`handle` for them on the member's own pool
-        (:meth:`offloads`), so this coroutine has no executor branch.
+        place.  Plain methods go through :meth:`handle_run` instead, and
+        methods marked with :func:`repro.rmi.aio.blocking` through
+        :meth:`handle` on the member's own pool (:meth:`offloads`), so
+        this coroutine has no executor branch.
         """
         refusal, method, kind, args, kwargs, started = self._accept(request)
         if refusal is not None:
@@ -516,18 +518,7 @@ class Skeleton:
                         self._cpu.submit_call(self.impl, name, args, kwargs)
                     )
                 else:
-                    result = method(*args, **kwargs)
-                    if inspect.iscoroutine(result):
-                        if kind == _PLAIN:
-                            # A plain method handed back a coroutine (a
-                            # sync wrapper around an ``async def``): the
-                            # transport may be stepping us outside any
-                            # task, so this user code gets a task of its
-                            # own before it runs.
-                            result = asyncio.get_running_loop().create_task(
-                                result
-                            )
-                        result = await result
+                    result = await method(*args, **kwargs)
             except Exception as exc:
                 return self._reply(name, started, None, exc)
             return self._reply(name, started, result, None)
@@ -545,20 +536,24 @@ class Skeleton:
         run, and the clock is read once per call boundary.  The slots go
         back after the last reply is built, so a drain one call starts
         waits for the rest, which still run.  With ``loop`` (the asyncio
-        transport; calls that cannot suspend only) each call runs in a
-        context copy of its own, and a coroutine a plain method hands
-        back becomes a task on ``loop`` that stands in for its reply.
+        transport; calls that cannot suspend only, an unbatched one as a
+        run of one) each call runs in a context copy of its own, and a
+        coroutine a plain method hands back becomes a task on ``loop``
+        that stands in for its reply.
         """
         if self.draining:
             return [_DRAINED] * len(requests)
         replies: list[Any] = [None] * len(requests)
+        admitted: Sequence[int] = range(len(requests))
         if self.redirect_policy is not None:
             replies = [self._redirect(request) for request in requests]
-        admitted = [index for index, reply in enumerate(replies) if reply is None]
+            admitted = [
+                index for index, reply in enumerate(replies) if reply is None
+            ]
         held = len(admitted)
         if not self._admit(held):
             return [reply or _DRAINED for reply in replies]
-        window: dict[str, MethodStats] = {}
+        window: dict[str, list] = {}  # name -> [calls, latency, errors]
         now = self.clock.now
         try:
             started = now()
@@ -597,10 +592,10 @@ class Skeleton:
                 latency = 0.0 if kind == _REFUSED else ended - started
                 stats = window.get(name)
                 if stats is None:
-                    stats = window[name] = MethodStats()
-                stats.calls += 1
-                stats.total_latency += latency
-                stats.errors += error is not None
+                    stats = window[name] = [0, 0.0, 0]
+                stats[0] += 1
+                stats[1] += latency
+                stats[2] += error is not None
                 if self._obs is not None:
                     self._observe(name, latency, error is not None)
                 started = ended
@@ -619,16 +614,15 @@ class Skeleton:
         return self._reply(name, started, result, None)
 
     def may_suspend(self, name: str) -> bool:
-        """Can a call of ``name`` fail to reply in :meth:`handle_async`'s
-        first step?
+        """Can a call of ``name`` fail to reply where it was sent?
 
         True for ``async def`` methods and for the two offloaded kinds
         (``@blocking``, see :meth:`offloads`, and ``@cpu_bound`` when a
-        worker pool is attached); False for a plain method, whose
-        dispatch completes in the coroutine's first step, and for a
-        refused name.  Read off :meth:`_resolve`'s table, never found
-        out by running the method: user code in an ``async def`` body
-        must only ever run inside its own task.
+        worker pool is attached); False for a plain method, which the
+        asyncio transport serves through :meth:`handle_run` with no
+        task, and for a refused name.  Read off :meth:`_resolve`'s
+        table, never found out by running the method: user code in an
+        ``async def`` body must only ever run inside its own task.
         """
         entry = self._methods.get(name) or self._resolve(name)
         return entry[1] in _SUSPENDING

@@ -16,7 +16,7 @@ invariants DESIGN.md documents):
 - the endpoint map is *read-mostly*: lookups read a plain dict with no
   lock; membership changes copy-on-write a fresh dict under the admin
   lock and publish it with one atomic reference store;
-- per-endpoint state (alive flag, exported handlers, dispatch pool) is
+- per-endpoint state (alive flag, exported objects, dispatch pool) is
   guarded by that endpoint's own lock, so killing one endpoint never
   stalls traffic to the others;
 - ``messages_sent`` is a :class:`~repro.concurrency.StripedCounter`, so
@@ -44,13 +44,14 @@ A revived endpoint keeps its closed pool.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Awaitable, Callable, NamedTuple, Protocol, Sequence
+from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 from repro.concurrency import StripedCounter
 from repro.errors import ConnectError, RemoteError
@@ -132,80 +133,80 @@ class BatchResponse:
 
 
 RequestHandler = Callable[[Request], Response]
-AsyncRequestHandler = Callable[[Request], Awaitable[Response]]
+
+
+class _Handler:
+    """A bare handler callable given a skeleton's surface, so every
+    transport serves whatever is exported one way.  It promises
+    nothing: each of its calls may suspend, and none blocks a thread
+    the asyncio transport must spare."""
+
+    __slots__ = ("handle",)
+
+    def __init__(self, handle: RequestHandler) -> None:
+        self.handle = handle
+
+    def handle_run(self, requests: Sequence[Request], loop: Any = None) -> list:
+        return [self.handle(request) for request in requests]
+
+    async def handle_async(self, request: Request) -> Response:
+        reply = self.handle(request)
+        return (await reply) if inspect.iscoroutine(reply) else reply
+
+    def may_suspend(self, name: str) -> bool:
+        return True
+
+    def offloads(self, name: str) -> bool:
+        return False
 
 
 @dataclass
 class Endpoint:
     """One process/JVM: an address plus the objects exported from it.
 
-    Each endpoint carries its own lock for state transitions (export,
-    unexport, kill, revive); the handler maps are copy-on-write so the
-    invoke path reads them without locking.  ``ahandlers`` holds the
-    coroutine dispatch path a skeleton also exports, read by the asyncio
-    transport only.  Per object exported with them, ``may_suspend`` says
-    whether a *method name* can suspend that coroutine (the asyncio
-    transport runs one that cannot where the message was sent, with no
-    task), and ``offloads`` whether it blocks a thread (``@blocking``:
-    the asyncio transport runs it through the *sync* handler on
-    ``pool``).  ``runs`` holds a skeleton's run handler
-    (``Skeleton.handle_run``), which serves a batch's consecutive
-    entries for its object in one pass on every transport.  ``pool`` is
-    the endpoint's :class:`_Dispatcher`, made by its transport on first
-    use and closed when the endpoint is killed.
+    ``objects`` maps each object id to its *target*, the server-side
+    dispatcher every transport asks directly: a
+    :class:`~repro.rmi.remote.Skeleton`, or a bare handler callable
+    wrapped once at export.  A target serves an unbatched call
+    (``handle``; ``handle_async`` for one that may suspend on the
+    asyncio transport) and a run of a batch's consecutive entries for
+    its object in one pass (``handle_run``; on the asyncio transport an
+    unbatched plain call too, as a run of one), and says per method
+    name whether a call can suspend (``may_suspend``) or blocks a
+    thread (``offloads``).  Each endpoint carries its own lock for
+    state transitions (export, unexport, kill, revive); ``objects`` is
+    copy-on-write, so the invoke path reads it without locking.
+    ``pool`` is the endpoint's :class:`_Dispatcher`, made by its
+    transport on first use and closed when the endpoint is killed.
     """
 
     name: str
     endpoint_id: str = field(
         default_factory=lambda: f"ep-{next(_endpoint_ids)}"
     )
-    handlers: dict[str, RequestHandler] = field(default_factory=dict)
-    ahandlers: dict[str, AsyncRequestHandler] = field(default_factory=dict)
-    may_suspend: dict[str, Callable[[str], bool]] = field(default_factory=dict)
-    offloads: dict[str, Callable[[str], bool]] = field(default_factory=dict)
-    runs: dict[str, Callable[..., list]] = field(default_factory=dict)
+    objects: dict[str, Any] = field(default_factory=dict)
     alive: bool = True
     pool: _Dispatcher | None = field(default=None, repr=False, compare=False)
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
 
-    def export(
-        self,
-        object_id: str,
-        handler: RequestHandler,
-        async_handler: AsyncRequestHandler | None = None,
-        may_suspend: Callable[[str], bool] | None = None,
-        offloads: Callable[[str], bool] | None = None,
-        run_handler: Callable[..., list] | None = None,
-    ) -> None:
+    def export(self, object_id: str, target: Any) -> None:
+        """Export ``target`` (a skeleton, or a bare handler callable) as
+        ``object_id``; exporting an id twice raises ``ValueError``."""
+        if callable(target):
+            target = _Handler(target)
         with self.lock:
-            if object_id in self.handlers:
+            if object_id in self.objects:
                 raise ValueError(f"object already exported: {object_id}")
-            self._publish("handlers", object_id, handler)
-            self._publish("runs", object_id, run_handler)
-            if async_handler is not None:
-                self._publish("ahandlers", object_id, async_handler)
-                self._publish("may_suspend", object_id, may_suspend)
-                self._publish("offloads", object_id, offloads)
+            self.objects = {**self.objects, object_id: target}
 
     def unexport(self, object_id: str) -> None:
         with self.lock:
-            for table in ("handlers", "ahandlers", "may_suspend", "offloads", "runs"):
-                self._publish(table, object_id, None)
-
-    def _publish(self, table: str, object_id: str, value: Any) -> None:
-        """Copy-on-write one map, under ``lock``: ``object_id`` set to
-        ``value``, or dropped when ``value`` is None."""
-        entries = getattr(self, table)
-        if value is None and object_id not in entries:
-            return
-        entries = dict(entries)
-        if value is None:
-            del entries[object_id]
-        else:
-            entries[object_id] = value
-        setattr(self, table, entries)
+            self.objects = {
+                key: target for key, target in self.objects.items()
+                if key != object_id
+            }
 
 
 class Transport(Protocol):
@@ -407,14 +408,14 @@ class _TransportBase:
 
     def _resolve(
         self, endpoint_id: str, request: Request
-    ) -> tuple[Endpoint, RequestHandler]:
+    ) -> tuple[Endpoint, Any]:
         ep = self._resolve_endpoint(endpoint_id)
-        handler = ep.handlers.get(request.object_id)
-        if handler is None:
+        target = ep.objects.get(request.object_id)
+        if target is None:
             raise ConnectError(
                 f"no object {request.object_id!r} at endpoint {ep.name}"
             )
-        return ep, handler
+        return ep, target
 
     def _resolve_endpoint(self, endpoint_id: str) -> Endpoint:
         """Endpoint-level resolution for a batch: alive or ConnectError.
@@ -463,20 +464,17 @@ _object_id = attrgetter("object_id")
 
 def _serve(ep: Endpoint, requests: Sequence[Request]) -> list[Response]:
     """A batch's replies, its entries served in order on this thread:
-    each run of consecutive entries for one skeleton in one pass of its
-    run handler, any other entry through its exported handler."""
+    each run of consecutive entries for one object in one pass of its
+    target's ``handle_run``."""
     replies: list[Response] = []
     for object_id, entries in itertools.groupby(requests, _object_id):
-        run = ep.runs.get(object_id)
-        if run is not None:
-            replies.extend(run(list(entries)))
-            continue
-        handler = ep.handlers.get(object_id)
-        for request in entries:
-            replies.append(
-                Response(kind="unresolved", value=object_id)
-                if handler is None else handler(request)
+        target = ep.objects.get(object_id)
+        if target is None:
+            replies.extend(
+                Response(kind="unresolved", value=object_id) for _ in entries
             )
+        else:
+            replies.extend(target.handle_run(list(entries)))
     return replies
 
 
@@ -509,7 +507,7 @@ class DirectTransport(_TransportBase):
         self._on_message = on_message
 
     def invoke(self, endpoint_id: str, request: Request) -> Response:
-        ep, handler = self._resolve(endpoint_id, request)
+        ep, target = self._resolve(endpoint_id, request)
         hook = self._fault_hook
         if hook is not None:
             hook(endpoint_id, request)
@@ -518,7 +516,7 @@ class DirectTransport(_TransportBase):
             self._trace_message(ep, request)
         if self._on_message is not None:
             self._on_message(endpoint_id, request)
-        return handler(request)
+        return target.handle(request)
 
     def invoke_batch(self, endpoint_id: str, batch: BatchRequest) -> BatchResponse:
         """Deliver a batch deterministically: one wire message, then its
@@ -760,7 +758,7 @@ class ThreadedTransport(_TransportBase):
         return pool
 
     def invoke(self, endpoint_id: str, request: Request) -> Response:
-        ep, handler = self._resolve(endpoint_id, request)
+        ep, target = self._resolve(endpoint_id, request)
         dispatcher = self._dispatcher(ep)
         hook = self._fault_hook
         if hook is not None:
@@ -768,7 +766,7 @@ class ThreadedTransport(_TransportBase):
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, request)
-        job = _Job(handler, request)
+        job = _Job(target.handle, request)
         dispatcher.submit(job)
         if not job.done.acquire(True, self._timeout):
             raise RemoteError(

@@ -289,18 +289,6 @@ class TestNewCapacityHeadsTheRotation:
         stub._refresh_members()
         assert rotation(stub) == [new, first]
 
-    def test_legacy_count_based_refresh_shares_the_rule(self, rig):
-        transport, sentinel, members, _, epoch_stub = rig
-        old = list(members)
-        stub = ElasticStub(
-            transport, epoch_stub._resolve_sentinel, refresh_every=2
-        )
-        assert rotation(stub)[0] == old[0]
-        assert rotation(stub)[0] == old[1]
-        (new,) = _add_workers(transport, sentinel, 1)
-        assert rotation(stub)[0] == new  # third call: periodic refresh
-        assert rotation(stub)[0] == old[0]
-
     def test_random_mode_draws_as_before(self, rig):
         """Random spreading never waits a turn — the new member is in
         the draw from the refresh on — so the draws are exactly what the

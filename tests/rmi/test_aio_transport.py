@@ -364,6 +364,19 @@ class Mixed(Remote):
         """A plain method that hands back an awaitable."""
         return self.adouble(n)
 
+    def scoped(self, value):
+        """A plain method that hands back a coroutine which sets the
+        ContextVar across an await, then resets it."""
+        return self._scoped(value)
+
+    async def _scoped(self, value):
+        token = _SEEN.set(value)
+        try:
+            await asyncio.sleep(0)
+            return _SEEN.get()
+        finally:
+            _SEEN.reset(token)
+
     async def whoami(self):
         """The task this body runs in, read before its first await."""
         task = asyncio.current_task()
@@ -896,25 +909,28 @@ class TestEagerDispatch:
         assert on_the_loop(send_two) is None
         assert replies == [("result", None), ("result", None)]
 
-    def test_an_eager_call_that_suspends_keeps_its_context(self, transport):
-        """A handler promised not to suspend that does anyway finishes
-        in one task, in the very context its first step ran in: a
-        ContextVar token set before the await resets after it."""
-        endpoint = transport.add_endpoint("promised")
+    def test_a_handed_back_coroutine_keeps_its_context(self, transport):
+        """An unbatched plain call whose method hands back a coroutine:
+        the coroutine runs in one context from its first step to its
+        last (a ContextVar token set before its await resets after it),
+        the sender's context is untouched, and the call costs two tasks:
+        the coroutine's, and the one its reply waits in."""
+        endpoint, skeleton = exported(transport, Mixed())
+        replies = []
 
-        async def traced(request):
-            token = _SEEN.set("traced")
-            try:
-                await asyncio.sleep(0)
-                return Response(kind="result", payload=b"ok")
-            finally:
-                _SEEN.reset(token)
+        def send():
+            _SEEN.set("sender")
+            transport.submit(
+                endpoint.endpoint_id, request_for(skeleton, "scoped", "call"),
+                lambda response, error: replies.append(outcome(response)),
+            )
+            return _SEEN.get()
 
-        endpoint.export("o", lambda request: None, traced, lambda method: False)
         with counting_tasks() as created:
-            reply = transport.invoke(endpoint.endpoint_id, Request("o", "m", b""))
-        assert reply.payload == b"ok"
-        assert len(created) == 1
+            assert on_the_loop(send) == "sender"
+            assert _wait_for(lambda: replies)
+        assert replies == [("result", "call")]
+        assert len(created) == 2
 
     def test_a_call_sent_inside_a_task_gets_a_task(self, transport):
         endpoint, skeleton = exported(transport, Mixed())
@@ -1073,11 +1089,14 @@ class TestOffloadedDispatch:
         """An unbatched ``@blocking`` call submitted off the loop goes from
         the caller to its member's pool and is completed by the worker:
         no callback posted to the loop, no task, and the window ends
-        empty."""
+        empty.  The warm-up call settles while the loop is held, before
+        the loop runs the timer arming it asked for: the timer is armed
+        all the same."""
         impl = Service()
         endpoint = transport.add_endpoint("loop-free")
         skeleton = Skeleton(impl, transport, endpoint.endpoint_id)
         stub = Stub(transport, skeleton.ref())
+        loop_runtime().loop.call_soon_threadsafe(time.sleep, 0.05)
         assert stub.nap(0) == "rested"  # warm: pool, workers, timer
         assert _wait_for(lambda: transport._timer is not None)
         with posted_to_loop() as posted, counting_tasks() as created:

@@ -474,3 +474,33 @@ def test_an_empty_batch_is_one_message_with_no_replies(kind):
     finally:
         if kind != "direct":
             transport.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["direct", "threaded", "asyncio"])
+def test_a_bare_callable_serves_a_call_and_a_batch(kind):
+    """A handler callable exported without a skeleton serves an
+    unbatched call and a batch of two on every transport; an object id
+    is exported once."""
+    from repro.rmi.aio import AsyncioTransport
+
+    transport = {
+        "direct": DirectTransport, "threaded": ThreadedTransport,
+        "asyncio": AsyncioTransport,
+    }[kind]()
+    try:
+        ep = transport.add_endpoint("s")
+        ep.export("o", echo_handler)
+        reply = transport.invoke(ep.endpoint_id, Request("o", "m", b"one"))
+        assert reply == Response(kind="result", payload=b"one")
+        batch = BatchRequest(
+            entries=(Request("o", "m", b"a"), Request("o", "m", b"b"))
+        )
+        replies = transport.invoke_batch(ep.endpoint_id, batch).entries
+        assert [(r.kind, r.payload) for r in replies] == [
+            ("result", b"a"), ("result", b"b"),
+        ]
+        with pytest.raises(ValueError, match="already exported"):
+            ep.export("o", echo_handler)
+    finally:
+        if kind != "direct":
+            transport.shutdown()
