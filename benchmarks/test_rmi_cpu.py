@@ -20,7 +20,8 @@ available:
 
 Separately, the zero-overhead gate: a skeleton whose implementation
 declares no ``@cpu_bound`` method must dispatch within 5% of the
-pre-cpu-dispatch skeleton (a subclass with the cpu branch deleted
+pre-cpu-dispatch skeleton (a subclass whose ``handle`` is the unbatched
+dispatch before calls became runs of one, with the cpu branch deleted
 outright), using the same best-of-minima retry loop as the
 observability overhead gate.
 
@@ -47,8 +48,16 @@ from repro.experiments.benchreport import (
     spec_problems,
     validate_report,
 )
-from repro.rmi.remote import Remote, Skeleton, Stub
-from repro.rmi.transport import DirectTransport, Response
+from repro.rmi.fastpath import unmarshal_call
+from repro.rmi.remote import (
+    _DRAINED,
+    _REFUSED,
+    Remote,
+    Skeleton,
+    Stub,
+    _response,
+)
+from repro.rmi.transport import DirectTransport, Request, Response
 
 SUITE = "cpu"
 
@@ -158,13 +167,53 @@ class _Echo(Remote):
 
 
 class _PreCpuSkeleton(Skeleton):
-    """The dispatch as it was before cpu-bound dispatch: the skeleton's
-    own prologue and epilogue around a call with no ``self._cpu``
-    branch, so it is the true baseline the no-cpu-methods path is held
-    against."""
+    """The unbatched dispatch as it was before cpu-bound dispatch, and
+    before every call into a skeleton became a run of one: the gate,
+    pending count, resolution and unmarshalling of ``_prologue``, the
+    call, and the statistics and reply of ``_epilogue``, with no
+    ``self._cpu`` branch.  It is the baseline a run of one through
+    ``Skeleton.handle_run`` is held against."""
+
+    def _prologue(
+        self, request: Request
+    ) -> tuple[Response | None, Any, int, tuple, dict, float]:
+        if self.draining:
+            return _DRAINED, None, _REFUSED, (), {}, 0.0
+        if self.redirect_policy is not None:
+            redirect = self._redirect(request)
+            if redirect is not None:
+                return redirect, None, _REFUSED, (), {}, 0.0
+        if not self._admit(1):
+            return _DRAINED, None, _REFUSED, (), {}, 0.0
+        accepted = False
+        try:
+            started = self.clock.now()
+            name = request.method
+            method, kind = self._methods.get(name) or self._resolve(name)
+            if kind != _REFUSED:
+                args, kwargs = unmarshal_call(request.payload)
+                accepted = True
+                return None, method, kind, args, kwargs, started
+            self.stats.record(name, 0.0, error=True)
+            if self._obs is not None:
+                self._observe(name, 0.0, error=True)
+            return _response(None, method), None, kind, (), {}, 0.0
+        finally:
+            if not accepted:
+                self._release()
+
+    def _epilogue(
+        self, name: str, started: float, result: Any, error: Exception | None
+    ) -> Response:
+        elapsed = self.clock.now() - started
+        failed = error is not None
+        self.stats.record(name, elapsed, failed)
+        if self._obs is not None:
+            self._observe(name, elapsed, error=failed)
+        return _response(result, error)
 
     def handle(self, request) -> Response:
-        refusal, method, _kind, args, kwargs, started = self._accept(request)
+        refusal, method, _kind, args, kwargs, started = self._prologue(request)
         if refusal is not None:
             return refusal
         name = request.method
@@ -174,8 +223,8 @@ class _PreCpuSkeleton(Skeleton):
                 if inspect.iscoroutine(result):
                     result = asyncio.run(result)
             except Exception as exc:
-                return self._reply(name, started, None, exc)
-            return self._reply(name, started, result, None)
+                return self._epilogue(name, started, None, exc)
+            return self._epilogue(name, started, result, None)
         finally:
             self._release()
 

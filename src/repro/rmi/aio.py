@@ -4,41 +4,43 @@
 call, so its concurrency ceiling is thread count — a few hundred calls
 at best.  :class:`AsyncioTransport` removes that ceiling: sends are loop
 callbacks, dispatches are coroutines, and an in-flight call costs at
-most one ``asyncio.Task`` (~KBs, no stack), so one process sustains tens
-of thousands of concurrent calls.
+most two tasks (~KBs each, no stack), so one process sustains tens of
+thousands of concurrent calls.
 
 What a task is paid for
-    Only suspension on the loop.  A message is walked to its reply
-    where it was sent, inside the sweep or loop callback that sent it,
-    with no task, no timer and no extra loop turn: each run of
-    consecutive plain entries for one skeleton (not ``async def``, not
-    ``@blocking``, not ``@cpu_bound``; the exported skeleton says
-    which) goes through its ``handle_run`` in one pass, admitted, run
-    and counted once per run, each call in a context copy of its own;
-    an unbatched plain call is a run of one.  A ``@blocking`` call or
-    batch entry costs no task either: it is one job on its member's
-    pool.  An unbatched ``async def`` or ``@cpu_bound`` call costs one
-    task; a batch costs one per such entry, plus one for the batch once
-    it waits on them or on its ``@blocking`` entries.  Whether a method
-    suspends is never found out by running it: user code in an ``async
-    def`` body must see its *own* task.  A message also goes through a
+    Only waiting on the loop.  A message is walked to its reply where
+    it was sent, inside the sweep or loop callback that sent it, with
+    no task, no timer and no extra loop turn: each run of consecutive
+    entries for one skeleton goes through its ``handle_run`` in one
+    pass, admitted, run and counted once per run, each call in a
+    context copy of its own; an unbatched call is a run of one.  A
+    ``@blocking`` call or batch entry (the exported skeleton says
+    which) costs no task either: it is one job on its member's pool.
+    A call that hands back an awaitable (an ``async def`` method's
+    coroutine, a ``@cpu_bound`` call's worker future) costs a task of
+    its own, in its own context, and its message one more, which waits
+    for it: two for an unbatched ``async def`` call, and for a batch
+    one per such entry plus one, the batch's, once it waits on them or
+    on its ``@blocking`` entries.  No user code in an ``async def``
+    body runs outside its own task.  A message also goes through a
     task when a fault hook is installed or the in-flight window is
     full, and when it is sent from inside a task.
     ``rmi.aio.loop_lag_ms`` shows the longer loop turns a wave of plain
     handlers costs.
 
 Dispatch rules
-    Skeletons dispatch *on the loop*: coroutine methods are awaited in
-    a task (``handle_async``) and plain methods run inline, batched or
-    not (they must be CPU-light).  Methods marked with :func:`blocking`
-    never touch the loop: the skeleton's synchronous ``handle`` — what
-    a ``ThreadedTransport`` worker runs for an unbatched call — runs on
-    the member's own pool (``Endpoint.pool``, 4 workers, made on its
-    first ``@blocking`` call and closed with it), so a member brings its
-    own capacity, and drain, redirect and the statistics clock see the
-    call when a worker picks it up.  An unbatched one submitted off the
-    loop goes onto the pool from the submitting thread and is completed
-    by the worker: no loop callback runs for it (:class:`_Call`).
+    Skeletons dispatch *on the loop*, through ``handle_run``: plain
+    methods run inline, batched or not (they must be CPU-light), and
+    coroutine methods are awaited in their tasks.  Methods marked with
+    :func:`blocking` never touch the loop: the skeleton's synchronous
+    ``handle`` — what a ``ThreadedTransport`` worker runs for an
+    unbatched call — runs on the member's own pool (``Endpoint.pool``,
+    4 workers, made on its first ``@blocking`` call and closed with
+    it), so a member brings its own capacity, and drain, redirect and
+    the statistics clock see the call when a worker picks it up.  An
+    unbatched one submitted off the loop goes onto the pool from the
+    submitting thread and is completed by the worker: no loop callback
+    runs for it (:class:`_Call`).
 
 Bridging
     ``submit()``/``submit_batch()`` are the native, callback-based API.
@@ -151,9 +153,9 @@ def loop_runtime() -> _LoopRuntime:
 class AsyncioTransport(_TransportBase):
     """Live transport: every endpoint dispatches on one shared loop.
 
-    ``timeout`` bounds each dispatch that suspends or runs on a pool;
-    one that runs to its reply where it was sent has no timer to arm
-    (None disables the deadline — deterministic tests use that to keep
+    ``timeout`` bounds each dispatch that waits or runs on a pool; one
+    that runs to its reply where it was sent has no timer to arm (None
+    disables the deadline — deterministic tests use that to keep
     dispatch coroutines on the task path suspension-free).
     ``inflight_limit`` is the dispatch window.
     """
@@ -315,7 +317,7 @@ class AsyncioTransport(_TransportBase):
 
         Thread-safe and non-blocking: the caller never parks.  On the
         loop thread (the batcher's sweeps) the dispatch starts at once: a
-        call that cannot suspend has run, ``on_done`` included, by the
+        call that waits on nothing has run, ``on_done`` included, by the
         time this returns (see :meth:`_start`).  From another thread, an
         unbatched ``@blocking`` call with no fault hook and room in the
         window goes straight onto its member's pool and completes on
@@ -420,8 +422,9 @@ class AsyncioTransport(_TransportBase):
     ) -> Any:
         """The task of a walked message whose replies wait: await them
         under the deadline of its dispatch ``started`` then (loop time),
-        then give back its ``size`` slots.  An unbatched call's reply is
-        awaited in this task; a batch's, each in a task of its own."""
+        then give back its ``size`` slots.  What they wait on is a call's
+        own task or a loop future its member's pool completes; a batch
+        joins them with one ``gather``."""
         deadline = None if self._timeout is None else started + self._timeout
         try:
             async with asyncio.timeout_at(deadline):
@@ -605,67 +608,53 @@ class AsyncioTransport(_TransportBase):
         """Serve a message's entries in order, here, and say what the
         rest of them wait on.
 
-        Each run of consecutive entries for one target whose methods
-        cannot suspend (``may_suspend``) is served in one pass of its
-        ``handle_run``, which runs each call in a context copy of its
-        own; an unbatched plain call is a run of one.  Any other entry
-        is left to wait: a ``@blocking`` one (``offloads``) as one job
+        Each run of consecutive entries for one target is served in one
+        pass of its ``handle_run``, which runs each call in a context
+        copy of its own and gives one that hands back an awaitable a
+        task of its own; an unbatched call is a run of one.  A
+        ``@blocking`` entry (``offloads``) ends the run: it is one job
         on its member's pool, started once the runs are served, so the
-        jobs still overlap; the rest as the ``handle_async`` coroutine
-        of its target, not yet started.  Returns ``(replies, waiting)``:
-        the replies in entry order, None where ``waiting`` holds
-        ``(index, awaitable)``.  ``target`` is an unbatched call's,
-        resolved when it was sent; a batch's entries resolve here, and
-        one whose object is not exported replies ``unresolved``.
+        jobs still overlap.  Returns ``(replies, waiting)``: the replies
+        in entry order, None where ``waiting`` holds ``(index,
+        awaitable)``.  ``target`` is an unbatched call's, resolved when
+        it was sent; a batch's entries resolve here, and one whose
+        object is not exported replies ``unresolved``.  Should a handler
+        raise past its call, the message fails as a whole; a task a run
+        made settles its own call.
         """
         loop = self._runtime.loop
         replies: list[Any] = [None] * len(entries)
         waiting: list[tuple[int, Any]] = []
         offloaded: list[tuple[int, Any, Request]] = []
-        run: list[Request] = []  # consecutive plain entries of ``target``
+        start = 0  # the first entry of the run of ``target``'s entries
         object_id = None if target is None else entries[0].object_id
-        suspends = None if target is None else target.may_suspend
-        try:
-            for index, request in enumerate((*entries, None)):
-                if (
-                    request is not None and request.object_id == object_id
-                    and not suspends(request.method)
-                ):
-                    run.append(request)
+        for index, request in enumerate((*entries, None)):
+            if (
+                request is not None and request.object_id == object_id
+                and not target.offloads(request.method)
+            ):
+                continue
+            if start < index:
+                served = target.handle_run(entries[start:index], loop)
+                for at, reply in enumerate(served, start):
+                    if type(reply) is Response:
+                        replies[at] = reply
+                    else:  # the task of a call that waits
+                        waiting.append((at, reply))
+            start = index + 1
+            if request is None:
+                break
+            if request.object_id != object_id:
+                object_id = request.object_id
+                target = ep.objects.get(object_id)
+                if target is None:
+                    replies[index] = Response("unresolved", value=object_id)
+                    object_id = None
                     continue
-                if run:
-                    served = target.handle_run(run, loop)
-                    for at, reply in enumerate(served, index - len(run)):
-                        if type(reply) is Response:
-                            replies[at] = reply
-                        else:  # the task of a plain method's coroutine
-                            waiting.append((at, reply))
-                    run = []
-                if request is None:
-                    break
-                if request.object_id != object_id:
-                    object_id = request.object_id
-                    target = ep.objects.get(object_id)
-                    if target is None:
-                        replies[index] = Response("unresolved", value=object_id)
-                        object_id = None
-                        continue
-                    suspends = target.may_suspend
-                    if not suspends(request.method):
-                        run.append(request)
-                        continue
-                if target.offloads(request.method):
-                    offloaded.append((index, target, request))
-                else:
-                    waiting.append((index, target.handle_async(request)))
-        except BaseException:
-            # The message fails as a whole: a coroutine made for an entry
-            # is closed unstarted (never "never awaited"), and a task a
-            # run made settles its own call.
-            for _, reply in waiting:
-                if asyncio.iscoroutine(reply):
-                    reply.close()
-            raise
+                if not target.offloads(request.method):
+                    start = index
+                    continue
+            offloaded.append((index, target, request))
         for index, owner, request in offloaded:
             waiting.append((index, self._pool_reply(ep, owner, request)))
         return replies, waiting

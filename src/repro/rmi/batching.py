@@ -19,7 +19,7 @@ transport decides is read once, at construction:
 - **How a batch flies, and who sweeps.**  On an asynchronous transport
   (:class:`~repro.rmi.aio.AsyncioTransport`) a batch flies through the
   callback API (``submit`` / ``submit_batch``) and the send returns at
-  once: with the batch completed, when nothing in it can suspend (the
+  once: with the batch completed, when nothing in it waits (the
   transport runs it inside the sweep), or with its task started.
   Sweeps run on the event loop, and a later completion that finds
   entries the window held back sweeps again there; one inside the

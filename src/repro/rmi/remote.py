@@ -26,14 +26,14 @@ blocking driver, :func:`start_call` the choice of driver behind
 from __future__ import annotations
 
 import asyncio
-import inspect
 import itertools
 import threading
 import weakref
 from contextvars import copy_context
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Generator, Sequence
+from types import CoroutineType
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.concurrency import ThreadStripes
 from repro.errors import (
@@ -129,31 +129,21 @@ class CallStats:
     def __init__(self) -> None:
         self._stripes: ThreadStripes[_StatsStripe] = ThreadStripes(_StatsStripe)
 
-    def record_run(self, window: dict[str, list]) -> None:
-        """Record a run of calls, already folded per method as
-        ``[calls, total_latency, errors]``, in one write to this
-        thread's stripe."""
-        stripe = self._stripes.stripe()
-        with stripe.lock:
-            methods = stripe.methods
-            for name, (calls, latency, errors) in window.items():
-                stats = methods.get(name)
-                if stats is None:
-                    stats = methods[name] = MethodStats()
-                stats.calls += calls
-                stats.total_latency += latency
-                stats.errors += errors
-
-    def record(self, method: str, latency: float, error: bool = False) -> None:
+    def record(
+        self, method: str, latency: float, error: int = False, calls: int = 1
+    ) -> None:
+        """Record ``calls`` calls of ``method`` (one by default) that took
+        ``latency`` seconds together, ``error`` of them failed (a count,
+        or a flag for one call), in one write to this thread's stripe."""
         stripe = self._stripes.stripe()
         with stripe.lock:
             stats = stripe.methods.get(method)
             if stats is None:
                 stats = stripe.methods[method] = MethodStats()
-            stats.calls += 1
+            stats.calls += calls
             stats.total_latency += latency
             if error:
-                stats.errors += 1
+                stats.errors += error
 
     @staticmethod
     def _merge(
@@ -218,11 +208,14 @@ def _declares_cpu_bound(cls: type) -> bool:
 
 
 # How a skeleton dispatches a method name, decided once per name
-# (Skeleton._resolve).  The last three never reply where the asyncio
-# transport sent them: two are awaited in handle_async, _BLOCKING runs
-# on the member's own dispatch pool instead.
-_REFUSED, _PLAIN, _COROUTINE, _BLOCKING, _CPU = range(5)
-_SUSPENDING = frozenset((_COROUTINE, _BLOCKING, _CPU))
+# (Skeleton._resolve).  _BLOCKING is what the asyncio transport runs on
+# the member's own pool instead of the loop (Skeleton.offloads).
+_REFUSED, _PLAIN, _BLOCKING, _CPU = range(4)
+
+# What a call may hand back on the loop for its reply to wait on: an
+# ``async def`` method's coroutine (or one a plain method returns), or
+# a @cpu_bound call's worker future.
+_AWAITABLE = (CoroutineType, asyncio.Future)
 
 _DRAINED = Response("drained")
 
@@ -376,8 +369,6 @@ class Skeleton:
             entry = (method, _CPU)
         elif getattr(method, "__ermi_blocking__", False):
             entry = (method, _BLOCKING)
-        elif inspect.iscoroutinefunction(method):
-            entry = (method, _COROUTINE)
         else:
             entry = (method, _PLAIN)
         if method is not None:
@@ -406,62 +397,11 @@ class Skeleton:
     def _release(self, count: int = 1) -> None:
         with self._pending_lock:
             self.pending -= count
-            if self.pending == 0 and self.draining:
+            if self.draining and self.pending == 0:
                 self._drained.set()
 
-    def _accept(
-        self, request: Request
-    ) -> tuple[Response | None, Any, int, tuple, dict, float]:
-        """Shared dispatch prologue: the drain/redirect gate, the pending
-        count, method resolution and unmarshalling.
-
-        Returns ``(refusal, method, kind, args, kwargs, started)``.  With
-        a refusal nothing is left pending; otherwise the caller owns one
-        pending slot, and releases it once it has its :meth:`_reply`.
-        Refused names (see :meth:`_resolve`) are recorded as
-        zero-latency errored calls.
-        """
-        if self.draining:
-            return _DRAINED, None, _REFUSED, (), {}, 0.0
-        if self.redirect_policy is not None:
-            redirect = self._redirect(request)
-            if redirect is not None:
-                return redirect, None, _REFUSED, (), {}, 0.0
-        if not self._admit(1):
-            return _DRAINED, None, _REFUSED, (), {}, 0.0
-        accepted = False
-        try:
-            started = self.clock.now()
-            name = request.method
-            method, kind = self._methods.get(name) or self._resolve(name)
-            if kind != _REFUSED:
-                args, kwargs = unmarshal_call(request.payload)
-                accepted = True
-                return None, method, kind, args, kwargs, started
-            self.stats.record(name, 0.0, error=True)
-            if self._obs is not None:
-                self._observe(name, 0.0, error=True)
-            return _response(None, method), None, kind, (), {}, 0.0
-        finally:
-            if not accepted:
-                self._release()
-
-    def _reply(
-        self, name: str, started: float, result: Any, error: Exception | None
-    ) -> Response:
-        """Shared dispatch epilogue: statistics, observability and the
-        fold of the outcome of a call ``started`` then into a Response.
-        The caller releases its slot after this (so a drain waits for
-        the reply to be marshalled)."""
-        elapsed = self.clock.now() - started
-        failed = error is not None
-        self.stats.record(name, elapsed, failed)
-        if self._obs is not None:
-            self._observe(name, elapsed, error=failed)
-        return _response(result, error)
-
     def handle(self, request: Request) -> Response:
-        """Synchronous dispatch: accept, method, reply, on this thread.
+        """One call, on this thread: a run of one (:meth:`handle_run`).
 
         What a worker of the member's dispatch pool runs: every unbatched
         call on a :class:`~repro.rmi.transport.ThreadedTransport`, and a
@@ -471,167 +411,139 @@ class Skeleton:
         all start when a worker picks the call up, not when it was
         queued.
         """
-        refusal, method, kind, args, kwargs, started = self._accept(request)
-        if refusal is not None:
-            return refusal
-        name = request.method
-        try:
-            try:
-                if kind == _CPU:
-                    result = self._cpu.run_call(self.impl, name, args, kwargs)
-                else:
-                    result = method(*args, **kwargs)
-                    if inspect.iscoroutine(result):
-                        # Coroutine remote methods stay invocable on the
-                        # sync transports: the dispatch thread owns no
-                        # loop, so a private one drives the coroutine to
-                        # completion.
-                        result = asyncio.run(result)
-            except Exception as exc:
-                return self._reply(name, started, None, exc)
-            return self._reply(name, started, result, None)
-        finally:
-            self._release()
+        return self.handle_run((request,))[0]
 
     async def handle_async(self, request: Request) -> Response:
-        """Loop-native dispatch: the asyncio transport's path for a call
-        of an ``async def`` or ``@cpu_bound`` method, unbatched or a
-        batch entry (:meth:`may_suspend` is how it tells them apart).
-
-        :meth:`handle` with a different call: ``@cpu_bound`` methods are
-        awaited on a worker process and coroutine methods are awaited in
-        place.  Plain methods go through :meth:`handle_run` instead, and
-        methods marked with :func:`repro.rmi.aio.blocking` through
-        :meth:`handle` on the member's own pool (:meth:`offloads`), so
-        this coroutine has no executor branch.
-        """
-        refusal, method, kind, args, kwargs, started = self._accept(request)
-        if refusal is not None:
-            return refusal
-        name = request.method
-        try:
-            try:
-                if kind == _CPU:
-                    # Hand the call to a worker process and await its
-                    # future without blocking the loop.
-                    result = await asyncio.wrap_future(
-                        self._cpu.submit_call(self.impl, name, args, kwargs)
-                    )
-                else:
-                    result = await method(*args, **kwargs)
-            except Exception as exc:
-                return self._reply(name, started, None, exc)
-            return self._reply(name, started, result, None)
-        finally:
-            self._release()
+        """:meth:`handle` on the running loop, awaiting what the call
+        waits on.  No transport calls it; it keeps its name for tracing
+        harnesses that wrap the skeleton's entry points by name."""
+        reply = self.handle_run((request,), asyncio.get_running_loop())[0]
+        return reply if type(reply) is Response else await reply
 
     def handle_run(
         self, requests: Sequence[Request],
         loop: asyncio.AbstractEventLoop | None = None,
     ) -> list[Any]:
-        """:meth:`handle` for a run of calls to this object, in one pass.
+        """Serve a run of calls to this object in one pass: the one way
+        into a skeleton.
 
-        Redirects are decided per call, before admission; the drain gate,
-        the pending count and the statistics write are paid once per
-        run, and the clock is read once per call boundary.  The slots go
-        back after the last reply is built, so a drain one call starts
-        waits for the rest, which still run.  With ``loop`` (the asyncio
-        transport; calls that cannot suspend only, an unbatched one as a
-        run of one) each call runs in a context copy of its own, and a
-        coroutine a plain method hands back becomes a task on ``loop``
-        that stands in for its reply.
+        Redirects are decided per call, before admission; the drain gate
+        and the pending count are paid once per run; the clock is read
+        once per call boundary, and statistics are written to this
+        thread's stripe once per stretch of calls to one method.  The
+        slots go back after the last reply is built, so a drain one call
+        starts waits for the rest, which still run.  Without ``loop`` a
+        call runs to its end on this thread: a coroutine a method hands
+        back is driven by a private loop, a ``@cpu_bound`` call waits for
+        its worker process.  With ``loop`` (the asyncio transport) each
+        call runs in a context copy of its own, and one that hands back
+        an awaitable (:data:`_AWAITABLE`) becomes a task on ``loop`` in
+        that context, which holds the call's slot and stands in for its
+        reply.
         """
         if self.draining:
             return [_DRAINED] * len(requests)
-        replies: list[Any] = [None] * len(requests)
-        admitted: Sequence[int] = range(len(requests))
+        held = len(requests)
+        replies: list[Any] = [None] * held
+        admitted: Iterable[tuple[int, Request]] = enumerate(requests)
         if self.redirect_policy is not None:
-            replies = [self._redirect(request) for request in requests]
+            replies = list(map(self._redirect, requests))
             admitted = [
-                index for index, reply in enumerate(replies) if reply is None
+                entry for entry, reply in zip(enumerate(requests), replies)
+                if reply is None
             ]
-        held = len(admitted)
+            held = len(admitted)
         if not self._admit(held):
             return [reply or _DRAINED for reply in replies]
-        window: dict[str, list] = {}  # name -> [calls, latency, errors]
         now = self.clock.now
+        # The stretch of ``calls`` calls to method ``current`` not yet
+        # written to the statistics, and their latency and errors.
+        calls = 0
         try:
             started = now()
-            for index in admitted:
-                name = requests[index].method
+            for index, request in admitted:
+                name = request.method
                 method, kind = self._methods.get(name) or self._resolve(name)
                 result = error = None
                 if kind == _REFUSED:
                     error = method
                 else:
-                    args, kwargs = unmarshal_call(requests[index].payload)
+                    args, kwargs = unmarshal_call(request.payload)
                     try:
-                        if kind == _CPU:
-                            result = self._cpu.run_call(self.impl, name, args, kwargs)
-                        elif loop is None:
-                            result = method(*args, **kwargs)
-                            if inspect.iscoroutine(result):
-                                result = asyncio.run(result)  # as in handle
-                        else:
+                        if loop is not None:
                             context = copy_context()
-                            result = context.run(method, *args, **kwargs)
+                            if kind == _CPU:
+                                result = asyncio.wrap_future(
+                                    self._cpu.submit_call(self.impl, name, args, kwargs),
+                                    loop=loop,
+                                )
+                            else:
+                                result = context.run(method, *args, **kwargs)
+                        elif kind == _CPU:
+                            result = self._cpu.run_call(self.impl, name, args, kwargs)
+                        else:
+                            result = method(*args, **kwargs)
+                            if type(result) is CoroutineType:
+                                # This thread runs no loop: a private one
+                                # drives the coroutine to its end.
+                                result = asyncio.run(result)
                     except Exception as exc:
                         error = exc
-                    if loop is not None and inspect.iscoroutine(result):
+                    if loop is not None and isinstance(result, _AWAITABLE):
                         task = replies[index] = loop.create_task(
                             self._settle(name, started, result), context=context
                         )
-                        # The task holds the call's slot until it is done,
-                        # cancelled before it ever ran too.
-                        task.add_done_callback(lambda _: self._release())
+                        task.add_done_callback(self._settled)
                         held -= 1
                         started = now()
                         continue
                 replies[index] = _response(result, error)
                 ended = now()
                 latency = 0.0 if kind == _REFUSED else ended - started
-                stats = window.get(name)
-                if stats is None:
-                    stats = window[name] = [0, 0.0, 0]
-                stats[0] += 1
-                stats[1] += latency
-                stats[2] += error is not None
+                failed = error is not None
+                if calls and name == current:
+                    calls += 1
+                    spent += latency
+                    errors += failed
+                else:
+                    if calls:
+                        self.stats.record(current, spent, errors, calls)
+                    current, calls, spent, errors = name, 1, latency, failed
                 if self._obs is not None:
-                    self._observe(name, latency, error is not None)
+                    self._observe(name, latency, failed)
                 started = ended
         finally:
-            self.stats.record_run(window)
+            if calls:
+                self.stats.record(current, spent, errors, calls)
             self._release(held)
         return replies
 
-    async def _settle(self, name: str, started: float, coroutine: Any) -> Response:
-        """The task of a run's call whose plain method handed back a
-        coroutine: await it, then reply."""
+    async def _settle(self, name: str, started: float, awaitable: Any) -> Response:
+        """The task of a call that handed back ``awaitable``: await it,
+        count the call, reply."""
         try:
-            result = await coroutine
+            result, error = await awaitable, None
         except Exception as exc:
-            return self._reply(name, started, None, exc)
-        return self._reply(name, started, result, None)
+            result, error = None, exc
+        latency = self.clock.now() - started
+        self.stats.record(name, latency, error is not None)
+        if self._obs is not None:
+            self._observe(name, latency, error is not None)
+        return _response(result, error)
 
-    def may_suspend(self, name: str) -> bool:
-        """Can a call of ``name`` fail to reply where it was sent?
-
-        True for ``async def`` methods and for the two offloaded kinds
-        (``@blocking``, see :meth:`offloads`, and ``@cpu_bound`` when a
-        worker pool is attached); False for a plain method, which the
-        asyncio transport serves through :meth:`handle_run` with no
-        task, and for a refused name.  Read off :meth:`_resolve`'s
-        table, never found out by running the method: user code in an
-        ``async def`` body must only ever run inside its own task.
-        """
-        entry = self._methods.get(name) or self._resolve(name)
-        return entry[1] in _SUSPENDING
+    def _settled(self, task: asyncio.Task) -> None:
+        """A call's task is done, cancelled before it ever ran too: give
+        back the slot it held.  (A method, not a closure: a closure over
+        ``self`` would make every access to it in :meth:`handle_run` a
+        cell load.)"""
+        self._release()
 
     def offloads(self, name: str) -> bool:
         """Does method ``name`` block a thread (``@blocking``)?  The
         asyncio transport then runs :meth:`handle` on the member's own
-        pool of workers.  Read off the same table as :meth:`may_suspend`;
-        safe from any thread (the transport asks from the caller's)."""
+        pool of workers.  Read off :meth:`_resolve`'s table, never found
+        out by running the method; safe from any thread (the transport
+        asks from the caller's)."""
         entry = self._methods.get(name) or self._resolve(name)
         return entry[1] == _BLOCKING
 

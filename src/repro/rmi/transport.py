@@ -137,9 +137,9 @@ RequestHandler = Callable[[Request], Response]
 
 class _Handler:
     """A bare handler callable given a skeleton's surface, so every
-    transport serves whatever is exported one way.  It promises
-    nothing: each of its calls may suspend, and none blocks a thread
-    the asyncio transport must spare."""
+    transport serves whatever is exported one way.  On the loop a
+    coroutine it hands back becomes a task; none of its calls blocks a
+    thread the asyncio transport must spare."""
 
     __slots__ = ("handle",)
 
@@ -147,14 +147,11 @@ class _Handler:
         self.handle = handle
 
     def handle_run(self, requests: Sequence[Request], loop: Any = None) -> list:
-        return [self.handle(request) for request in requests]
-
-    async def handle_async(self, request: Request) -> Response:
-        reply = self.handle(request)
-        return (await reply) if inspect.iscoroutine(reply) else reply
-
-    def may_suspend(self, name: str) -> bool:
-        return True
+        return [
+            loop.create_task(reply)
+            if loop is not None and inspect.iscoroutine(reply) else reply
+            for reply in map(self.handle, requests)
+        ]
 
     def offloads(self, name: str) -> bool:
         return False
@@ -167,15 +164,16 @@ class Endpoint:
     ``objects`` maps each object id to its *target*, the server-side
     dispatcher every transport asks directly: a
     :class:`~repro.rmi.remote.Skeleton`, or a bare handler callable
-    wrapped once at export.  A target serves an unbatched call
-    (``handle``; ``handle_async`` for one that may suspend on the
-    asyncio transport) and a run of a batch's consecutive entries for
-    its object in one pass (``handle_run``; on the asyncio transport an
-    unbatched plain call too, as a run of one), and says per method
-    name whether a call can suspend (``may_suspend``) or blocks a
-    thread (``offloads``).  Each endpoint carries its own lock for
-    state transitions (export, unexport, kill, revive); ``objects`` is
-    copy-on-write, so the invoke path reads it without locking.
+    wrapped once at export.  A target serves a run of consecutive
+    calls to its object in one pass (``handle_run``: a batch's entries,
+    and on the asyncio transport an unbatched call too, as a run of
+    one; given the loop, it hands back a task for a call that waits)
+    and an unbatched call off the loop (``handle``), and says per
+    method name whether a call blocks a thread (``offloads``): the
+    asyncio transport then runs its ``handle`` on the endpoint's pool.
+    Each endpoint carries its own lock for state transitions (export,
+    unexport, kill, revive); ``objects`` is copy-on-write, so the
+    invoke path reads it without locking.
     ``pool`` is the endpoint's :class:`_Dispatcher`, made by its
     transport on first use and closed when the endpoint is killed.
     """

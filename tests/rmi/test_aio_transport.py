@@ -932,6 +932,25 @@ class TestEagerDispatch:
         assert replies == [("result", "call")]
         assert len(created) == 2
 
+    def test_an_unbatched_async_def_call_costs_two_tasks(self, transport):
+        """An unbatched ``async def`` call costs what ``scoped`` above
+        costs: the task its coroutine runs in, in a context of its own,
+        and the one its reply waits in."""
+        endpoint, skeleton = exported(transport, Mixed())
+        replies = []
+
+        def send():
+            transport.submit(
+                endpoint.endpoint_id, request_for(skeleton, "adouble", 3),
+                lambda response, error: replies.append(outcome(response)),
+            )
+
+        with counting_tasks() as created:
+            on_the_loop(send)
+            assert _wait_for(lambda: replies)
+        assert replies == [("result", 6)]
+        assert len(created) == 2
+
     def test_a_call_sent_inside_a_task_gets_a_task(self, transport):
         endpoint, skeleton = exported(transport, Mixed())
         replies = []
