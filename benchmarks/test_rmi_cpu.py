@@ -168,11 +168,25 @@ class _Echo(Remote):
 
 class _PreCpuSkeleton(Skeleton):
     """The unbatched dispatch as it was before cpu-bound dispatch, and
-    before every call into a skeleton became a run of one: the gate,
-    pending count, resolution and unmarshalling of ``_prologue``, the
-    call, and the statistics and reply of ``_epilogue``, with no
-    ``self._cpu`` branch.  It is the baseline a run of one through
-    ``Skeleton.handle_run`` is held against."""
+    before every call into a skeleton became a run of one: the pending
+    count of ``_admit`` and ``_release``, the gate, resolution and
+    unmarshalling of ``_prologue``, the call, and the statistics and
+    reply of ``_epilogue``, with no ``self._cpu`` branch.  It is the
+    baseline a run of one through ``Skeleton.handle_run`` is held
+    against."""
+
+    def _admit(self, count: int) -> bool:
+        with self._pending_lock:
+            if self.draining:
+                return False
+            self.pending += count
+        return True
+
+    def _release(self, count: int = 1) -> None:
+        with self._pending_lock:
+            self.pending -= count
+            if self.draining and self.pending == 0:
+                self._drained.set()
 
     def _prologue(
         self, request: Request

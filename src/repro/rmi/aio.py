@@ -16,8 +16,8 @@ What a task is paid for
     context copy of its own; an unbatched call is a run of one.  A
     ``@blocking`` call or batch entry (the exported skeleton says
     which) costs no task either: it is one job on its member's pool.
-    A call that hands back an awaitable (an ``async def`` method's
-    coroutine, a ``@cpu_bound`` call's worker future) costs a task of
+    A call that hands back a coroutine (an ``async def`` method's, or
+    the one a ``@cpu_bound`` call awaits its worker in) costs a task of
     its own, in its own context, and its message one more, which waits
     for it: two for an unbatched ``async def`` call, and for a batch
     one per such entry plus one, the batch's, once it waits on them or
@@ -610,7 +610,7 @@ class AsyncioTransport(_TransportBase):
 
         Each run of consecutive entries for one target is served in one
         pass of its ``handle_run``, which runs each call in a context
-        copy of its own and gives one that hands back an awaitable a
+        copy of its own and gives one that hands back a coroutine a
         task of its own; an unbatched call is a run of one.  A
         ``@blocking`` entry (``offloads``) ends the run: it is one job
         on its member's pool, started once the runs are served, so the
@@ -628,10 +628,11 @@ class AsyncioTransport(_TransportBase):
         offloaded: list[tuple[int, Any, Request]] = []
         start = 0  # the first entry of the run of ``target``'s entries
         object_id = None if target is None else entries[0].object_id
+        offloads = None if target is None else target.offloads
         for index, request in enumerate((*entries, None)):
             if (
                 request is not None and request.object_id == object_id
-                and not target.offloads(request.method)
+                and not offloads(request.method)
             ):
                 continue
             if start < index:
@@ -651,7 +652,8 @@ class AsyncioTransport(_TransportBase):
                     replies[index] = Response("unresolved", value=object_id)
                     object_id = None
                     continue
-                if not target.offloads(request.method):
+                offloads = target.offloads
+                if not offloads(request.method):
                     start = index
                     continue
             offloaded.append((index, target, request))

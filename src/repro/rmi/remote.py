@@ -33,7 +33,7 @@ from contextvars import copy_context
 from dataclasses import dataclass
 from functools import partial
 from types import CoroutineType
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from repro.concurrency import ThreadStripes
 from repro.errors import (
@@ -212,11 +212,6 @@ def _declares_cpu_bound(cls: type) -> bool:
 # the member's own pool instead of the loop (Skeleton.offloads).
 _REFUSED, _PLAIN, _BLOCKING, _CPU = range(4)
 
-# What a call may hand back on the loop for its reply to wait on: an
-# ``async def`` method's coroutine (or one a plain method returns), or
-# a @cpu_bound call's worker future.
-_AWAITABLE = (CoroutineType, asyncio.Future)
-
 _DRAINED = Response("drained")
 
 
@@ -383,23 +378,6 @@ class Skeleton:
             return Response("redirect", b"", target)
         return None
 
-    def _admit(self, count: int) -> bool:
-        """Count ``count`` calls pending, unless the member drains."""
-        with self._pending_lock:
-            # Checked again under the lock start_drain takes: a call
-            # that passed the unlocked check must not be counted after
-            # the drain saw nothing pending and reported it drained.
-            if self.draining:
-                return False
-            self.pending += count
-        return True
-
-    def _release(self, count: int = 1) -> None:
-        with self._pending_lock:
-            self.pending -= count
-            if self.draining and self.pending == 0:
-                self._drained.set()
-
     def handle(self, request: Request) -> Response:
         """One call, on this thread: a run of one (:meth:`handle_run`).
 
@@ -437,48 +415,64 @@ class Skeleton:
         back is driven by a private loop, a ``@cpu_bound`` call waits for
         its worker process.  With ``loop`` (the asyncio transport) each
         call runs in a context copy of its own, and one that hands back
-        an awaitable (:data:`_AWAITABLE`) becomes a task on ``loop`` in
-        that context, which holds the call's slot and stands in for its
+        a coroutine (an ``async def`` method's, or a ``@cpu_bound``
+        call's, :meth:`_on_worker`) becomes a task on ``loop`` in that
+        context, which holds the call's slot and stands in for its
         reply.
         """
         if self.draining:
             return [_DRAINED] * len(requests)
-        held = len(requests)
-        replies: list[Any] = [None] * held
-        admitted: Iterable[tuple[int, Request]] = enumerate(requests)
+        admitted = requests
+        bounced = None
         if self.redirect_policy is not None:
-            replies = list(map(self._redirect, requests))
+            bounced = list(map(self._redirect, requests))
             admitted = [
-                entry for entry, reply in zip(enumerate(requests), replies)
+                request for request, reply in zip(requests, bounced)
                 if reply is None
             ]
-            held = len(admitted)
-        if not self._admit(held):
-            return [reply or _DRAINED for reply in replies]
+        held = len(admitted)
+        with self._pending_lock:
+            # Checked again under the lock start_drain takes: a call
+            # that passed the unlocked check must not be counted after
+            # the drain saw nothing pending and reported it drained.
+            if self.draining:
+                if bounced is None:
+                    return [_DRAINED] * held
+                return [reply or _DRAINED for reply in bounced]
+            self.pending += held
+        replies: list[Any] = []
         now = self.clock.now
         # The stretch of ``calls`` calls to method ``current`` not yet
         # written to the statistics, and their latency and errors.
         calls = 0
         try:
             started = now()
-            for index, request in admitted:
+            for request in admitted:
                 name = request.method
                 method, kind = self._methods.get(name) or self._resolve(name)
-                result = error = None
                 if kind == _REFUSED:
-                    error = method
+                    result, error = None, method
                 else:
                     args, kwargs = unmarshal_call(request.payload)
+                    error = None
                     try:
                         if loop is not None:
                             context = copy_context()
-                            if kind == _CPU:
-                                result = asyncio.wrap_future(
-                                    self._cpu.submit_call(self.impl, name, args, kwargs),
-                                    loop=loop,
+                            result = (
+                                context.run(method, *args, **kwargs)
+                                if kind != _CPU
+                                else self._on_worker(name, args, kwargs)
+                            )
+                            if type(result) is CoroutineType:
+                                task = loop.create_task(
+                                    self._settle(name, started, result),
+                                    context=context,
                                 )
-                            else:
-                                result = context.run(method, *args, **kwargs)
+                                task.add_done_callback(self._settled)
+                                replies.append(task)
+                                held -= 1
+                                started = now()
+                                continue
                         elif kind == _CPU:
                             result = self._cpu.run_call(self.impl, name, args, kwargs)
                         else:
@@ -488,16 +482,11 @@ class Skeleton:
                                 # drives the coroutine to its end.
                                 result = asyncio.run(result)
                     except Exception as exc:
-                        error = exc
-                    if loop is not None and isinstance(result, _AWAITABLE):
-                        task = replies[index] = loop.create_task(
-                            self._settle(name, started, result), context=context
-                        )
-                        task.add_done_callback(self._settled)
-                        held -= 1
-                        started = now()
-                        continue
-                replies[index] = _response(result, error)
+                        result, error = None, exc
+                replies.append(
+                    Response("result", marshal_result(result))
+                    if error is None else _response(None, error)
+                )
                 ended = now()
                 latency = 0.0 if kind == _REFUSED else ended - started
                 failed = error is not None
@@ -515,14 +504,27 @@ class Skeleton:
         finally:
             if calls:
                 self.stats.record(current, spent, errors, calls)
-            self._release(held)
+            with self._pending_lock:
+                self.pending -= held
+                if self.draining and self.pending == 0:
+                    self._drained.set()
+        if bounced is not None:  # the served replies go between the bounced
+            served = iter(replies)
+            replies = [reply or next(served) for reply in bounced]
         return replies
 
-    async def _settle(self, name: str, started: float, awaitable: Any) -> Response:
-        """The task of a call that handed back ``awaitable``: await it,
+    async def _on_worker(self, name: str, args: tuple, kwargs: dict) -> Any:
+        """A ``@cpu_bound`` call on the loop: its worker process's
+        outcome, awaited in the call's task."""
+        return await asyncio.wrap_future(
+            self._cpu.submit_call(self.impl, name, args, kwargs)
+        )
+
+    async def _settle(self, name: str, started: float, coroutine: Any) -> Response:
+        """The task of a call that handed back ``coroutine``: await it,
         count the call, reply."""
         try:
-            result, error = await awaitable, None
+            result, error = await coroutine, None
         except Exception as exc:
             result, error = None, exc
         latency = self.clock.now() - started
@@ -536,7 +538,10 @@ class Skeleton:
         back the slot it held.  (A method, not a closure: a closure over
         ``self`` would make every access to it in :meth:`handle_run` a
         cell load.)"""
-        self._release()
+        with self._pending_lock:
+            self.pending -= 1
+            if self.draining and self.pending == 0:
+                self._drained.set()
 
     def offloads(self, name: str) -> bool:
         """Does method ``name`` block a thread (``@blocking``)?  The

@@ -234,6 +234,28 @@ class TestDrain:
         assert skeleton.impl.memory == 0.0  # the method never ran
         assert skeleton.pending == 0 and skeleton.is_drained
 
+    def test_a_run_the_drain_beats_to_the_lock_is_all_drained(self, exported):
+        """With no redirect policy too, a run that passed the unlocked
+        check but finds the member draining under the pending lock
+        replies ``drained`` for every call and counts none."""
+        skeleton, _ = exported
+        lock = skeleton._pending_lock
+
+        class DrainFirst:
+            def __enter__(self):
+                lock.acquire()
+                skeleton.draining = True  # the drain got the lock first
+
+            def __exit__(self, *exc_info):
+                lock.release()
+
+        skeleton._pending_lock = DrainFirst()
+        request = Request(skeleton.object_id, "store", marshal_call((7.0,), {}))
+        replies = skeleton.handle_run((request, request))
+        assert [reply.kind for reply in replies] == ["drained", "drained"]
+        assert skeleton.impl.memory == 0.0
+        assert skeleton.pending == 0
+
 
 class TestRedirects:
     def test_redirect_policy_bounces_to_target(self, transport):
