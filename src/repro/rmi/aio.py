@@ -4,27 +4,28 @@
 call, so its concurrency ceiling is thread count — a few hundred calls
 at best.  :class:`AsyncioTransport` removes that ceiling: sends are loop
 callbacks, dispatches are coroutines, and an in-flight call costs at
-most two tasks (~KBs each, no stack), so one process sustains tens of
+most one task (~KBs, no stack), so one process sustains tens of
 thousands of concurrent calls.
 
 What a task is paid for
-    Only waiting on the loop.  A message is walked to its reply where
-    it was sent, inside the sweep or loop callback that sent it, with
-    no task, no timer and no extra loop turn: each run of consecutive
-    entries for one skeleton goes through its ``handle_run`` in one
-    pass, admitted, run and counted once per run, each call in a
-    context copy of its own; an unbatched call is a run of one.  A
-    ``@blocking`` call or batch entry (the exported skeleton says
-    which) costs no task either: it is one job on its member's pool.
-    A call that hands back a coroutine (an ``async def`` method's, or
-    the one a ``@cpu_bound`` call awaits its worker in) costs a task of
-    its own, in its own context, and its message one more, which waits
-    for it: two for an unbatched ``async def`` call, and for a batch
-    one per such entry plus one, the batch's, once it waits on them or
-    on its ``@blocking`` entries.  No user code in an ``async def``
-    body runs outside its own task.  A message also goes through a
-    task when a fault hook is installed or the in-flight window is
-    full, and when it is sent from inside a task.
+    Only a coroutine's run on the loop.  A message is walked to its
+    reply where it was sent, inside the sweep or loop callback that
+    sent it, with no task and no extra loop turn: each run of
+    consecutive entries for one skeleton goes through its
+    ``handle_run`` in one pass, admitted, run and counted once per run,
+    each call in a context copy of its own; an unbatched call is a run
+    of one.  A ``@blocking`` call or batch entry (the exported skeleton
+    says which) costs no task either: it is one job on its member's
+    pool.  A call that hands back a coroutine (an ``async def``
+    method's, or the one a ``@cpu_bound`` call awaits its worker in)
+    costs the task that coroutine runs in, in its own context, and
+    nothing more: one for an unbatched call, k for a batch with k such
+    entries.  What a message then waits on is one :class:`_Call`
+    record's, which holds its deadline, window slot and completion.
+    No user code in an ``async def`` body runs outside its own task.
+    A message is sent from a task of its own only when a fault hook is
+    installed, the in-flight window is full, or it is sent from inside
+    a task; that task ends once the message is sent.
     ``rmi.aio.loop_lag_ms`` shows the longer loop turns a wave of plain
     handlers costs.
 
@@ -40,7 +41,7 @@ Dispatch rules
     the statistics clock see the call when a worker picks it up.  An
     unbatched one submitted off the loop goes onto the pool from the
     submitting thread and is completed by the worker: no loop callback
-    runs for it (:class:`_Call`).
+    runs for it (:class:`_Offload`).
 
 Bridging
     ``submit()``/``submit_batch()`` are the native, callback-based API.
@@ -88,6 +89,7 @@ DoneCallback = Callable[[Any, "BaseException | None"], None]
 
 DEFAULT_INFLIGHT_WINDOW = 16_384
 LAG_SAMPLE_INTERVAL_S = 0.05
+_SHUT_DOWN = "asyncio transport shut down"
 
 
 def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -153,11 +155,10 @@ def loop_runtime() -> _LoopRuntime:
 class AsyncioTransport(_TransportBase):
     """Live transport: every endpoint dispatches on one shared loop.
 
-    ``timeout`` bounds each dispatch that waits or runs on a pool; one
-    that runs to its reply where it was sent has no timer to arm (None
-    disables the deadline — deterministic tests use that to keep
-    dispatch coroutines on the task path suspension-free).
-    ``inflight_limit`` is the dispatch window.
+    ``timeout`` bounds each message that waits on a call's task or a
+    pool job; one that runs to its reply where it was sent has no
+    deadline to keep (None disables the deadline).  ``inflight_limit``
+    is the dispatch window.
     """
 
     concurrent = True
@@ -181,11 +182,12 @@ class AsyncioTransport(_TransportBase):
         self._inflight = 0
         self._inflight_hwm = 0
         self._waiters: deque[asyncio.Future] = deque()
-        # Unsettled hand-offs (see _Call) in submission order, which is
+        # Unsettled records (see _Call) in registration order, which is
         # deadline order: one timer, armed on the loop for the oldest.
         self._calls: dict[_Call, bool] = {}
         self._timer: asyncio.TimerHandle | None = None
-        # Loop-thread-only state (no lock needed).
+        # Loop-thread-only state (no lock needed): the tasks of messages
+        # still being sent (_invoke_async) and the lag sampler.
         self._tasks: set[asyncio.Task] = set()
         self._lag_task: asyncio.Task | None = None
 
@@ -335,7 +337,7 @@ class AsyncioTransport(_TransportBase):
             and self._fault_hook is None and target.offloads(request.method)
             and self._take(1)
         ):
-            self._hand_off(ep, target, request, on_done, None)
+            self._send(ep, target, request, (request,), on_done, None)
         else:
             runtime.loop.call_soon_threadsafe(
                 self._start, endpoint_id, request, on_done
@@ -352,14 +354,11 @@ class AsyncioTransport(_TransportBase):
         self, endpoint_id: str, message: Request | BatchRequest,
         on_done: DoneCallback,
     ) -> None:  # loop thread
-        """Send one wire message: as one job on its member's pool when it
-        is an unbatched ``@blocking`` call (the target ``offloads`` it),
-        walked where it was sent (:meth:`_eager`), or in a task.
-
-        Both task-free paths need no fault hook and a free slot of the
-        window; eager also needs no current task (user code never runs
-        in a task not its own).  A message that fails to resolve is
-        answered here.
+        """Send one wire message here (:meth:`_send`), or from a task
+        (:meth:`_invoke_async`) when a fault hook is installed, the
+        window is full, or this runs inside a task and the message is
+        to be walked (user code never runs in a task not its own).  A
+        message that fails to resolve is answered here.
         """
         try:
             ep, target = self._resolve_message(endpoint_id, message)
@@ -367,107 +366,75 @@ class AsyncioTransport(_TransportBase):
             self._complete(on_done, None, exc)
             return
         entries = message.entries if target is None else (message,)
-        if self._fault_hook is None:
-            if target is not None and target.offloads(message.method):
-                if self._take(1):
-                    self._hand_off(ep, target, message, on_done, self._runtime.loop)
-                    return
-            elif (
-                asyncio.current_task(self._runtime.loop) is None
-                and self._take(len(entries))
-            ):
-                self._eager(ep, target, message, entries, on_done)
-                return
-        self._spawn(self._run(
-            self._invoke_async(endpoint_id, ep, target, message, entries),
-            on_done,
-        ))
+        loop = self._runtime.loop
+        if self._fault_hook is None and (
+            asyncio.current_task(loop) is None
+            or target is not None and target.offloads(message.method)
+        ) and self._take(len(entries)):
+            self._send(ep, target, message, entries, on_done, loop)
+        else:
+            self._spawn(self._invoke_async(
+                endpoint_id, ep, target, message, entries, on_done
+            ))
 
-    def _eager(
+    def _send(
         self, ep: Endpoint, target: Any, message: Request | BatchRequest,
         entries: tuple[Request, ...], on_done: DoneCallback,
-    ) -> None:  # loop thread
-        """Walk one message to its reply inside the caller's callback.
+        loop: asyncio.AbstractEventLoop | None,
+    ) -> None:  # the loop thread, ``loop``; any, for a hand-off off it
+        """Send one resolved message whose slot is taken, with no task.
 
-        It holds the slot :meth:`_start` took and counts as in flight
-        while it runs, as a task would.  Should its replies wait on
-        something (:meth:`_walk`), the rest of it becomes the message's
-        one task, under the deadline its dispatch started here.
+        An unbatched ``@blocking`` call (the target ``offloads`` it;
+        the only message sent off the loop, ``loop`` None) is one job
+        on its member's pool; any other message is walked to its
+        replies here (:meth:`_walk`).  One whose replies all came is
+        answered at once; one that waits on a call's task or a pool
+        job gets a :class:`_Call` record, which joins the deadline FIFO
+        (waking the loop only when no timer is armed) and completes it.
         """
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, message)
-        started = self._runtime.loop.time()
-        try:
-            replies, waiting = self._walk(ep, entries, target)
-        except BaseException as exc:  # noqa: BLE001 - relayed to completer
-            reply, error = None, exc
+        size = len(entries)
+        if loop is None or target is not None and target.offloads(message.method):
+            replies, tasks, offloaded = None, {}, [(0, target)]
         else:
-            if waiting:
-                self._spawn(self._run(
-                    self._resume(message, replies, waiting, started, len(entries)),
-                    on_done,
-                ))
+            try:
+                replies, tasks, offloaded = self._walk(ep, entries, target)
+            except BaseException as exc:  # noqa: BLE001 - relayed to completer
+                self._give(size)
+                self._complete(on_done, None, exc)
                 return
-            reply = replies[0] if target is not None else BatchResponse(
-                entries=tuple(replies)
-            )
-            error = None
-        self._give(len(entries))
-        self._complete(on_done, reply, error)
-
-    async def _resume(
-        self, message: Request | BatchRequest, replies: list[Any],
-        waiting: list[tuple[int, Any]], started: float, size: int,
-    ) -> Any:
-        """The task of a walked message whose replies wait: await them
-        under the deadline of its dispatch ``started`` then (loop time),
-        then give back its ``size`` slots.  What they wait on is a call's
-        own task or a loop future its member's pool completes; a batch
-        joins them with one ``gather``."""
-        deadline = None if self._timeout is None else started + self._timeout
-        try:
-            async with asyncio.timeout_at(deadline):
-                if type(message) is not BatchRequest:
-                    return await waiting[0][1]
-                settled = await asyncio.gather(*(reply for _, reply in waiting))
-        except TimeoutError as exc:
-            raise self._timeout_error(message) from exc
-        finally:
-            self._give(size)
-        for (index, _), reply in zip(waiting, settled):
-            replies[index] = reply
-        return BatchResponse(entries=tuple(replies))
-
-    def _hand_off(
-        self, ep: Endpoint, target: Any, request: Request,
-        on_done: DoneCallback, loop: asyncio.AbstractEventLoop | None,
-    ) -> None:  # any thread; the call's slot is taken
-        """Send an unbatched ``@blocking`` call with no task: one job on
-        its member's pool running ``target.handle`` (:class:`_Call`;
-        ``loop`` is set when it was submitted there).  It pays what
-        :meth:`_eager` pays and joins the deadline FIFO, waking the loop
-        only when no timer is armed."""
-        self._messages.increment()
-        if self._tracer is not None:
-            self._trace_message(ep, request)
+            if not (tasks or offloaded):
+                reply = replies[0] if target is not None else BatchResponse(
+                    entries=tuple(replies)
+                )
+                self._give(size)
+                self._complete(on_done, reply, None)
+                return
+            replies = replies if target is None else None
         timeout = self._timeout
         call = _Call(
-            self, target.handle, request, on_done, loop,
+            self, message, on_done, loop, size, replies, tasks,
             0.0 if timeout is None else self._runtime.loop.time() + timeout,
         )
         self._calls[call] = True
         if timeout is not None and self._timer is None:
             self._runtime.run(self._arm, False)
-        try:
-            (ep.pool or self._pool(ep)).submit(call)
-        except (ConnectError, RuntimeError) as exc:
-            call.settle(None, exc)  # killed since; or no thread, at exit
+        for task in tasks:
+            task.add_done_callback(call.joined)
+        if offloaded:
+            try:
+                pool = ep.pool or self._pool(ep)
+                for index, owner in offloaded:
+                    pool.submit(_Offload(call, index, owner.handle, entries[index]))
+            except (ConnectError, RuntimeError) as exc:
+                call.settle(None, exc)  # killed since; or no thread, at exit
 
     def _arm(self, fired: bool) -> None:  # loop thread
-        """Expire the hand-offs past their deadline, oldest first, and
+        """Expire the records past their deadline, oldest first, and
         keep the one timer armed: for the oldest still unsettled, or,
-        with none, one timeout from now, so the next hand-offs find it
+        with none, one timeout from now, so the next records find it
         armed even when the one that asked for it settled first.  A
         timer that fires on none lapses: an idle transport wakes the
         loop at most once per timeout."""
@@ -481,7 +448,7 @@ class AsyncioTransport(_TransportBase):
             if call.deadline > now:
                 self._timer = loop.call_at(call.deadline, self._arm, True)
                 return
-            call.settle(None, self._timeout_error(call.arg))
+            call.settle(None, self._timeout_error(call.message))
         if not fired:
             self._timer = loop.call_at(now + self._timeout, self._arm, True)
 
@@ -491,19 +458,6 @@ class AsyncioTransport(_TransportBase):
                 return next(iter(self._calls), None)
             except RuntimeError:  # resized by another thread mid-peek
                 continue
-
-    def _pool_reply(self, ep: Endpoint, target: Any, request: Request) -> Any:
-        """The reply of ``request`` run on its member's pool by
-        ``target.handle``, as a loop future (:class:`_Awaited`): what a
-        batch entry, or a call on the task path, awaits."""
-        future = self._runtime.loop.create_future()
-        try:
-            (ep.pool or self._pool(ep)).submit(
-                _Awaited(target.handle, request, future)
-            )
-        except (ConnectError, RuntimeError) as exc:
-            future.set_exception(exc)
-        return future
 
     def _spawn(self, coro: Any) -> None:
         # Tasks need a strong reference until done; _reap also surfaces
@@ -537,16 +491,6 @@ class AsyncioTransport(_TransportBase):
              "exception": exc}
         )
 
-    async def _run(self, work: Any, on_done: DoneCallback) -> None:
-        try:
-            reply = await work
-        except asyncio.CancelledError:
-            on_done(None, ConnectError("asyncio transport shut down"))
-        except BaseException as exc:  # noqa: BLE001 - relayed to completer
-            on_done(None, exc)
-        else:
-            on_done(reply, None)
-
     # -- dispatch -----------------------------------------------------------
 
     def _resolve_message(
@@ -555,7 +499,7 @@ class AsyncioTransport(_TransportBase):
         """The endpoint and, for a call, its target; None for a batch,
         whose entries resolve as they are walked."""
         if self._closed:
-            raise ConnectError("asyncio transport shut down")
+            raise ConnectError(_SHUT_DOWN)
         if type(message) is BatchRequest:
             return self._resolve_endpoint(endpoint_id), None
         return self._resolve(endpoint_id, message)
@@ -563,36 +507,36 @@ class AsyncioTransport(_TransportBase):
     async def _invoke_async(
         self, endpoint_id: str, ep: Endpoint, target: Any,
         message: Request | BatchRequest, entries: tuple[Request, ...],
-    ) -> Any:
-        """Deliver one resolved wire message in a task: one slot of the
-        dispatch window, one fault-hook consultation, one message counted
-        and one trace event, however many calls it carries; then walk
-        it, as :meth:`_eager` does."""
+        on_done: DoneCallback,
+    ) -> None:
+        """Send one resolved message from a task: take its slot of the
+        window, waiting while it is full, and consult the fault hook
+        once however many calls it carries; then send it as
+        :meth:`_start` does (:meth:`_send`).  The task ends there: what
+        the message waits on after that is its record's."""
         size = len(entries)
-        await self._enter(size)
         try:
-            hook = self._fault_hook
-            if hook is not None:
-                # Hooks may sleep (injected delays); keep the loop live
-                # by consulting them on the loop's default executor.
-                await self._runtime.loop.run_in_executor(
-                    None, hook, endpoint_id,
-                    message if target is not None else batch_envelope(message),
-                )
-            self._messages.increment()
-            if self._tracer is not None:
-                self._trace_message(ep, message)
-            started = self._runtime.loop.time()
-            replies, waiting = self._walk(ep, entries, target)
-        except BaseException:
-            self._give(size)
-            raise
-        if waiting:
-            return await self._resume(message, replies, waiting, started, size)
-        self._give(size)
-        return replies[0] if target is not None else BatchResponse(
-            entries=tuple(replies)
-        )
+            await self._enter(size)
+            try:
+                hook = self._fault_hook
+                if hook is not None:
+                    # Hooks may sleep (injected delays); keep the loop live
+                    # by consulting them on the loop's default executor.
+                    await self._runtime.loop.run_in_executor(
+                        None, hook, endpoint_id,
+                        message if target is not None else batch_envelope(message),
+                    )
+                if self._closed:  # shut down while it waited
+                    raise ConnectError(_SHUT_DOWN)
+            except BaseException:
+                self._give(size)
+                raise
+        except asyncio.CancelledError:
+            on_done(None, ConnectError(_SHUT_DOWN))
+        except BaseException as exc:  # noqa: BLE001 - relayed to completer
+            on_done(None, exc)
+        else:
+            self._send(ep, target, message, entries, on_done, self._runtime.loop)
 
     def _timeout_error(self, message: Request | BatchRequest) -> RemoteError:
         what = (
@@ -604,28 +548,28 @@ class AsyncioTransport(_TransportBase):
 
     def _walk(
         self, ep: Endpoint, entries: tuple[Request, ...], target: Any = None
-    ) -> tuple[list[Any], list[tuple[int, Any]]]:  # loop thread
+    ) -> tuple[list[Any], dict[Any, int], list[tuple[int, Any]]]:
         """Serve a message's entries in order, here, and say what the
-        rest of them wait on.
+        rest of them wait on (loop thread).
 
         Each run of consecutive entries for one target is served in one
         pass of its ``handle_run``, which runs each call in a context
         copy of its own and gives one that hands back a coroutine a
         task of its own; an unbatched call is a run of one.  A
-        ``@blocking`` entry (``offloads``) ends the run: it is one job
-        on its member's pool, started once the runs are served, so the
-        jobs still overlap.  Returns ``(replies, waiting)``: the replies
-        in entry order, None where ``waiting`` holds ``(index,
-        awaitable)``.  ``target`` is an unbatched call's, resolved when
-        it was sent; a batch's entries resolve here, and one whose
-        object is not exported replies ``unresolved``.  Should a handler
-        raise past its call, the message fails as a whole; a task a run
-        made settles its own call.
+        ``@blocking`` entry (``offloads``) ends the run: it is left for
+        its member's pool.  Returns ``(replies, tasks, offloaded)``:
+        the replies in entry order, None where an entry waits; each
+        call's task with its entry's index; and ``(index, target)`` of
+        each ``@blocking`` entry.  ``target`` is an unbatched call's,
+        resolved when it was sent; a batch's entries resolve here, and
+        one whose object is not exported replies ``unresolved``.
+        Should a handler raise past its call, the message fails as a
+        whole; a task a run made settles its own call.
         """
         loop = self._runtime.loop
         replies: list[Any] = [None] * len(entries)
-        waiting: list[tuple[int, Any]] = []
-        offloaded: list[tuple[int, Any, Request]] = []
+        tasks: dict[Any, int] = {}
+        offloaded: list[tuple[int, Any]] = []
         start = 0  # the first entry of the run of ``target``'s entries
         object_id = None if target is None else entries[0].object_id
         offloads = None if target is None else target.offloads
@@ -641,7 +585,7 @@ class AsyncioTransport(_TransportBase):
                     if type(reply) is Response:
                         replies[at] = reply
                     else:  # the task of a call that waits
-                        waiting.append((at, reply))
+                        tasks[reply] = at
             start = index + 1
             if request is None:
                 break
@@ -656,10 +600,8 @@ class AsyncioTransport(_TransportBase):
                 if not offloads(request.method):
                     start = index
                     continue
-            offloaded.append((index, target, request))
-        for index, owner, request in offloaded:
-            waiting.append((index, self._pool_reply(ep, owner, request)))
-        return replies, waiting
+            offloaded.append((index, target))
+        return replies, tasks, offloaded
 
     # -- sync bridges (Transport protocol) ----------------------------------
 
@@ -696,12 +638,14 @@ class AsyncioTransport(_TransportBase):
         """Cancel this transport's outstanding dispatches, then close its
         members' pools (on the loop).
 
-        Tasks are cancelled; an unbatched ``@blocking`` call still on its
-        member's pool completes with the same ``ConnectError`` a
-        cancelled task gives, and its reply is dropped when it comes.
-        The shared loop keeps running — process infrastructure, reused by
-        the next transport.  The transport-owned cpu pool stops here, so
-        a finished session never strands worker processes.
+        Every unsettled record completes with a ``ConnectError``: the
+        call tasks it waits on are cancelled, a pool job of it still
+        queued never runs, and the reply of one running is dropped when
+        it comes.  A message still waiting for its slot or its fault
+        hook completes the same way.  The shared loop keeps running —
+        process infrastructure, reused by the next transport.  The
+        transport-owned cpu pool stops here, so a finished session
+        never strands worker processes.
         """
         self._closed = True
         self._runtime.call_soon(self._cancel_all)
@@ -715,86 +659,109 @@ class AsyncioTransport(_TransportBase):
             self._timer.cancel()
         # One turn later: by then every task made so far (a sweep that
         # raced shutdown may just have made one) has taken its first
-        # step, so its _run turns the cancellation into a ConnectError.
+        # step, so _invoke_async turns the cancellation into a
+        # ConnectError.
         loop = self._runtime.loop
         for task in list(self._tasks):
             loop.call_soon(task.cancel)
         for call in list(self._calls):
-            call.settle(None, ConnectError("asyncio transport shut down"))
+            call.settle(None, ConnectError(_SHUT_DOWN))
         self._close_pools()
 
 
 class _Call:
-    """An unbatched ``@blocking`` call handed off as one job on its
-    member's pool (:meth:`AsyncioTransport._hand_off`).
+    """The one record of a sent message whose reply waits: on the tasks
+    of its calls that handed back a coroutine, on jobs on its member's
+    pool (:class:`_Offload`, a ``@blocking`` call or batch entry), or
+    on both (:meth:`AsyncioTransport._send`).
 
-    Whichever comes first settles it — the worker's reply, its member's
-    kill (the pool fails it with the retryable "is down"
-    ``ConnectError``), its deadline, or ``shutdown()`` — and whatever
-    comes later is dropped.  The claim is one atomic ``dict.pop`` from
-    the transport's FIFO of unsettled calls, so the window slot is given
-    back and ``on_done`` runs once, on the thread that settled it.  A
-    call settled while still queued never runs.  One submitted on the
-    loop thread (``loop`` set) is settled there: a reply or kill hops.
+    It holds ``on_done``, the deadline, the window slot the message
+    took (``size`` calls in flight), a batch's ``replies`` with the
+    count still ``outstanding``, and the ``tasks`` it waits on, each
+    with its entry's index.  Whichever comes first settles it — the
+    last reply, an error (a member's kill fails its queued jobs with
+    the retryable "is down" ``ConnectError``), its deadline, or
+    ``shutdown()`` — and whatever comes later is dropped.  The claim is
+    one atomic ``dict.pop`` from the transport's FIFO of unsettled
+    records, so the slot is given back and ``on_done`` runs once, on
+    the thread that settled it; the tasks it still waits on are
+    cancelled (each gives back its skeleton slot as it ends), and a
+    job still queued never runs.  A record sent on the loop (``loop``
+    set) is settled there: a job's outcome hops.
     """
 
     __slots__ = (
-        "transport", "handler", "arg", "on_done", "loop", "deadline",
-        "result", "error",
+        "transport", "message", "on_done", "loop", "size", "replies",
+        "outstanding", "tasks", "deadline",
     )
 
     def __init__(
-        self, transport: AsyncioTransport, handler: Any, request: Request,
-        on_done: DoneCallback, loop: asyncio.AbstractEventLoop | None, deadline: float,
+        self, transport: AsyncioTransport, message: Request | BatchRequest,
+        on_done: DoneCallback, loop: asyncio.AbstractEventLoop | None,
+        size: int, replies: list[Any] | None, tasks: dict[Any, int],
+        deadline: float,
     ) -> None:
-        self.transport, self.handler, self.arg = transport, handler, request
-        self.on_done, self.loop, self.deadline = on_done, loop, deadline
-        self.result = self.error = None
+        self.transport, self.message, self.on_done = transport, message, on_done
+        self.loop, self.size, self.replies, self.tasks = loop, size, replies, tasks
+        self.outstanding = 0 if replies is None else replies.count(None)
+        self.deadline = deadline
 
-    def fn(self, request: Request) -> Any:  # a worker, at dequeue
-        if self not in self.transport._calls:
-            return None  # settled while it queued: never run
-        return self.handler(request)
+    def joined(self, task: asyncio.Task) -> None:  # loop thread
+        error = ConnectError(_SHUT_DOWN) if task.cancelled() else task.exception()
+        self.fill(self.tasks[task], task.result() if error is None else None, error)
 
-    def finish(self) -> None:  # the worker that ran it, or a kill
-        if self.loop is None:
-            self.settle(self.result, self.error)
-        else:
-            self.loop.call_soon_threadsafe(self.settle, self.result, self.error)
+    def fill(self, index: int, reply: Any, error: BaseException | None) -> None:
+        """Entry ``index`` replied: settle on the last reply, or on an
+        error, which fails the message as a whole."""
+        replies = self.replies
+        if error is None and replies is not None:
+            replies[index] = reply
+            self.outstanding -= 1
+            if self.outstanding:
+                return
+            reply = BatchResponse(entries=tuple(replies))
+        self.settle(reply, error)
 
     def settle(self, reply: Any, error: BaseException | None) -> None:
         transport = self.transport
         if transport._calls.pop(self, None) is None:
             return  # settled already: a late reply, deadline or kill
-        transport._give(1)
+        transport._give(self.size)
+        for task in self.tasks:
+            # A turn later, once it has taken its first step: the
+            # coroutine its call handed back is never left unawaited.
+            if not task.done():
+                self.loop.call_soon(task.cancel)
         transport._complete(self.on_done, reply, error)
 
 
-class _Awaited:
-    """A ``@blocking`` call a task awaits (a batch entry, or a call on
-    the task path): one job on its member's pool whose outcome completes
-    ``future`` on the loop.  A job whose future was cancelled while it
-    queued (the task's deadline, ``shutdown()``) never runs."""
+class _Offload:
+    """A ``@blocking`` call or batch entry a record waits on: one job on
+    its member's pool running ``handler`` (the target's ``handle``),
+    which fills its entry of ``call`` and never runs once ``call`` has
+    settled."""
 
-    __slots__ = ("handler", "arg", "future", "result", "error")
+    __slots__ = ("call", "index", "handler", "arg", "result", "error")
 
-    def __init__(self, handler: Any, request: Request, future: Any) -> None:
-        self.handler, self.arg, self.future = handler, request, future
+    def __init__(
+        self, call: _Call, index: int, handler: Any, request: Request
+    ) -> None:
+        self.call, self.index, self.handler, self.arg = call, index, handler, request
         self.result = self.error = None
 
     def fn(self, request: Request) -> Any:  # a worker, at dequeue
-        return None if self.future.cancelled() else self.handler(request)
+        if self.call not in self.call.transport._calls:
+            return None  # settled while it queued: never run
+        return self.handler(request)
 
     def finish(self) -> None:  # the worker that ran it, or a kill
-        self.future.get_loop().call_soon_threadsafe(self.resolve)
-
-    def resolve(self) -> None:  # loop thread
-        if self.future.cancelled():
-            return  # its task gave up on it
-        if self.error is not None:
-            self.future.set_exception(self.error)
+        call = self.call
+        if call.loop is None:
+            call.fill(self.index, self.result, self.error)
         else:
-            self.future.set_result(self.result)
+            call.loop.call_soon_threadsafe(
+                call.fill, self.index, self.result, self.error
+            )
 
 
 def _bridge(waiter: Future) -> DoneCallback:

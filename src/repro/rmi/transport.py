@@ -562,8 +562,8 @@ class _Job:
     ``result = fn(arg)`` (or ``error``) and calls ``finish()``;
     :meth:`_Dispatcher.close` sets ``error`` and calls it instead.  Here
     ``done`` is born locked, the caller parks on it, and ``finish``
-    releases it; the asyncio transport's records settle a completion
-    callback instead.
+    releases it; the asyncio transport's jobs fill their message's
+    record instead.
     """
 
     __slots__ = ("fn", "arg", "result", "error", "done", "finish")

@@ -678,21 +678,34 @@ class TestBatchDispatch(RunDispatchPromises):
         assert [r.payload for r in replies] == [b"async", b"sync"]
 
     def test_an_all_plain_batch_costs_no_task(self, transport):
+        """Nor does a batch whose only waiting entries are ``@blocking``:
+        they are jobs on the member's pool, which fill the batch's
+        record."""
         endpoint, skeleton = exported(transport, Mixed())
-        batch = BatchRequest(entries=tuple(
-            request_for(skeleton, "double", i) for i in range(16)
-        ))
-        transport.invoke_batch(endpoint.endpoint_id, batch)  # warm
-        with counting_tasks() as created:
-            replies = transport.invoke_batch(endpoint.endpoint_id, batch)
-        assert [outcome(r) for r in replies.entries] == [
-            ("result", 2 * i) for i in range(16)
-        ]
-        assert created == []  # one per entry, plus one, two changes ago
+        plain = tuple(request_for(skeleton, "double", i) for i in range(16))
+        blocking = (
+            request_for(skeleton, "double", 1), request_for(skeleton, "nap", 0),
+            request_for(skeleton, "double", 3), request_for(skeleton, "nap", 0),
+        )
+        for entries, expected in (
+            (plain, [("result", 2 * i) for i in range(16)]),
+            (blocking, [
+                ("result", 2), ("result", "rested"),
+                ("result", 6), ("result", "rested"),
+            ]),
+        ):
+            batch = BatchRequest(entries=entries)
+            transport.invoke_batch(endpoint.endpoint_id, batch)  # warm
+            with counting_tasks() as created:
+                replies = transport.invoke_batch(endpoint.endpoint_id, batch)
+            assert [outcome(r) for r in replies.entries] == expected
+            assert created == []
+        assert window_is_empty(transport)
 
-    def test_a_batch_that_suspends_costs_one_task_more(self, transport):
-        """Stepped eagerly, a batch whose entries suspend still costs
-        what it did: one task per such entry, plus one for the batch."""
+    def test_a_batch_costs_one_task_per_entry_that_suspends(self, transport):
+        """Walked where it was sent, a batch whose entries suspend costs
+        one task per such entry and no task of its own: its record
+        waits on theirs."""
         endpoint, skeleton = exported(transport, Mixed())
         batch = BatchRequest(entries=(
             request_for(skeleton, "double", 1),
@@ -705,7 +718,7 @@ class TestBatchDispatch(RunDispatchPromises):
         assert [outcome(r) for r in replies.entries] == [
             ("result", 2), ("result", 4), ("result", 6), ("result", 8),
         ]
-        assert len(created) == 3
+        assert len(created) == 2  # three, with the batch's own, before
 
 
 class counting_tasks:
@@ -727,15 +740,18 @@ class counting_tasks:
 
 
 class TestBatchFailsAsAWhole:
-    """A batch with one parked entry: whatever ends the batch's task ends
-    every entry's call, and no task is left behind."""
+    """A batch with one parked entry and one long ``@blocking`` entry on
+    its member's pool: whatever settles the batch's record fails every
+    entry's call once, and no task is left behind."""
 
     def parked_batch(self, transport):
         endpoint, skeleton = exported(transport, Mixed())
         batcher = RequestBatcher(transport, max_batch=8, linger=0.0)
         futures = [
-            batcher.submit(endpoint.endpoint_id, request_for(skeleton, method))
-            for method in ("explode", "park", "explode", "whoami")
+            batcher.submit(endpoint.endpoint_id, request_for(skeleton, *call))
+            for call in (
+                ("explode",), ("park",), ("explode",), ("nap", 0.5), ("whoami",),
+            )
         ]
         return skeleton, futures
 
@@ -744,13 +760,15 @@ class TestBatchFailsAsAWhole:
         try:
             skeleton, futures = self.parked_batch(transport)
             assert not futures[0].wait(timeout=0.05)  # flown, and parked
-            assert _wait_for(lambda: skeleton.pending == 1)
+            # park's task, and nap on a worker of the member's pool
+            assert _wait_for(lambda: skeleton.pending == 2)
         finally:
             transport.shutdown()
         for future in futures:
             assert isinstance(future.exception(timeout=5.0), ConnectError)
         assert _wait_for(lambda: not transport._tasks)
-        assert skeleton.pending == 0
+        assert _wait_for(lambda: skeleton.pending == 0)  # once nap returns
+        assert window_is_empty(transport)
 
     def test_deadline_fails_every_entry(self):
         transport = AsyncioTransport(timeout=0.05)
@@ -761,7 +779,8 @@ class TestBatchFailsAsAWhole:
                 assert isinstance(error, RemoteError)
                 assert "timed out" in str(error)
             assert _wait_for(lambda: not transport._tasks)
-            assert skeleton.pending == 0
+            assert _wait_for(lambda: skeleton.pending == 0)  # once nap returns
+            assert window_is_empty(transport)
         finally:
             transport.shutdown()
 
@@ -913,8 +932,8 @@ class TestEagerDispatch:
         """An unbatched plain call whose method hands back a coroutine:
         the coroutine runs in one context from its first step to its
         last (a ContextVar token set before its await resets after it),
-        the sender's context is untouched, and the call costs two tasks:
-        the coroutine's, and the one its reply waits in."""
+        the sender's context is untouched, and the call costs one task:
+        the coroutine's, which its record waits on."""
         endpoint, skeleton = exported(transport, Mixed())
         replies = []
 
@@ -930,12 +949,13 @@ class TestEagerDispatch:
             assert on_the_loop(send) == "sender"
             assert _wait_for(lambda: replies)
         assert replies == [("result", "call")]
-        assert len(created) == 2
+        assert len(created) == 1  # two, with the one its reply waited in
 
-    def test_an_unbatched_async_def_call_costs_two_tasks(self, transport):
+    def test_an_unbatched_async_def_call_costs_one_task(self, transport):
         """An unbatched ``async def`` call costs what ``scoped`` above
-        costs: the task its coroutine runs in, in a context of its own,
-        and the one its reply waits in."""
+        costs: the task its coroutine runs in, in a context of its own.
+        Its message's deadline, window slot and completion are its
+        record's, which needs no task."""
         endpoint, skeleton = exported(transport, Mixed())
         replies = []
 
@@ -949,7 +969,43 @@ class TestEagerDispatch:
             on_the_loop(send)
             assert _wait_for(lambda: replies)
         assert replies == [("result", 6)]
-        assert len(created) == 2
+        assert len(created) == 1  # two, before
+        assert window_is_empty(transport)
+
+    def test_parked_calls_hold_one_task_each(self):
+        """512 unbatched ``async def`` calls parked on the loop hold 512
+        live tasks, not 1,024, and 512 calls of the window; shutdown
+        completes each once, with a ``ConnectError``, and every slot,
+        the skeleton's and the window's, comes back.  (Tasks, not
+        threads: nothing here starts an OS thread.)"""
+        transport = AsyncioTransport()
+        outcomes = []
+        try:
+            endpoint, skeleton = exported(transport, Mixed())
+
+            def send():
+                for i in range(512):
+                    transport.submit(
+                        endpoint.endpoint_id, request_for(skeleton, "park"),
+                        lambda reply, error, i=i: outcomes.append((i, error)),
+                    )
+
+            with counting_tasks() as created:
+                on_the_loop(send)
+            assert _wait_for(lambda: skeleton.pending == 512)
+            assert len(created) == 512
+            assert not any(task.done() for task in created)
+            assert transport.inflight == 512
+            assert outcomes == []
+        finally:
+            transport.shutdown()
+        assert _wait_for(lambda: len(outcomes) == 512)
+        assert sorted(i for i, _ in outcomes) == list(range(512))
+        assert all(isinstance(error, ConnectError) for _, error in outcomes)
+        assert _wait_for(lambda: skeleton.pending == 0)
+        assert all(task.cancelled() for task in created)
+        assert window_is_empty(transport)
+        assert not _wait_for(lambda: len(outcomes) > 512, timeout=0.1)
 
     def test_a_call_sent_inside_a_task_gets_a_task(self, transport):
         endpoint, skeleton = exported(transport, Mixed())
@@ -1240,7 +1296,7 @@ class TestOffloadedDispatch:
             ("result", 2), ("result", "rested"),
             ("result", 6), ("result", "rested"),
         ]
-        assert len(created) == 1  # the batch's continuation; three, before
+        assert created == []  # the batch's continuation, before
         assert skeleton.pending == 0
 
     def test_a_blocking_call_past_its_deadline_completes_once(self):
@@ -1268,7 +1324,11 @@ class TestOffloadedDispatch:
             impl.gate.set()
             transport.shutdown()
 
-    def test_a_call_that_expires_while_queued_never_runs(self):
+    @pytest.mark.parametrize("batched", [False, True], ids=["call", "batch"])
+    def test_a_call_that_expires_while_queued_never_runs(self, batched):
+        """Unbatched, or the one entry of a batch: its record expires
+        while its job queues behind a busy pool, and the job never
+        runs."""
         transport = AsyncioTransport(timeout=0.05)
         busy, late = Gated("busy"), Gated("late")
         try:
@@ -1286,10 +1346,14 @@ class TestOffloadedDispatch:
                     on_done,
                 )
             assert _wait_for(lambda: len(busy.held) == workers)
-            transport.submit(
-                endpoint.endpoint_id, request_for(late_skeleton, "hold"),
-                on_done,
-            )
+            late_call = request_for(late_skeleton, "hold")
+            if batched:
+                transport.submit_batch(
+                    endpoint.endpoint_id, BatchRequest(entries=(late_call,)),
+                    on_done,
+                )
+            else:
+                transport.submit(endpoint.endpoint_id, late_call, on_done)
             assert _wait_for(lambda: len(outcomes) == workers + 1)
             assert all("timed out" in str(error) for error in outcomes)
             busy.gate.set()
