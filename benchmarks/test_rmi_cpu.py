@@ -193,8 +193,9 @@ class _PreCpuSkeleton(Skeleton):
     ) -> tuple[Response | None, Any, int, tuple, dict, float]:
         if self.draining:
             return _DRAINED, None, _REFUSED, (), {}, 0.0
-        if self.redirect_policy is not None:
-            redirect = self._redirect(request)
+        policy = self.redirect_policy
+        if policy is not None:
+            redirect = self._redirect(policy, request)
             if redirect is not None:
                 return redirect, None, _REFUSED, (), {}, 0.0
         if not self._admit(1):

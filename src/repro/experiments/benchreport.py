@@ -168,9 +168,10 @@ def _make_async_harness(kind: str) -> tuple[Any, Any]:
     The service is I/O-shaped on purpose: each call spends its life
     suspended, so throughput measures how many calls a transport keeps
     in flight, not how fast Python runs the handler body.  The threaded
-    transport drives each coroutine with a private ``asyncio.run`` on a
-    dispatch worker (one blocked thread per in-flight call — exactly the
-    ceiling under test); the asyncio transport awaits it on the loop.
+    transport drives each coroutine with a private ``asyncio.run`` in
+    the calling ``invoke_async`` pool thread, a plain call (one blocked
+    thread per in-flight call — exactly the ceiling under test); the
+    asyncio transport awaits it on the loop.
     """
     import asyncio
 
@@ -253,10 +254,10 @@ def run_async_suite(scale: float) -> dict[str, Any]:
     and gathers — the elastic fan-out shape at high in-flight counts.
     Latency samples are per *window* (first submit to gather
     completion); throughput is logical calls over wall time.  The
-    threaded records saturate at roughly
-    ``workers / service_time`` calls/s no matter the concurrency (one
-    blocked thread per in-flight call); the asyncio records keep
-    scaling, which is the transport's reason to exist.  Two further
+    threaded records saturate no matter the concurrency (one blocked
+    ``invoke_async`` pool thread per in-flight call, not the member's
+    4 workers); the asyncio records keep scaling, which is the
+    transport's reason to exist.  Two further
     records, ``batch-off-c64`` and ``batch-on-c64``, measure request
     batching on the threaded transport (:func:`_run_batching_leg`).
 

@@ -19,11 +19,13 @@ so subscribers fall back to direct (leased) reads cleanly.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+if TYPE_CHECKING:  # loaded by AsyncWatchQueue: a threaded process never does
+    import asyncio
 
 DEFAULT_WATCH_QUEUE = 1024
 
@@ -334,6 +336,7 @@ class AsyncWatchQueue:
             from repro.rmi.aio import loop_runtime
 
             loop = loop_runtime().loop
+        import asyncio
         self.loop = loop
         self.queue: asyncio.Queue[WatchEvent] = asyncio.Queue(maxsize)
         self.dropped = 0
@@ -349,13 +352,11 @@ class AsyncWatchQueue:
         self._offer(event)
 
     def _offer(self, event: WatchEvent) -> None:
-        try:
-            self.queue.put_nowait(event)
-        except asyncio.QueueFull:
+        if self.queue.full():
             self.queue.get_nowait()
             self.dropped += 1
             self._gap = True
-            self.queue.put_nowait(event)
+        self.queue.put_nowait(event)
 
     async def get(self) -> WatchEvent:
         return await self.queue.get()

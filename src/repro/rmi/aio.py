@@ -34,8 +34,8 @@ Dispatch rules
     methods run inline, batched or not (they must be CPU-light), and
     coroutine methods are awaited in their tasks.  Methods marked with
     :func:`blocking` never touch the loop: the skeleton's synchronous
-    ``handle`` — what a ``ThreadedTransport`` worker runs for an
-    unbatched call — runs on the member's own pool (``Endpoint.pool``,
+    ``handle`` — what a ``ThreadedTransport`` worker runs for such a
+    call — runs on the member's own pool (``Endpoint.pool``,
     4 workers, made on its first ``@blocking`` call and closed with
     it), so a member brings its own capacity, and drain, redirect and
     the statistics clock see the call when a worker picks it up.  An
@@ -63,7 +63,7 @@ the transport exports in-flight gauges and a loop-lag histogram.
 
 from __future__ import annotations
 
-import asyncio
+import importlib
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -87,6 +87,10 @@ from repro.rmi.transport import (
 # thread completes off the loop: on its member's worker, as a rule.
 DoneCallback = Callable[[Any, "BaseException | None"], None]
 
+# Bound when the first loop starts (_LoopRuntime): a process that never
+# builds an AsyncioTransport never loads asyncio, nor the ssl it brings.
+asyncio: Any = None
+
 DEFAULT_INFLIGHT_WINDOW = 16_384
 LAG_SAMPLE_INTERVAL_S = 0.05
 _SHUT_DOWN = "asyncio transport shut down"
@@ -98,7 +102,9 @@ def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
     The asyncio transport runs a call of a marked method (the
     skeleton's synchronous ``handle``) on its member's own pool of 4
     workers instead of on the loop — the *only* sanctioned way to block
-    in a handler there.  Sync transports ignore the marker.
+    in a handler there.  ``ThreadedTransport`` runs it on that pool
+    instead of in the caller's thread, so a member's workers stay its
+    budget of blocking work; ``DirectTransport`` ignores the marker.
     """
     fn.__ermi_blocking__ = True
     return fn
@@ -108,6 +114,8 @@ class _LoopRuntime:
     """The shared event loop and its thread."""
 
     def __init__(self) -> None:
+        global asyncio
+        asyncio = importlib.import_module("asyncio")
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(
             target=self._run, name="ermi-aio-loop", daemon=True

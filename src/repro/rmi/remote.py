@@ -25,7 +25,6 @@ blocking driver, :func:`start_call` the choice of driver behind
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import threading
 import weakref
@@ -33,7 +32,7 @@ from contextvars import copy_context
 from dataclasses import dataclass
 from functools import partial
 from types import CoroutineType
-from typing import Any, Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from repro.concurrency import ThreadStripes
 from repro.errors import (
@@ -54,6 +53,9 @@ from repro.rmi.fastpath import (
 from repro.rmi.future import RmiFuture, async_executor, run_async
 from repro.rmi.transport import Request, Response, Transport
 from repro.sim.clock import Clock, WallClock
+
+if TYPE_CHECKING:  # loaded where a loop runs: a threaded process never does
+    import asyncio
 
 _object_ids = itertools.count(1)
 
@@ -370,10 +372,10 @@ class Skeleton:
             self._methods[name] = entry
         return entry
 
-    def _redirect(self, request: Request) -> Response | None:
-        """The reply the sentinel's redirect table gives ``request``, if
-        it bounces it to another member (``redirect_policy`` is set)."""
-        target = self.redirect_policy(request)
+    def _redirect(self, policy: Callable, request: Request) -> Response | None:
+        """The reply the sentinel's redirect table ``policy`` gives
+        ``request``, if it bounces it to another member."""
+        target = policy(request)
         if target is not None and target != self.ref():
             return Response("redirect", b"", target)
         return None
@@ -381,13 +383,13 @@ class Skeleton:
     def handle(self, request: Request) -> Response:
         """One call, on this thread: a run of one (:meth:`handle_run`).
 
-        What a worker of the member's dispatch pool runs: every unbatched
-        call on a :class:`~repro.rmi.transport.ThreadedTransport`, and a
-        ``@blocking`` method's call (:meth:`offloads`) on the asyncio
-        transport, whose worker may also complete the call.  The drain
-        and redirect gate, the pending count and the statistics clock
-        all start when a worker picks the call up, not when it was
-        queued.
+        What serves an unbatched call on the sync transports: a plain
+        one in its caller's thread, and a ``@blocking`` method's call
+        (:meth:`offloads`) on a worker of the member's dispatch pool, on
+        both live transports (the asyncio transport's worker may also
+        complete the call).  For a pooled call the drain and redirect
+        gate, the pending count and the statistics clock all start when
+        a worker picks it up, not when it was queued.
         """
         return self.handle_run((request,))[0]
 
@@ -395,6 +397,7 @@ class Skeleton:
         """:meth:`handle` on the running loop, awaiting what the call
         waits on.  No transport calls it; it keeps its name for tracing
         harnesses that wrap the skeleton's entry points by name."""
+        import asyncio
         reply = self.handle_run((request,), asyncio.get_running_loop())[0]
         return reply if type(reply) is Response else await reply
 
@@ -424,8 +427,10 @@ class Skeleton:
             return [_DRAINED] * len(requests)
         admitted = requests
         bounced = None
-        if self.redirect_policy is not None:
-            bounced = list(map(self._redirect, requests))
+        # Read once: the sentinel may replace or clear it mid-run.
+        policy = self.redirect_policy
+        if policy is not None:
+            bounced = [self._redirect(policy, request) for request in requests]
             admitted = [
                 request for request, reply in zip(requests, bounced)
                 if reply is None
@@ -480,6 +485,7 @@ class Skeleton:
                             if type(result) is CoroutineType:
                                 # This thread runs no loop: a private one
                                 # drives the coroutine to its end.
+                                import asyncio
                                 result = asyncio.run(result)
                     except Exception as exc:
                         result, error = None, exc
@@ -516,6 +522,7 @@ class Skeleton:
     async def _on_worker(self, name: str, args: tuple, kwargs: dict) -> Any:
         """A ``@cpu_bound`` call on the loop: its worker process's
         outcome, awaited in the call's task."""
+        import asyncio
         return await asyncio.wrap_future(
             self._cpu.submit_call(self.impl, name, args, kwargs)
         )
@@ -544,8 +551,8 @@ class Skeleton:
                 self._drained.set()
 
     def offloads(self, name: str) -> bool:
-        """Does method ``name`` block a thread (``@blocking``)?  The
-        asyncio transport then runs :meth:`handle` on the member's own
+        """Does method ``name`` block a thread (``@blocking``)?  Both
+        live transports then run :meth:`handle` on the member's own
         pool of workers.  Read off :meth:`_resolve`'s table, never found
         out by running the method; safe from any thread (the transport
         asks from the caller's)."""

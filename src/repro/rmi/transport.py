@@ -6,9 +6,9 @@ stand-in for one JVM at one IP:port.  Two transports move
 
 - :class:`DirectTransport` — synchronous delivery in the caller's thread.
   Deterministic; used by unit tests and by the simulation experiments.
-- :class:`ThreadedTransport` — each endpoint owns a bounded pool of
-  dispatch threads, calls block the caller until the remote worker
-  responds (or a timeout trips): the live mode the examples use.
+- :class:`ThreadedTransport` — the live mode the examples use: a plain
+  call runs in the caller's thread; a ``@blocking`` one blocks it until
+  a worker of its endpoint's bounded pool responds (or a timeout trips).
 
 The invoke path is engineered to be contention-free (the fast-path
 invariants DESIGN.md documents):
@@ -21,10 +21,10 @@ invariants DESIGN.md documents):
   stalls traffic to the others;
 - ``messages_sent`` is a :class:`~repro.concurrency.StripedCounter`, so
   concurrent callers never lose counts and never serialize on it;
-- the threaded hand-off (caller thread -> dispatch thread -> caller
-  thread) is one ``SimpleQueue.put`` of a slotted job record and one
-  release of the lock the caller is parked on — no ``Future``, no
-  ``Condition``, no per-call closure, no lock shared between callers.
+- the threaded hand-off of a ``@blocking`` call (caller -> dispatch
+  thread -> caller) is one ``SimpleQueue.put`` of a slotted job record
+  and one release of the lock the caller is parked on — no ``Future``,
+  no ``Condition``, no per-call closure, no lock shared between callers.
   Each endpoint owns one pool (:class:`_Dispatcher`, also where the
   asyncio transport runs ``@blocking`` calls), whose (at most
   ``workers_per_endpoint``) workers spawn only when a job finds none
@@ -37,8 +37,9 @@ feeds on (paper section 4.3: "if the sending itself fails, the remote
 method invocation throws an exception which is intercepted by the client
 stub").  A killed endpoint stays *resolvable*, its pool closed, so the
 failure always surfaces as the "endpoint ... is down" ConnectError the
-retry loop expects — for a call after the kill, one racing it, and one
-already queued behind a busy worker (started jobs run to completion).
+retry loop expects — for a call after the kill, one racing it, and a
+``@blocking`` one already queued behind a busy worker (started jobs,
+and plain calls past resolution, run to completion).
 A revived endpoint keeps its closed pool.
 """
 
@@ -169,8 +170,8 @@ class Endpoint:
     and on the asyncio transport an unbatched call too, as a run of
     one; given the loop, it hands back a task for a call that waits)
     and an unbatched call off the loop (``handle``), and says per
-    method name whether a call blocks a thread (``offloads``): the
-    asyncio transport then runs its ``handle`` on the endpoint's pool.
+    method name whether a call blocks a thread (``offloads``): both
+    live transports then run its ``handle`` on the endpoint's pool.
     Each endpoint carries its own lock for state transitions (export,
     unexport, kill, revive); ``objects`` is copy-on-write, so the
     invoke path reads it without locking.
@@ -729,16 +730,19 @@ def _run_chunk(arg: tuple[Endpoint, tuple[Request, ...]]) -> list[Response]:
 
 
 class ThreadedTransport(_TransportBase):
-    """Live transport: per-endpoint dispatch pools, blocking invocations."""
+    """Live transport, blocking invocations: a plain call runs in the
+    caller's thread, a ``@blocking`` one and a batch's chunks on the
+    endpoint's pool, bounded by ``timeout`` (None: no deadline)."""
 
     concurrent = True
 
-    def __init__(self, workers_per_endpoint: int = 4, timeout: float = 30.0):
+    def __init__(self, workers_per_endpoint: int = 4, timeout: float | None = 30.0):
         super().__init__()
         if workers_per_endpoint < 1:
             raise ValueError("workers_per_endpoint must be at least 1")
         self._workers = workers_per_endpoint
         self._timeout = timeout
+        self._wait = -1 if timeout is None else timeout
 
     def add_endpoint(self, name: str) -> Endpoint:
         # The pool comes with the endpoint, and stays closed once killed.
@@ -764,9 +768,11 @@ class ThreadedTransport(_TransportBase):
         self._messages.increment()
         if self._tracer is not None:
             self._trace_message(ep, request)
+        if not target.offloads(request.method):
+            return target.handle(request)
         job = _Job(target.handle, request)
         dispatcher.submit(job)
-        if not job.done.acquire(True, self._timeout):
+        if not job.done.acquire(True, self._wait):
             raise RemoteError(
                 f"invocation of {request.method!r} timed out after "
                 f"{self._timeout}s"
@@ -796,11 +802,12 @@ class ThreadedTransport(_TransportBase):
             jobs.append(_Job(_run_chunk, (ep, requests[start:stop])))
             dispatcher.submit(jobs[-1])
             start = stop
-        deadline = time.monotonic() + self._timeout
+        timeout = self._timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         responses: list[Response] = []
         for job in jobs:
-            remaining = deadline - time.monotonic()
-            if not job.done.acquire(True, max(0.0, remaining)):
+            wait = -1 if deadline is None else max(0.0, deadline - time.monotonic())
+            if not job.done.acquire(True, wait):
                 raise RemoteError(
                     f"batch of {len(requests)} invocations timed out after "
                     f"{self._timeout}s"

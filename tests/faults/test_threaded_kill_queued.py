@@ -1,7 +1,8 @@
 """Killed-while-queued on the live threaded transport.
 
-A call can already sit in a member's dispatch queue when the member's
-endpoint is killed (a shrink finalising, a crash).  The contract: that
+A ``@blocking`` call can already sit in a member's dispatch queue when
+the member's endpoint is killed (a shrink finalising, a crash); a plain
+call runs in its caller's thread and never queues.  The contract: that
 call fails with the same retryable ``ConnectError("... is down")`` a
 dead endpoint raises, the elastic stub charges it one attempt and
 retries elsewhere, and the application never sees it.  The old
@@ -21,6 +22,7 @@ from repro.core.balancer import ElasticStub
 from repro.core.pool import MemberState
 from repro.core.runtime import ElasticRuntime
 from repro.obs import Observability
+from repro.rmi.aio import blocking
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import ThreadedTransport
 
@@ -37,11 +39,13 @@ class _Parkable(Remote):
         self.gate = threading.Event()
         self.entered = threading.Event()
 
+    @blocking
     def park(self):
         self.entered.set()
         self.gate.wait(timeout=30.0)
         return "released"
 
+    @blocking
     def ping(self, value):
         return value
 

@@ -14,18 +14,21 @@ import time
 from repro.obs import Observability
 from repro.rmi.transport import Request, Response, ThreadedTransport
 
+from tests.rmi.test_transport import _Pooled
+
 WORKERS = 2
 CALLERS = 10  # concurrency >> max_workers
 
 
 class _ParkedEndpoint:
-    """An endpoint whose handler parks until released."""
+    """An endpoint whose handler parks until released, on the member's
+    workers (a plain call would run in its caller's thread)."""
 
     def __init__(self, transport):
         self.gate = threading.Event()
         self.entered = threading.Semaphore(0)
         self.endpoint = transport.add_endpoint("member-sat")
-        self.endpoint.export("obj", self._handle)
+        self.endpoint.export("obj", _Pooled(self._handle))
 
     def _handle(self, request: Request) -> Response:
         self.entered.release()

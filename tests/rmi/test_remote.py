@@ -287,6 +287,23 @@ class TestRedirects:
         stub = Stub(transport, skel.ref())
         assert stub.add(1, 2) == 3
 
+    def test_a_table_cleared_mid_run_is_read_once_per_run(self, transport):
+        """The sentinel's rebalance replaces or clears the table from
+        another thread at any time; a run already past its check keeps
+        the table it read and serves every call."""
+        ep = transport.add_endpoint("a")
+        skel = Skeleton(Calculator(), transport, ep.endpoint_id)
+
+        def cleared_by_a_rebalance(request):
+            skel.redirect_policy = None
+            return None
+
+        skel.redirect_policy = cleared_by_a_rebalance
+        request = Request(skel.object_id, "add", marshal_call((1, 2), {}))
+        replies = skel.handle_run([request, request])
+        assert [reply.kind for reply in replies] == ["result", "result"]
+        assert skel.pending == 0
+
 
 class TestEndpointFailure:
     def test_dead_endpoint_raises_connect_error(self, transport, exported):

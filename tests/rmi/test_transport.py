@@ -1,14 +1,20 @@
 """Tests for direct and threaded transports."""
 
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.api import ElasticObject
 from repro.core.runtime import ElasticRuntime
 from repro.errors import ConnectError, RemoteError
+from repro.rmi.aio import blocking
 from repro.rmi.marshal import marshal_value
 from repro.rmi.remote import Remote, Skeleton, Stub
 from repro.rmi.transport import (
@@ -168,16 +174,34 @@ class _Boom(Exception):
     pass
 
 
+class _Pooled:
+    """A test-side target (not a callable, so exported as it is) whose
+    every call is pooled: ``offloads`` answers True, as a skeleton's
+    does for a ``@blocking`` method, so ``ThreadedTransport.invoke``
+    queues it on the member's workers."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def handle_run(self, requests, loop=None):
+        return list(map(self.handle, requests))
+
+    def offloads(self, name):
+        return True
+
+
 class _Gate:
     """An endpoint whose ``park`` object blocks until released and whose
-    ``echo`` object answers at once."""
+    ``echo`` object answers at once; both pooled unless ``pooled`` is
+    False, when a call runs in its caller's thread."""
 
-    def __init__(self, transport, name):
+    def __init__(self, transport, name, pooled=True):
         self.release = threading.Event()
         self.entered = threading.Semaphore(0)
         self.endpoint = transport.add_endpoint(name)
-        self.endpoint.export("park", self._park)
-        self.endpoint.export("echo", echo_handler)
+        wrap = _Pooled if pooled else (lambda handle: handle)
+        self.endpoint.export("park", wrap(self._park))
+        self.endpoint.export("echo", wrap(echo_handler))
         self.id = self.endpoint.endpoint_id
 
     def _park(self, request: Request) -> Response:
@@ -203,6 +227,7 @@ def _wait_for(predicate, timeout=5.0):
 
 
 class _Pinger(ElasticObject):
+    @blocking
     def ping(self):
         return "pong"
 
@@ -368,17 +393,19 @@ class TestThreadedDispatcher:
         finally:
             transport.shutdown()
 
-    def test_callers_racing_a_kill_all_complete(self):
-        """No job may be stranded between a submit and a close: every
-        caller gets a reply or the "is down" ConnectError, and the
-        saturation counters return to zero."""
+    @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "blocking"])
+    def test_callers_racing_a_kill_all_complete(self, pooled):
+        """No call may be stranded by a kill: every caller gets a reply
+        or the "is down" ConnectError, and the saturation counters
+        return to zero — for plain calls, which run in their callers'
+        threads, and for pooled ones, between a submit and a close."""
         callers = 8
         transport = ThreadedTransport(workers_per_endpoint=2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for round_ in range(20):
-                gate = _Gate(transport, f"raced-{round_}")
+                gate = _Gate(transport, f"raced-{round_}", pooled)
                 unexpected = []
                 ready = threading.Barrier(callers + 1)
 
@@ -456,6 +483,173 @@ class TestThreadedDispatcher:
             )
         assert hooked == []
         assert transport.messages_sent == sent
+
+
+class _Where(Remote):
+    """Says which thread runs its calls: ``where`` is a plain method,
+    ``pooled`` and ``park`` are ``@blocking``."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+
+    def where(self):
+        return threading.get_ident()
+
+    @blocking
+    def pooled(self):
+        return threading.current_thread().name
+
+    @blocking
+    def park(self):
+        self.gate.wait(timeout=10.0)
+        return "released"
+
+
+class TestInlineDispatch:
+    """On ``ThreadedTransport`` a plain call runs in its caller's thread
+    after the same checks and bookkeeping a pooled one gets; only a
+    ``@blocking`` call is handed to the member's workers."""
+
+    def test_plain_calls_run_in_the_callers_thread(self):
+        transport = ThreadedTransport()
+        try:
+            ep = transport.add_endpoint("inline")
+            stub = Stub(transport, Skeleton(_Where(), transport, ep.endpoint_id).ref())
+            hooked = []
+            transport.install_fault_hook(
+                lambda eid, request: hooked.append(request.method)
+            )
+            caller = threading.get_ident()
+            assert [stub.where() for _ in range(200)] == [caller] * 200
+            assert _dispatch_threads("inline") == []
+            assert transport.dispatch_stats(ep.endpoint_id) == {
+                "queued": 0, "busy": 0, "workers": 4,
+            }
+            assert transport.messages_sent == 200
+            assert hooked == ["where"] * 200
+        finally:
+            transport.shutdown()
+
+    def test_a_killed_endpoint_is_down_before_the_hook_and_the_count(self):
+        transport = ThreadedTransport()
+        try:
+            ep = transport.add_endpoint("killed")
+            stub = Stub(transport, Skeleton(_Where(), transport, ep.endpoint_id).ref())
+            hooked = []
+            transport.install_fault_hook(
+                lambda eid, request: hooked.append(request.method)
+            )
+            transport.kill(ep.endpoint_id)
+            with pytest.raises(ConnectError, match=r"\(killed\) is down"):
+                stub.where()
+            assert hooked == []
+            assert transport.messages_sent == 0
+        finally:
+            transport.shutdown()
+
+    def test_a_blocking_method_still_runs_on_the_members_workers(self):
+        transport = ThreadedTransport(timeout=0.05)
+        impl = _Where()
+        try:
+            ep = transport.add_endpoint("pooled")
+            stub = Stub(transport, Skeleton(impl, transport, ep.endpoint_id).ref())
+            assert stub.pooled().startswith("erm-pooled_")
+            assert stub.where() == threading.get_ident()
+            with pytest.raises(RemoteError, match=r"'park' timed out after 0.05s"):
+                stub.park()
+            impl.gate.set()
+        finally:
+            transport.shutdown()
+
+    def test_no_timeout_waits_for_a_pooled_call(self):
+        """``timeout=None`` means no deadline, as on the asyncio
+        transport: a pooled call is waited for as long as it runs."""
+        transport = ThreadedTransport(timeout=None)
+        impl = _Where()
+        try:
+            ep = transport.add_endpoint("patient")
+            stub = Stub(transport, Skeleton(impl, transport, ep.endpoint_id).ref())
+            threading.Timer(0.05, impl.gate.set).start()
+            assert stub.park() == "released"
+        finally:
+            transport.shutdown()
+
+    def test_no_timeout_waits_for_a_batch(self):
+        transport = ThreadedTransport(workers_per_endpoint=2, timeout=None)
+        try:
+            gate = _Gate(transport, "patient-batch")
+            threading.Timer(0.05, gate.release.set).start()
+            batch = BatchRequest(
+                entries=tuple(Request("park", "m", bytes([i])) for i in range(4))
+            )
+            replies = transport.invoke_batch(gate.id, batch).entries
+            assert [r.payload for r in replies] == [bytes([i]) for i in range(4)]
+        finally:
+            transport.shutdown()
+
+
+def test_a_threaded_process_never_loads_asyncio():
+    """A process that serves plain and ``@blocking`` calls on a threaded
+    runtime never imports asyncio (nor the ssl it loads); an asyncio
+    transport built later in the same process still serves a call."""
+    code = textwrap.dedent(
+        """
+        import sys
+
+        import repro
+        from repro.rmi.aio import blocking
+
+
+        class Service(repro.ElasticObject):
+            def echo(self, value):
+                return value
+
+            @blocking
+            def slow_echo(self, value):
+                return value
+
+
+        runtime = repro.ElasticRuntime.local(transport="threaded")
+        try:
+            runtime.new_pool(Service, name="svc")
+            stub = runtime.stub("svc")
+            assert (stub.echo(1), stub.slow_echo(2)) == (1, 2)
+        finally:
+            runtime.shutdown()
+        assert "asyncio" not in sys.modules
+        assert "ssl" not in sys.modules
+
+        from repro.rmi.aio import AsyncioTransport
+        from repro.rmi.remote import Remote, Skeleton, Stub
+
+
+        class Echo(Remote):
+            def echo(self, value):
+                return value
+
+
+        transport = AsyncioTransport()
+        try:
+            ep = transport.add_endpoint("aio")
+            ref = Skeleton(Echo(), transport, ep.endpoint_id).ref()
+            assert Stub(transport, ref).echo(3) == 3
+        finally:
+            transport.shutdown()
+        assert "asyncio" in sys.modules
+        print("served")
+        """
+    )
+    src = Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "served"
 
 
 @pytest.mark.parametrize("kind", ["direct", "threaded", "asyncio"])
