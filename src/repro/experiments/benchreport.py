@@ -168,10 +168,10 @@ def _make_async_harness(kind: str) -> tuple[Any, Any]:
     The service is I/O-shaped on purpose: each call spends its life
     suspended, so throughput measures how many calls a transport keeps
     in flight, not how fast Python runs the handler body.  The threaded
-    transport drives each coroutine with a private ``asyncio.run`` in
-    the calling ``invoke_async`` pool thread, a plain call (one blocked
-    thread per in-flight call — exactly the ceiling under test); the
-    asyncio transport awaits it on the loop.
+    transport drives each coroutine with a private ``asyncio.run`` in an
+    ``invoke_async`` pool thread (one blocked thread per in-flight call
+    — exactly the ceiling under test); the asyncio transport awaits it
+    on the loop.
     """
     import asyncio
 

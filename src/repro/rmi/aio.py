@@ -66,7 +66,6 @@ from __future__ import annotations
 import importlib
 import threading
 from collections import deque
-from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.errors import ConnectError, RemoteError
@@ -90,6 +89,7 @@ DoneCallback = Callable[[Any, "BaseException | None"], None]
 # Bound when the first loop starts (_LoopRuntime): a process that never
 # builds an AsyncioTransport never loads asyncio, nor the ssl it brings.
 asyncio: Any = None
+Future: Any = None  # concurrent.futures.Future, which asyncio loads anyway
 
 DEFAULT_INFLIGHT_WINDOW = 16_384
 LAG_SAMPLE_INTERVAL_S = 0.05
@@ -102,9 +102,8 @@ def blocking(fn: Callable[..., Any]) -> Callable[..., Any]:
     The asyncio transport runs a call of a marked method (the
     skeleton's synchronous ``handle``) on its member's own pool of 4
     workers instead of on the loop — the *only* sanctioned way to block
-    in a handler there.  ``ThreadedTransport`` runs it on that pool
-    instead of in the caller's thread, so a member's workers stay its
-    budget of blocking work; ``DirectTransport`` ignores the marker.
+    in a handler there.  ``ThreadedTransport`` runs it there too, not in
+    the caller's thread; ``DirectTransport`` ignores the marker.
     """
     fn.__ermi_blocking__ = True
     return fn
@@ -114,8 +113,9 @@ class _LoopRuntime:
     """The shared event loop and its thread."""
 
     def __init__(self) -> None:
-        global asyncio
+        global asyncio, Future
         asyncio = importlib.import_module("asyncio")
+        Future = importlib.import_module("concurrent.futures").Future
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(
             target=self._run, name="ermi-aio-loop", daemon=True

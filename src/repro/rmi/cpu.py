@@ -55,11 +55,13 @@ import queue
 import threading
 import time
 import weakref
-from concurrent.futures import Future
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import CpuWorkerLostError, MarshalError, RemoteError
 from repro.rmi.fastpath import dumps_oob, loads_oob
+
+if TYPE_CHECKING:  # imported with the first executor
+    from concurrent.futures import Future
 
 DEFAULT_SHM_MIN = 256 * 1024
 _SEGMENT_PREFIX = "ermi-cpu"
@@ -355,6 +357,8 @@ class CpuExecutor:
         mp_context: Any = None,
     ) -> None:
         import multiprocessing
+        from concurrent.futures import Future
+        self._new_future = Future
 
         if workers is None:
             # cpu_count() - 1: one core is left for the dispatching parent
@@ -561,7 +565,7 @@ class CpuExecutor:
             raise MarshalError(
                 f"cannot marshal cpu-bound call {method_name!r}: {exc}"
             ) from exc
-        future: "Future" = Future()
+        future: "Future" = self._new_future()
         self._queue.put(
             _Job(job_id, spec, future, segment, time.perf_counter())
         )

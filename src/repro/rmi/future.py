@@ -26,10 +26,12 @@ thousand pools.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import RemoteError
+
+if TYPE_CHECKING:  # imported when the pool is made
+    from concurrent.futures import ThreadPoolExecutor
 
 _UNSET = object()
 
@@ -223,6 +225,7 @@ def async_executor() -> ThreadPoolExecutor:
     if _executor is None:
         with _executor_lock:
             if _executor is None:
+                from concurrent.futures import ThreadPoolExecutor
                 _executor = ThreadPoolExecutor(
                     max_workers=ASYNC_WORKERS,
                     thread_name_prefix="ermi-async",

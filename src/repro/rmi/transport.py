@@ -730,9 +730,8 @@ def _run_chunk(arg: tuple[Endpoint, tuple[Request, ...]]) -> list[Response]:
 
 
 class ThreadedTransport(_TransportBase):
-    """Live transport, blocking invocations: a plain call runs in the
-    caller's thread, a ``@blocking`` one and a batch's chunks on the
-    endpoint's pool, bounded by ``timeout`` (None: no deadline)."""
+    """Live transport: a plain call runs in the caller's thread; a
+    ``@blocking`` one and a batch run on the pool, within ``timeout``."""
 
     concurrent = True
 

@@ -590,8 +590,9 @@ class TestInlineDispatch:
 
 def test_a_threaded_process_never_loads_asyncio():
     """A process that serves plain and ``@blocking`` calls on a threaded
-    runtime never imports asyncio (nor the ssl it loads); an asyncio
-    transport built later in the same process still serves a call."""
+    runtime never imports asyncio (nor the ssl it loads) or
+    concurrent.futures; an asyncio transport built later in the same
+    process still serves a call."""
     code = textwrap.dedent(
         """
         import sys
@@ -618,6 +619,7 @@ def test_a_threaded_process_never_loads_asyncio():
             runtime.shutdown()
         assert "asyncio" not in sys.modules
         assert "ssl" not in sys.modules
+        assert "concurrent.futures" not in sys.modules
 
         from repro.rmi.aio import AsyncioTransport
         from repro.rmi.remote import Remote, Skeleton, Stub
