@@ -165,8 +165,8 @@ class AsyncioTransport(_TransportBase):
 
     ``timeout`` bounds each message that waits on a call's task or a
     pool job; one that runs to its reply where it was sent has no
-    deadline to keep (None disables the deadline).  ``inflight_limit``
-    is the dispatch window.
+    deadline to keep (None disables the deadline; it must otherwise be
+    positive).  ``inflight_limit`` is the dispatch window.
     """
 
     concurrent = True
@@ -179,7 +179,7 @@ class AsyncioTransport(_TransportBase):
         inflight_limit: int = DEFAULT_INFLIGHT_WINDOW,
     ) -> None:
         super().__init__()
-        self._timeout = timeout
+        self._set_timeout(timeout)
         self._runtime = loop_runtime()
         self.inflight_limit = max(1, inflight_limit)
         # The window, under _lock from any thread: free slots (one per
@@ -545,14 +545,6 @@ class AsyncioTransport(_TransportBase):
             on_done(None, exc)
         else:
             self._send(ep, target, message, entries, on_done, self._runtime.loop)
-
-    def _timeout_error(self, message: Request | BatchRequest) -> RemoteError:
-        what = (
-            f"batch of {len(message.entries)} invocations"
-            if type(message) is BatchRequest
-            else f"invocation of {message.method!r}"
-        )
-        return RemoteError(f"{what} timed out after {self._timeout}s")
 
     def _walk(
         self, ep: Endpoint, entries: tuple[Request, ...], target: Any = None

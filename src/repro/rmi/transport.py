@@ -6,9 +6,9 @@ stand-in for one JVM at one IP:port.  Two transports move
 
 - :class:`DirectTransport` — synchronous delivery in the caller's thread.
   Deterministic; used by unit tests and by the simulation experiments.
-- :class:`ThreadedTransport` — the live mode the examples use: a plain
-  call runs in the caller's thread; a ``@blocking`` one blocks it until
-  a worker of its endpoint's bounded pool responds (or a timeout trips).
+- :class:`ThreadedTransport` — the live mode the examples use: the
+  same delivery, plus a bounded pool per endpoint that runs a
+  ``@blocking`` call or a batch's chunks while the caller waits.
 
 The invoke path is engineered to be contention-free (the fast-path
 invariants DESIGN.md documents):
@@ -39,8 +39,9 @@ stub").  A killed endpoint stays *resolvable*, its pool closed, so the
 failure always surfaces as the "endpoint ... is down" ConnectError the
 retry loop expects — for a call after the kill, one racing it, and a
 ``@blocking`` one already queued behind a busy worker (started jobs,
-and plain calls past resolution, run to completion).
-A revived endpoint keeps its closed pool.
+and plain calls past resolution, run to completion), as for any call
+after ``shutdown()``.  ``revive`` leaves an endpoint whose pool was
+closed down.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
@@ -176,7 +178,7 @@ class Endpoint:
     unexport, kill, revive); ``objects`` is copy-on-write, so the
     invoke path reads it without locking.
     ``pool`` is the endpoint's :class:`_Dispatcher`, made by its
-    transport on first use and closed when the endpoint is killed.
+    transport on first use and closed, for good, when it is killed.
     """
 
     name: str
@@ -400,10 +402,12 @@ class _TransportBase:
                 pool.close()
 
     def revive(self, endpoint_id: str) -> None:
+        """Bring a killed endpoint back, unless its pool closed with it."""
         ep = self._endpoints.get(endpoint_id)
         if ep is not None:
             with ep.lock:
-                ep.alive = True
+                if ep.pool is None:
+                    ep.alive = True
 
     def _resolve(
         self, endpoint_id: str, request: Request
@@ -417,31 +421,45 @@ class _TransportBase:
         return ep, target
 
     def _resolve_endpoint(self, endpoint_id: str) -> Endpoint:
-        """Endpoint-level resolution for a batch: alive or ConnectError.
+        """Endpoint-level resolution for a batch: alive, on a transport
+        not shut down, or the "is down" ConnectError.
 
         Per-entry object lookup is deferred to dispatch time so one
         stale entry cannot fail the whole wire message."""
         ep = self.endpoint(endpoint_id)
-        if not ep.alive:
+        if not ep.alive or self._closed:
             raise ConnectError(f"endpoint {endpoint_id} ({ep.name}) is down")
         return ep
 
-    def _batch_prologue(
-        self, endpoint_id: str, ep: Endpoint, batch: BatchRequest
+    def _deliver(
+        self, endpoint_id: str, ep: Endpoint, message: Request | BatchRequest
     ) -> None:
-        """The one-wire-message bookkeeping shared by both transports.
-
-        A batch is a single message: the fault hook is consulted once
-        (an injected drop loses the whole batch, exactly as a lost
-        packet would), ``messages_sent`` advances by one, and one
-        transport trace event records the coalesced size.
-        """
+        """One resolved wire message's bookkeeping on both sync
+        transports: the fault hook once (a batch as its
+        :func:`batch_envelope`: a drop loses it whole, as a lost packet
+        would), one ``messages_sent``, one trace event."""
         hook = self._fault_hook
         if hook is not None:
-            hook(endpoint_id, batch_envelope(batch))
+            hook(endpoint_id, message if type(message) is Request
+                 else batch_envelope(message))
         self._messages.increment()
         if self._tracer is not None:
-            self._trace_message(ep, batch)
+            self._trace_message(ep, message)
+
+    def _set_timeout(self, timeout: float | None) -> None:
+        """A live transport's deadline for a message that waits: None
+        (no deadline) or a positive number of seconds."""
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"timeout must be None or positive, not {timeout!r}")
+        self._timeout = timeout
+
+    def _timeout_error(self, message: Request | BatchRequest) -> RemoteError:
+        what = (
+            f"batch of {len(message.entries)} invocations"
+            if type(message) is BatchRequest
+            else f"invocation of {message.method!r}"
+        )
+        return RemoteError(f"{what} timed out after {self._timeout}s")
 
     def _trace_message(self, ep: Endpoint, message: Request | BatchRequest) -> None:
         """The transport trace event of one wire message (tracer set)."""
@@ -493,40 +511,18 @@ def batch_envelope(batch: BatchRequest) -> Request:
 
 
 class DirectTransport(_TransportBase):
-    """Synchronous, deterministic delivery in the caller's thread.
-
-    ``on_message`` (optional) observes every request — the hook used for
-    latency accounting in simulation and message tracing in tests.
-    """
-
-    def __init__(
-        self, on_message: Callable[[str, Request], None] | None = None
-    ) -> None:
-        super().__init__()
-        self._on_message = on_message
+    """Synchronous, deterministic delivery in the caller's thread."""
 
     def invoke(self, endpoint_id: str, request: Request) -> Response:
         ep, target = self._resolve(endpoint_id, request)
-        hook = self._fault_hook
-        if hook is not None:
-            hook(endpoint_id, request)
-        self._messages.increment()
-        if self._tracer is not None:
-            self._trace_message(ep, request)
-        if self._on_message is not None:
-            self._on_message(endpoint_id, request)
+        self._deliver(endpoint_id, ep, request)
         return target.handle(request)
 
     def invoke_batch(self, endpoint_id: str, batch: BatchRequest) -> BatchResponse:
         """Deliver a batch deterministically: one wire message, then its
-        entries in order in the caller's thread (:func:`_serve`), after
-        ``on_message`` has observed every logical invocation for
-        simulation accounting."""
+        entries in order in the caller's thread (:func:`_serve`)."""
         ep = self._resolve_endpoint(endpoint_id)
-        self._batch_prologue(endpoint_id, ep, batch)
-        if self._on_message is not None:
-            for request in batch.entries:
-                self._on_message(endpoint_id, request)
+        self._deliver(endpoint_id, ep, batch)
         return BatchResponse(entries=tuple(_serve(ep, batch.entries)))
 
 
@@ -725,13 +721,10 @@ class _Dispatcher:
             self._queue.put(None)
 
 
-def _run_chunk(arg: tuple[Endpoint, tuple[Request, ...]]) -> list[Response]:
-    return _serve(*arg)
-
-
-class ThreadedTransport(_TransportBase):
-    """Live transport: a plain call runs in the caller's thread; a
-    ``@blocking`` one and a batch run on the pool, within ``timeout``."""
+class ThreadedTransport(DirectTransport):
+    """Live transport: :class:`DirectTransport` plus member pools.  A
+    ``@blocking`` call and a batch's chunks run on the endpoint's pool,
+    within ``timeout`` (None: no deadline)."""
 
     concurrent = True
 
@@ -740,8 +733,7 @@ class ThreadedTransport(_TransportBase):
         if workers_per_endpoint < 1:
             raise ValueError("workers_per_endpoint must be at least 1")
         self._workers = workers_per_endpoint
-        self._timeout = timeout
-        self._wait = -1 if timeout is None else timeout
+        self._set_timeout(timeout)
 
     def add_endpoint(self, name: str) -> Endpoint:
         # The pool comes with the endpoint, and stays closed once killed.
@@ -749,34 +741,12 @@ class ThreadedTransport(_TransportBase):
         self._pool(ep)
         return ep
 
-    def _dispatcher(self, ep: Endpoint) -> _Dispatcher:
-        # After shutdown(), or kill() racing past _resolve, a dead
-        # endpoint wins before the fault hook, the message count and the
-        # trace event; submit() re-checks for the true race.
-        pool = ep.pool or self._pool(ep)
-        if pool._closed:
-            raise ConnectError(pool._down)
-        return pool
-
     def invoke(self, endpoint_id: str, request: Request) -> Response:
         ep, target = self._resolve(endpoint_id, request)
-        dispatcher = self._dispatcher(ep)
-        hook = self._fault_hook
-        if hook is not None:
-            hook(endpoint_id, request)
-        self._messages.increment()
-        if self._tracer is not None:
-            self._trace_message(ep, request)
+        self._deliver(endpoint_id, ep, request)
         if not target.offloads(request.method):
             return target.handle(request)
-        job = _Job(target.handle, request)
-        dispatcher.submit(job)
-        if not job.done.acquire(True, self._wait):
-            raise RemoteError(
-                f"invocation of {request.method!r} timed out after "
-                f"{self._timeout}s"
-            )
-        return job.outcome()
+        return self._run(ep, request, [_Job(target.handle, request)])[0]
 
     def invoke_batch(
         self, endpoint_id: str, batch: BatchRequest
@@ -787,32 +757,40 @@ class ThreadedTransport(_TransportBase):
         deadline covers the whole batch, raising the same
         :class:`RemoteError` a single slow invocation would."""
         ep = self._resolve_endpoint(endpoint_id)
-        dispatcher = self._dispatcher(ep)
-        self._batch_prologue(endpoint_id, ep, batch)
+        self._deliver(endpoint_id, ep, batch)
         requests = batch.entries
         if not requests:
             return BatchResponse(entries=())
         chunk_count = min(self._workers, len(requests))
         size, extra = divmod(len(requests), chunk_count)
+        serve = partial(_serve, ep)
         jobs = []
         start = 0
         for i in range(chunk_count):
             stop = start + size + (1 if i < extra else 0)
-            jobs.append(_Job(_run_chunk, (ep, requests[start:stop])))
-            dispatcher.submit(jobs[-1])
+            jobs.append(_Job(serve, requests[start:stop]))
             start = stop
+        replies = itertools.chain.from_iterable(self._run(ep, batch, jobs))
+        return BatchResponse(entries=tuple(replies))
+
+    def _run(
+        self, ep: Endpoint, message: Request | BatchRequest, jobs: list[_Job]
+    ) -> list[Any]:
+        """Queue ``jobs`` on ``ep``'s pool and wait for their outcomes, in
+        order, within one deadline (a pool a kill closed since the call
+        resolved refuses it "is down")."""
+        pool = ep.pool
+        for job in jobs:
+            pool.submit(job)
         timeout = self._timeout
         deadline = None if timeout is None else time.monotonic() + timeout
-        responses: list[Response] = []
+        outcomes = []
         for job in jobs:
             wait = -1 if deadline is None else max(0.0, deadline - time.monotonic())
             if not job.done.acquire(True, wait):
-                raise RemoteError(
-                    f"batch of {len(requests)} invocations timed out after "
-                    f"{self._timeout}s"
-                )
-            responses.extend(job.outcome())
-        return BatchResponse(entries=tuple(responses))
+                raise self._timeout_error(message)
+            outcomes.append(job.outcome())
+        return outcomes
 
     def cpu_executor(self):
         return self._ensure_cpu_executor()

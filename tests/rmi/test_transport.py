@@ -67,7 +67,8 @@ class TestDirectTransport:
 
     def test_message_counter_and_hook(self):
         seen = []
-        transport = DirectTransport(on_message=lambda eid, req: seen.append(req))
+        transport = DirectTransport()
+        transport.install_fault_hook(lambda eid, req: seen.append(req))
         ep = transport.add_endpoint("s")
         ep.export("o", echo_handler)
         transport.invoke(ep.endpoint_id, Request("o", "m", b""))
@@ -463,9 +464,9 @@ class TestThreadedDispatcher:
             assert not t.is_alive(), t.name
 
     def test_closed_endpoint_fails_before_any_message_bookkeeping(self):
-        """After shutdown() the endpoint is still marked alive, so only
-        the dispatcher knows it is gone: the call must fail as a dead
-        endpoint does — before the fault hook and the message count."""
+        """After shutdown() the endpoint is still marked alive, but the
+        transport is closed: the call must fail as a dead endpoint does
+        — before the fault hook and the message count."""
         transport = ThreadedTransport()
         ep = transport.add_endpoint("gone")
         ep.export("echo", echo_handler)
@@ -654,14 +655,21 @@ def test_a_threaded_process_never_loads_asyncio():
     assert done.stdout.strip() == "served"
 
 
-@pytest.mark.parametrize("kind", ["direct", "threaded", "asyncio"])
-def test_an_empty_batch_is_one_message_with_no_replies(kind):
+def _transport(kind, **options):
     from repro.rmi.aio import AsyncioTransport
 
-    transport = {
+    return {
         "direct": DirectTransport, "threaded": ThreadedTransport,
         "asyncio": AsyncioTransport,
-    }[kind]()
+    }[kind](**options)
+
+
+KINDS = ["direct", "threaded", "asyncio"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_empty_batch_is_one_message_with_no_replies(kind):
+    transport = _transport(kind)
     try:
         ep = transport.add_endpoint("s")
         reply = transport.invoke_batch(ep.endpoint_id, BatchRequest(entries=()))
@@ -672,17 +680,12 @@ def test_an_empty_batch_is_one_message_with_no_replies(kind):
             transport.shutdown()
 
 
-@pytest.mark.parametrize("kind", ["direct", "threaded", "asyncio"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_bare_callable_serves_a_call_and_a_batch(kind):
     """A handler callable exported without a skeleton serves an
     unbatched call and a batch of two on every transport; an object id
     is exported once."""
-    from repro.rmi.aio import AsyncioTransport
-
-    transport = {
-        "direct": DirectTransport, "threaded": ThreadedTransport,
-        "asyncio": AsyncioTransport,
-    }[kind]()
+    transport = _transport(kind)
     try:
         ep = transport.add_endpoint("s")
         ep.export("o", echo_handler)
@@ -700,3 +703,85 @@ def test_a_bare_callable_serves_a_call_and_a_batch(kind):
     finally:
         if kind != "direct":
             transport.shutdown()
+
+
+class TestOnePrologue:
+    """Every transport resolves, hooks, counts and traces a wire message
+    the same way: one fault-hook call and one count per message, and a
+    refused message gets neither."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_refused_message_is_neither_hooked_nor_counted(self, kind):
+        transport = _transport(kind)
+        hooked = []
+        transport.install_fault_hook(
+            lambda eid, request: hooked.append(request.method)
+        )
+        try:
+            ep = transport.add_endpoint("prologue")
+            ep.export("o", echo_handler)
+            call = Request("o", "m", b"x")
+            batch = BatchRequest(entries=(call, call, call))
+            assert transport.invoke(ep.endpoint_id, call).payload == b"x"
+            assert len(transport.invoke_batch(ep.endpoint_id, batch)) == 3
+            # A batch is one message, which the hook sees as its envelope.
+            assert hooked == ["m", "ermi.batch[3]"]
+            assert transport.messages_sent == 2
+            transport.kill(ep.endpoint_id)
+            for send, message in (
+                (transport.invoke, call), (transport.invoke_batch, batch),
+            ):
+                with pytest.raises(ConnectError, match=r"\(prologue\) is down"):
+                    send(ep.endpoint_id, message)
+            assert hooked == ["m", "ermi.batch[3]"]
+            assert transport.messages_sent == 2
+        finally:
+            if kind != "direct":
+                transport.shutdown()
+
+    @pytest.mark.parametrize("kind", ["threaded", "asyncio"])
+    def test_a_shut_down_transport_refuses_before_the_hook(self, kind):
+        transport = _transport(kind)
+        hooked = []
+        ep = transport.add_endpoint("alive")
+        ep.export("o", echo_handler)
+        transport.shutdown()
+        transport.install_fault_hook(
+            lambda eid, request: hooked.append(request.method)
+        )
+        call = Request("o", "m", b"x")
+        with pytest.raises(ConnectError):
+            transport.invoke(ep.endpoint_id, call)
+        with pytest.raises(ConnectError):
+            transport.invoke_batch(ep.endpoint_id, BatchRequest(entries=(call,)))
+        assert hooked == []
+        assert transport.messages_sent == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_revive_leaves_an_endpoint_whose_pool_was_closed_down(self, kind):
+        """A closed pool never reopens: after ``kill`` and ``revive`` a
+        plain call and a ``@blocking`` one are both refused "is down",
+        on every transport, never one served and the other not."""
+        transport = _transport(kind)
+        try:
+            ep = transport.add_endpoint("revived")
+            stub = Stub(transport, Skeleton(_Where(), transport, ep.endpoint_id).ref())
+            stub.pooled()
+            # The pool a live transport has by now (DirectTransport never
+            # makes one of its own).
+            transport._pool(ep)
+            transport.kill(ep.endpoint_id)
+            transport.revive(ep.endpoint_id)
+            for call in (stub.where, stub.pooled):
+                with pytest.raises(ConnectError, match=r"\(revived\) is down"):
+                    call()
+        finally:
+            if kind != "direct":
+                transport.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["threaded", "asyncio"])
+@pytest.mark.parametrize("timeout", [0, -1, -2, float("nan")])
+def test_a_live_transport_refuses_a_timeout_that_is_not_positive(kind, timeout):
+    with pytest.raises(ValueError, match="timeout must be None or positive"):
+        _transport(kind, timeout=timeout)

@@ -138,9 +138,9 @@ class TestKilledEndpointStaysResolvable:
         try:
             ep = transport.add_endpoint("victim")
             ep.export("obj", _echo_handler)
-            # kill drops the executor; revive re-marks the endpoint
-            # alive, recreating exactly the alive-but-no-dispatcher
-            # window a racing invoke can observe.
+            # kill closes the endpoint's pool and revive leaves such an
+            # endpoint down, so the call reads the same "is down"
+            # ConnectError the pool gives a call that raced the kill.
             transport.kill(ep.endpoint_id)
             transport.revive(ep.endpoint_id)
             request = Request(object_id="obj", method="echo", payload=b"")
